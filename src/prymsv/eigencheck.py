@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import BRequired, InvalidPrototype
-from .exactq import QuadComplex, QuadNum, lambda_of
+from .exactq import QuadComplex, QuadNum, admissible, lambda_of
 from .prototypes import (
     CylProto,
     SplitProto,
@@ -188,27 +188,18 @@ def verify_triple(p: TripleProto) -> bool:
     """Verify the order generator attached to a triple-of-tori prototype.
 
     Checks: self-adjointness for pairings ``(1, 2)``; the quadratic relation
-    ``T^2 = e T + 2ad Id``; the lattice index ``[Lambda0 : lambda*Lambda1] =
-    ad = (D - e^2)/8``; and the exact area ratio ``lambda^2 / (lambda^2 +
-    2ad) = (e + sqrt(D)) / (2 sqrt(D))``.
+    ``T^2 = e T + 2ad Id``; and the exact area ratio ``lambda^2 / (lambda^2 +
+    2ad) = (e + sqrt(D)) / (2 sqrt(D))``.  The lattice index
+    ``[Lambda0 : lambda*Lambda1] = ad = (D - e^2)/8`` holds by the definition
+    ``D = e^2 + 8ad`` and is not re-checked.
     """
-    a, b, d, e = p.a, p.b, p.d, p.e
-    D = p.D
     T = build_T_triple(p)
     if not verify_selfadjoint(T, pairing_form(1, 2)):
         return False
-    if mat_mul(T, T) != mat_scale_plus(T, e, 2 * a * d):
+    if mat_mul(T, T) != mat_scale_plus(T, p.e, 2 * p.a * p.d):
         return False
-    # The lattice lambda*Lambda1 has coordinates (a, 0) and (b, d) in the
-    # basis (lambda, i*lambda) of Lambda0, so the index is the determinant.
-    index = a * d
-    if index != (D - e * e) // 8:
-        return False
-    lam = lambda_of(D, e)
-    lhs = lam * lam / (lam * lam + 2 * a * d)
-    sqrtD = QuadNum.sqrt_D(D)
-    rhs = (sqrtD + e) / (2 * sqrtD)
-    return lhs == rhs
+    sqrtD = QuadNum.sqrt_D(p.D)
+    return area_ratio(p) == (sqrtD + p.e) / (2 * sqrtD)
 
 
 def area_ratio(p: TripleProto) -> QuadNum:
@@ -329,11 +320,11 @@ def verify_split_endo(p: SplitProto, case: str) -> bool:
 def verification_rows(dmax: int) -> Iterable[tuple[int, str, object, str, bool]]:
     """Yield ``(D, kind, proto, check, passed)`` for every prototype with D <= dmax."""
     for D in range(5, dmax + 1):
-        if D % 4 not in (0, 1):
+        if admissible(D, "disc") is not None:
             continue
         for p in enumerate_cyl(D):
             yield D, "cyl", p, "IA", verify_cyl_IA(p)
-        if D % 8 != 5 and D > 4:
+        if admissible(D, "triple") is None:
             for p in enumerate_triple(D):
                 yield D, "triple", p, "triple", verify_triple(p)
         for p in enumerate_split(D):
@@ -343,10 +334,10 @@ def verification_rows(dmax: int) -> Iterable[tuple[int, str, object, str, bool]]
                 yield D, "split", p, case, verify_split_endo(p, case)
 
 
-def verification_csv(dmax: int) -> str:
-    """CSV report ``D,kind,a,b,d,e,check,pass``."""
+def verification_csv(rows: Iterable[tuple[int, str, object, str, bool]]) -> str:
+    """CSV report ``D,kind,a,b,d,e,check,pass`` of :func:`verification_rows` output."""
     lines = ["D,kind,a,b,d,e,check,pass"]
-    for D, kind, p, check, passed in verification_rows(dmax):
+    for D, kind, p, check, passed in rows:
         lines.append(
             f"{D},{kind},{p.a},{p.b},{p.d},{p.e},{check},{'pass' if passed else 'FAIL'}"
         )

@@ -13,10 +13,6 @@ class InvalidDiscriminant(PrymsvError):
     """An integer that is not a positive discriminant (:math:`D \\equiv 0, 1 \\pmod 4`)."""
 
 
-class UnsupportedResidue(PrymsvError):
-    """A discriminant residue class for which the requested locus is empty."""
-
-
 class BRequired(PrymsvError):
     """An operation that is only defined for prototypes with ``b == 0``."""
 
@@ -33,20 +29,28 @@ class MissingTableEntry(PrymsvError):
     """A table lookup for a discriminant or column that the table does not carry."""
 
 
-class ResidueMismatch(PrymsvError):
+class OutsideTheoremHypotheses(PrymsvError):
+    """A discriminant outside the hypotheses of the closed-form results.
+
+    :func:`prymsv.exactq.admissible` returns it, or one of the subclasses
+    below, to say why a computation rejects a valid discriminant.
+    """
+
+
+class UnsupportedResidue(OutsideTheoremHypotheses):
+    """A discriminant outside the residue classes mod 8 that a locus needs."""
+
+
+class ResidueMismatch(OutsideTheoremHypotheses):
     """A discriminant outside the residue classes a formula is stated for."""
 
 
-class SquareDiscriminant(PrymsvError):
+class SquareDiscriminant(OutsideTheoremHypotheses):
     """A perfect-square discriminant passed where a non-square one is required."""
 
 
-class NotDivisibleBy4(PrymsvError):
+class NotDivisibleBy4(OutsideTheoremHypotheses):
     """A discriminant that is not divisible by four where the formula needs D/4."""
-
-
-class OutsideTheoremHypotheses(PrymsvError):
-    """A discriminant outside the hypotheses of the closed-form results."""
 
 
 class SlitTooLong(PrymsvError):

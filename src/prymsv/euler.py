@@ -16,14 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import (
-    MissingTableEntry,
-    ParseError,
-    ResidueMismatch,
-    SquareDiscriminant,
-    UnsupportedResidue,
-)
-from .exactq import check_discriminant, is_square
+from .errors import MissingTableEntry, ParseError, ResidueMismatch
+from .exactq import admissible, check_discriminant
 from .prototypes import enumerate_triple_e
 
 # ---------------------------------------------------------------------------
@@ -107,7 +101,8 @@ def p1_count(m: int) -> int:
         for g2, n2 in gcd_counts.items()
         if gcd(g1, g2) == 1
     )
-    assert pairs % units == 0
+    if pairs % units:
+        raise ValueError(f"{pairs} pairs do not split into orbits of {units} units")
     return pairs // units
 
 
@@ -127,7 +122,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_admissible(D: int, e: int) -> None:
+def _check_e(D: int, e: int) -> None:
     check_discriminant(D)
     if e * e >= D:
         raise ResidueMismatch(f"need e^2 < D, got e = {e}, D = {D}")
@@ -142,7 +137,7 @@ def m_D(D: int, e: int) -> int:
     ``sum of c((D - e^2) / (8 r^2))`` over ``r | f`` with ``gcd(r, e) = 1``.
     The convention ``gcd(r, 0) = r`` means ``e = 0`` only admits ``r = 1``.
     """
-    _check_admissible(D, e)
+    _check_e(D, e)
     n = (D - e * e) // 8
     f, _ = squarefree_decompose(n)
     total = 0
@@ -154,7 +149,7 @@ def m_D(D: int, e: int) -> int:
 
 def m_D_bruteforce(D: int, e: int) -> int:
     """Oracle for :func:`m_D`: the number of triple prototypes with this ``e``."""
-    _check_admissible(D, e)
+    _check_e(D, e)
     return len(enumerate_triple_e(D, e))
 
 
@@ -169,19 +164,10 @@ def is_12_primitive(D: int) -> bool:
     return True
 
 
-def _check_chi_D(D: int) -> None:
-    check_discriminant(D)
-    if D % 8 == 5:
-        raise UnsupportedResidue(f"W_D(0^3) is empty for D = {D} ≡ 5 (mod 8)")
-    if is_square(D):
-        raise SquareDiscriminant(f"D = {D} is a square")
-    if D <= 4:
-        raise UnsupportedResidue(f"D = {D} too small")
-
-
 def chi_W03(D: int) -> Fraction:
     """Euler characteristic of W_D(0^3): ``(-1/6) * sum of m_D(e)``."""
-    _check_chi_D(D)
+    if err := admissible(D, "W03"):
+        raise err
     bound = math.isqrt(D - 1)
     total = sum(
         m_D(D, e) for e in range(-bound, bound + 1) if (D - e * e) % 8 == 0
@@ -191,9 +177,8 @@ def chi_W03(D: int) -> Fraction:
 
 def chi_W03_pm(D: int) -> Fraction:
     """Euler characteristic of either component W_{D+-}(0^3) for D ≡ 1 (mod 8)."""
-    _check_chi_D(D)
-    if D % 8 != 1:
-        raise UnsupportedResidue(f"components only split for D ≡ 1 (mod 8), got {D}")
+    if err := admissible(D, "S_D"):
+        raise err
     return chi_W03(D) / 2
 
 
@@ -301,19 +286,11 @@ def load_table(path: str) -> EulerTable:
     return EulerTable(rows=rows)
 
 
-def lookup_chi(table: EulerTable, D: int, stratum: str) -> Fraction:
-    """Look up ``chi(W_D(stratum))`` for stratum in ``{"4", "2", "03"}``."""
-    columns = {"4": table.chi_w4, "2": table.chi_w2, "03": table.chi_w03_expected}
-    if stratum not in columns:
-        raise ParseError(f"unknown stratum {stratum!r}; expected one of 4, 2, 03")
-    return columns[stratum](D)
-
-
 def chi_report(dmin: int, dmax: int, table: EulerTable = BUILTIN_TABLE) -> str:
     """CSV report ``D,chi_w03_computed,chi_w03_table,match`` over a D range."""
     lines = ["D,chi_w03_computed,chi_w03_table,match"]
     for D in range(dmin, dmax + 1):
-        if D % 4 not in (0, 1) or D % 8 == 5 or D <= 4 or is_square(D):
+        if admissible(D, "W03") is not None:
             continue
         computed = chi_W03(D)
         try:

@@ -121,27 +121,48 @@ class FlatSurface:
         )
 
     def check(self, rtol: float = 1e-9) -> None:
-        """Assert the structural invariants; raises AssertionError on failure."""
+        """Check the structural invariants; raises ValueError on the first failure.
+
+        Every triangle closes up and is counter-clockwise, the gluing is an
+        involution pairing edges with opposite vectors, every cone angle is a
+        multiple of 2*pi, and the area matches ``area_exact`` when it is set.
+        """
+
+        def require(ok: bool, what: str) -> None:
+            if not ok:
+                raise ValueError(what)
+
         scale = max(abs(v) for tri in self.triangles for v in tri)
         for t, tri in enumerate(self.triangles):
-            assert abs(sum(self.edge_vector((t, i)) for i in range(3))) <= rtol * scale
-            assert _cross(tri[1] - tri[0], tri[2] - tri[0]) > 0, "triangle not ccw"
+            require(
+                abs(sum(self.edge_vector((t, i)) for i in range(3))) <= rtol * scale,
+                f"triangle {t} does not close up",
+            )
+            require(_cross(tri[1] - tri[0], tri[2] - tri[0]) > 0, f"triangle {t} not ccw")
         for edge, other in self.glue.items():
-            assert self.glue[other] == edge, "gluing is not an involution"
-            assert (
-                abs(self.edge_vector(edge) + self.edge_vector(other)) <= rtol * scale
-            ), "glued edges must carry opposite vectors"
+            require(self.glue[other] == edge, f"gluing is not an involution at {edge}")
+            require(
+                abs(self.edge_vector(edge) + self.edge_vector(other)) <= rtol * scale,
+                f"glued edges {edge}, {other} must carry opposite vectors",
+            )
         excess = 0.0
         for cid, ang in self.cone_angles.items():
             k = round(ang / (2 * math.pi))
-            assert abs(ang - 2 * math.pi * k) <= 1e-9 * max(1.0, ang), (
-                f"vertex class {cid} has angle {ang}, not a multiple of 2*pi"
+            require(
+                abs(ang - 2 * math.pi * k) <= 1e-9 * max(1.0, ang),
+                f"vertex class {cid} has angle {ang}, not a multiple of 2*pi",
             )
             excess += ang - 2 * math.pi
         genus_term = round(excess / (2 * math.pi)) + 2  # 2g - 2 + 2
-        assert abs(excess - 2 * math.pi * (genus_term - 2)) <= 1e-9
+        require(
+            abs(excess - 2 * math.pi * (genus_term - 2)) <= 1e-9,
+            f"angle excess {excess} is not a multiple of 2*pi",
+        )
         if self.area_exact:
-            assert abs(self.area - self.area_exact) <= rtol * self.area_exact
+            require(
+                abs(self.area - self.area_exact) <= rtol * self.area_exact,
+                f"area {self.area} differs from {self.area_exact}",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +397,6 @@ def group_families(
         SCFamily(start=r[0], end=r[1], holonomy=r[2], multiplicity=r[3])
         for r in reps
     ]
-
-
-def estimate_sv(
-    s: FlatSurface, R: float, tol: float | None = None
-) -> tuple[float, float, float]:
-    """Empirical Siegel-Veech constants from the zero-joining family counts.
-
-    ``c_k = N_k(R) * Area / (pi * R^2)`` where ``N_k`` counts multiplicity-k
-    families of connections from the first cone point to the second.  For a
-    meaningful estimate ``R`` should be large enough to yield at least ~10^3
-    families.
-    """
-    counts = family_counts(s, R, tol)
-    norm = s.area / (math.pi * R * R)
-    return tuple(counts.get(k, 0) * norm for k in (1, 2, 3))  # type: ignore[return-value]
 
 
 def family_counts(

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import SquareDiscriminant, UnsupportedResidue
 from .euler import m_D, sigma1, squarefree_decompose
-from .exactq import check_discriminant, is_square
+from .exactq import admissible
 
 
 @dataclass(frozen=True)
@@ -162,11 +161,8 @@ def S_D(D: int) -> Fraction:
 
     Vanishes for every non-square ``D ≡ 1 (mod 8)``.
     """
-    check_discriminant(D)
-    if D % 8 != 1:
-        raise UnsupportedResidue(f"S_D needs D ≡ 1 (mod 8), got {D}")
-    if is_square(D):
-        raise SquareDiscriminant(f"D = {D} is a square")
+    if err := admissible(D, "S_D"):
+        raise err
     total = Fraction(0)
     for e in range(1, math.isqrt(D) + 1, 2):
         total += psi(e) * e * m_D(D, e)
@@ -205,11 +201,8 @@ def verify_S_recursion(D: int) -> RecursionReport:
     ``sum over odd e of psi(e) e sigma1((D - e^2)/8)`` equals
     ``sum over r | f of psi(r) r S_{D/r^2}``.
     """
-    check_discriminant(D)
-    if D % 8 != 1:
-        raise UnsupportedResidue(f"recursion needs D ≡ 1 (mod 8), got {D}")
-    if is_square(D):
-        raise SquareDiscriminant(f"D = {D} is a square")
+    if err := admissible(D, "S_D"):
+        raise err
     f, _ = squarefree_decompose(D)
     rhs = Fraction(0)
     for r in range(1, f + 1):

@@ -20,7 +20,7 @@ from .errors import (
     InvalidPrototype,
     UnsupportedResidue,
 )
-from .exactq import check_discriminant, is_square
+from .exactq import admissible, check_discriminant
 
 
 def _divisors(n: int) -> list[int]:
@@ -102,10 +102,6 @@ class SplitProto:
     def Dprime(self) -> int:
         return self.e * self.e + 4 * self.a * self.d
 
-    @property
-    def is_reduced(self) -> bool:
-        return self.d == 1 and self.b == 0
-
 
 class Sign(Enum):
     PLUS = "+"
@@ -154,7 +150,7 @@ def enumerate_cyl(D: int) -> list[CylProto]:
 
 def _e_candidates(D: int, k: int) -> Iterator[tuple[int, int]]:
     """Pairs ``(e, (D - e^2)/k)`` over all e with ``e^2 < D``, ``e^2 ≡ D (mod k)``."""
-    bound = math.isqrt(D - 1) if not is_square(D) else math.isqrt(D) - 1
+    bound = math.isqrt(D - 1)
     for e in range(-bound, bound + 1):
         if (D - e * e) % k == 0:
             yield e, (D - e * e) // k
@@ -162,7 +158,8 @@ def _e_candidates(D: int, k: int) -> Iterator[tuple[int, int]]:
 
 def enumerate_triple(D: int) -> list[TripleProto]:
     """All triple-of-tori prototypes of discriminant ``D``."""
-    _check_triple_D(D)
+    if err := admissible(D, "triple"):
+        raise err
     out: list[TripleProto] = []
     for e, n in _e_candidates(D, 8):
         out.extend(_triple_protos(e, n))
@@ -171,18 +168,11 @@ def enumerate_triple(D: int) -> list[TripleProto]:
 
 def enumerate_triple_e(D: int, e: int) -> list[TripleProto]:
     """The triple prototypes of discriminant ``D`` with the given ``e``."""
-    _check_triple_D(D)
+    if err := admissible(D, "triple"):
+        raise err
     if e * e >= D or (D - e * e) % 8 != 0:
         return []
     return sorted(_triple_protos(e, (D - e * e) // 8), key=_sort_key)
-
-
-def _check_triple_D(D: int) -> None:
-    check_discriminant(D)
-    if D % 8 == 5:
-        raise UnsupportedResidue(f"D = {D} ≡ 5 (mod 8): no triple prototypes")
-    if D <= 4:
-        raise InvalidDiscriminant(f"D = {D} too small (need D > 4)")
 
 
 def _triple_protos(e: int, n: int) -> list[TripleProto]:
@@ -213,9 +203,8 @@ def orbit_of(p: TripleProto) -> OrbitClass:
 
 def enumerate_split(Dprime: int) -> list[SplitProto]:
     """All splitting prototypes of discriminant ``Dprime``."""
-    check_discriminant(Dprime)
-    if Dprime <= 4:
-        raise InvalidDiscriminant(f"D' = {Dprime} too small (need D' > 4)")
+    if err := admissible(Dprime, "split"):
+        raise err
     out: list[SplitProto] = []
     for e, n in _e_candidates(Dprime, 4):
         for a in _divisors(n):
@@ -227,11 +216,6 @@ def enumerate_split(Dprime: int) -> list[SplitProto]:
                 if math.gcd(math.gcd(a, b), math.gcd(d, e)) == 1:
                     out.append(SplitProto(a, b, d, e))
     return sorted(out, key=_sort_key)
-
-
-def reduced_split(Dprime: int) -> list[SplitProto]:
-    """The reduced (``d = 1``, ``b = 0``) splitting prototypes."""
-    return [p for p in enumerate_split(Dprime) if p.is_reduced]
 
 
 class SplitClass(Enum):

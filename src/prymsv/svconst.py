@@ -5,7 +5,7 @@ external table supplies chi(W_D(2)) and chi(W_D(4)), while chi(W_D(0^3)) is
 always recomputed from :func:`prymsv.euler.chi_W03` (the table's column is a
 cross-check only).  Note the volume formulas evaluate to *negative*
 coefficients of pi^2 with the table's negative chi inputs; they are returned
-verbatim, with the absolute value exposed separately for reporting.
+verbatim.
 """
 
 from __future__ import annotations
@@ -14,14 +14,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    NotDivisibleBy4,
-    OutsideTheoremHypotheses,
-    SquareDiscriminant,
-    UnsupportedResidue,
-)
+from .errors import NotDivisibleBy4, PrymsvError
 from .euler import BUILTIN_TABLE, EulerTable, chi_W03
-from .exactq import check_discriminant, is_square
+from .exactq import admissible
 
 CONJECTURED = (Fraction(25, 9), Fraction(3), Fraction(2, 9))
 
@@ -42,27 +37,15 @@ def b_D(D: int) -> int:
     return 3 if q % 8 == 1 else 5
 
 
-def _check_volume_D(D: int) -> None:
-    check_discriminant(D)
-    if is_square(D):
-        raise SquareDiscriminant(f"D = {D} is a square")
-    if D <= 4:
-        raise UnsupportedResidue(f"D = {D} too small")
-    if D % 8 == 5:
-        raise UnsupportedResidue(
-            f"the locus is empty for D = {D} ≡ 5 (mod 8)"
-        )
-
-
 def volume(D: int, table: EulerTable = BUILTIN_TABLE) -> Fraction:
     """Coefficient of pi^2 in the volume of the whole locus, for ``4 | D``.
 
     ``(1/36) * (chi(W_D(2)) + b_D * chi(W_{D/4}(2)) + 9 * chi(W_D(0^3)))``.
-    The ``D/4`` term only enters when ``b_D != 0``.
+    The ``D/4`` term only enters when ``b_D != 0``.  Odd ``D`` raise
+    :class:`NotDivisibleBy4` from :func:`b_D`; use :func:`volume_pm` for them.
     """
-    _check_volume_D(D)
-    if D % 4 != 0:
-        raise NotDivisibleBy4(f"use volume_pm for odd D, got {D}")
+    if err := admissible(D, "W03"):
+        raise err
     b = b_D(D)
     total = table.chi_w2(D) + 9 * chi_W03(D)
     if b != 0:
@@ -75,17 +58,9 @@ def volume_pm(D: int, table: EulerTable = BUILTIN_TABLE) -> Fraction:
 
     ``(1/72) * (2 * chi(W_D(2)) + 9 * chi(W_D(0^3)))``.
     """
-    _check_volume_D(D)
-    if D % 8 != 1:
-        raise UnsupportedResidue(f"volume_pm needs D ≡ 1 (mod 8), got {D}")
+    if err := admissible(D, "S_D"):
+        raise err
     return (2 * table.chi_w2(D) + 9 * chi_W03(D)) / 72
-
-
-def volume_cover(D: int, table: EulerTable = BUILTIN_TABLE) -> Fraction:
-    """Coefficient of pi^2 for the degree-24 covering space: ``24 * volume``."""
-    if D % 8 == 1:
-        return 24 * volume_pm(D, table)
-    return 24 * volume(D, table)
 
 
 @dataclass(frozen=True)
@@ -99,10 +74,6 @@ class SVResult:
     c1: Fraction
     c2: Fraction
     c3: Fraction
-
-    @property
-    def volume_pi2_abs(self) -> Fraction:
-        return abs(self.volume_pi2_coeff)
 
     @property
     def constants(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -137,12 +108,8 @@ def sv_constants(D: int, table: EulerTable = BUILTIN_TABLE) -> list[SVResult]:
     9 chi(W_D(0^3))``): ``c1 = 15 chi(W_D(4)) / Delta'``, ``c2 = 18
     chi(W_D(2)) / Delta'``, ``c3 = 3 chi(W_D(0^3)) / Delta'``.
     """
-    try:
-        _check_volume_D(D)
-    except (SquareDiscriminant, UnsupportedResidue) as exc:
-        raise OutsideTheoremHypotheses(str(exc)) from exc
-    if D <= 9:
-        raise OutsideTheoremHypotheses(f"the theorem needs D > 9, got {D}")
+    if err := admissible(D, "theorem"):
+        raise err
     chi03 = chi_W03(D)
     chi4 = table.chi_w4(D)
     chi2 = table.chi_w2(D)
@@ -193,19 +160,19 @@ def check_conjecture(
 ) -> ConjectureReport:
     """Check ``sv_constants(D) == (25/9, 3, 2/9)`` over a discriminant range.
 
-    Discriminants outside the hypotheses, or missing from the table, are
-    recorded as skipped with the reason.
+    Discriminants outside the hypotheses (see :func:`prymsv.exactq.admissible`),
+    or missing from the table, are recorded as skipped with the reason.
     """
     checked: list[int] = []
     skipped: dict[int, str] = {}
     failures: list[int] = []
     for D in range(dmin, dmax + 1):
-        if D % 4 not in (0, 1):
+        if admissible(D, "disc") is not None:
             continue
         try:
             results = sv_constants(D, table)
-        except Exception as exc:  # noqa: BLE001 - reported per D
-            skipped[D] = f"{type(exc).__name__}: {exc}"
+        except PrymsvError as exc:  # outside the hypotheses, or no table row
+            skipped[D] = str(exc)
             continue
         checked.append(D)
         if not all(r.matches_conjecture() for r in results):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from prymsv import eigencheck
 from prymsv.cli import build_parser, dispatch
 
 
@@ -66,6 +67,18 @@ def test_verify_eigen(capsys):
     assert lines[0] == "D,kind,a,b,d,e,check,pass"
     assert len(lines) > 10
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+def test_verify_eigen_failure_exit_code(capsys, monkeypatch):
+    # One failing check (the triple of D = 8) must set exit code 1.
+    real = eigencheck.verify_triple
+    monkeypatch.setattr(eigencheck, "verify_triple", lambda p: p.D != 8 and real(p))
+    code, out, _ = run(capsys, "verify", "eigen", "--dmax", "12")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert [line for line in lines if not line.endswith(",pass")] == [
+        "8,triple,1,0,1,0,triple,FAIL"
+    ]
 
 
 def test_protos(capsys):

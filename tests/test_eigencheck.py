@@ -202,7 +202,7 @@ class TestBatch:
         )
 
     def test_csv_shape(self):
-        text = verification_csv(20)
+        text = verification_csv(verification_rows(20))
         lines = text.splitlines()
         assert lines[0] == "D,kind,a,b,d,e,check,pass"
         assert all(line.endswith(",pass") for line in lines[1:])

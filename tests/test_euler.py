@@ -19,7 +19,6 @@ from prymsv.euler import (
     chi_W03_pm,
     is_12_primitive,
     load_table,
-    lookup_chi,
     m_D,
     m_D_bruteforce,
     p1_count,
@@ -139,21 +138,16 @@ def test_chi_W03_errors():
 
 
 def test_builtin_lookups():
-    assert lookup_chi(BUILTIN_TABLE, 5, "2") == F(-3, 10)
-    assert lookup_chi(BUILTIN_TABLE, 12, "4") == F(-5, 6)
-    assert lookup_chi(BUILTIN_TABLE, 33, "03") == F(-4)
+    assert BUILTIN_TABLE.chi_w2(5) == F(-3, 10)
+    assert BUILTIN_TABLE.chi_w4(12) == F(-5, 6)
+    assert BUILTIN_TABLE.chi_w03_expected(33) == F(-4)
 
 
 def test_missing_entries():
     with pytest.raises(MissingTableEntry):
-        lookup_chi(BUILTIN_TABLE, 21, "4")
+        BUILTIN_TABLE.chi_w4(21)
     with pytest.raises(MissingTableEntry):
-        lookup_chi(BUILTIN_TABLE, 52, "2")
-
-
-def test_bad_stratum():
-    with pytest.raises(ParseError):
-        lookup_chi(BUILTIN_TABLE, 8, "5")
+        BUILTIN_TABLE.chi_w2(52)
 
 
 def test_all_builtin_values_negative():

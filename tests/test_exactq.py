@@ -3,8 +3,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from prymsv.errors import InvalidDiscriminant, MismatchedField, ParseError
-from prymsv.exactq import QuadComplex, QuadNum, check_discriminant, lambda_of
+from prymsv.errors import (
+    InvalidDiscriminant,
+    MismatchedField,
+    OutsideTheoremHypotheses,
+    ParseError,
+    SquareDiscriminant,
+    UnsupportedResidue,
+)
+from prymsv.exactq import (
+    QuadComplex,
+    QuadNum,
+    admissible,
+    check_discriminant,
+    lambda_of,
+)
 
 F = Fraction
 
@@ -104,15 +117,58 @@ class TestDiscriminant:
     def test_valid(self, D):
         assert check_discriminant(D) == D
 
-    @pytest.mark.parametrize("bad", [0, -4, 2, 3, 6, 7, 10, 11])
+    @pytest.mark.parametrize("bad", [0, -4, 2, 3, 6, 7, 10, 11, 5.0, True, "17", None])
     def test_invalid(self, bad):
         with pytest.raises(InvalidDiscriminant):
             check_discriminant(bad)
 
-    def test_square_flag(self):
+    def test_no_memo_after_valid_int(self):
+        # Once 5 has been accepted, its float twin must still be rejected.
+        check_discriminant(5)
         with pytest.raises(InvalidDiscriminant):
-            check_discriminant(16, allow_square=False)
-        assert check_discriminant(17, allow_square=False) == 17
+            check_discriminant(5.0)
+        with pytest.raises(InvalidDiscriminant):
+            QuadNum(1, 1, 5.0)
+
+
+class TestAdmissible:
+    LOCI = ("disc", "split", "triple", "W03", "theorem", "S_D")
+
+    @pytest.mark.parametrize(
+        "locus,accepted",
+        [
+            ("disc", [1, 4, 5, 8, 9, 12, 13, 16, 17]),
+            ("split", [5, 8, 9, 12, 13, 16, 17]),
+            ("triple", [8, 9, 12, 16, 17]),
+            ("W03", [8, 12, 17]),
+            ("theorem", [12, 17]),
+            ("S_D", [17]),
+        ],
+    )
+    def test_accepted_discriminants_to_17(self, locus, accepted):
+        assert [D for D in range(1, 18) if admissible(D, locus) is None] == accepted
+
+    @pytest.mark.parametrize(
+        "D,locus,err,words",
+        [
+            (13, "theorem", UnsupportedResidue, "13 ≡ 5 (mod 8)"),
+            (12, "S_D", UnsupportedResidue, "12 ≡ 4 (mod 8)"),
+            (16, "W03", SquareDiscriminant, "16 is a square"),
+            (49, "S_D", SquareDiscriminant, "49 is a square"),
+            (8, "theorem", OutsideTheoremHypotheses, "needs D > 9"),
+            (4, "triple", OutsideTheoremHypotheses, "needs D > 4"),
+            (4, "split", OutsideTheoremHypotheses, "needs D > 4"),
+        ],
+    )
+    def test_reasons(self, D, locus, err, words):
+        reason = admissible(D, locus)
+        assert type(reason) is err
+        assert words in str(reason)
+
+    @pytest.mark.parametrize("bad", [0, -8, 7, 17.0, True])
+    def test_invalid_before_any_locus(self, bad):
+        for locus in self.LOCI:
+            assert isinstance(admissible(bad, locus), InvalidDiscriminant)
 
 
 class TestSerialization:

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -12,7 +16,6 @@ from prymsv.flatcount import (
     count_report,
     default_slit,
     enumerate_sc,
-    estimate_sv,
     family_counts,
     group_families,
     systole_estimate,
@@ -29,18 +32,24 @@ def surface8():
     return s
 
 
-def square_torus() -> FlatSurface:
-    """A plain unit torus cut along both diagonals of ... no: two triangles."""
+SQUARE_TORUS_GLUE = {
+    (0, 0): (1, 1),
+    (1, 1): (0, 0),
+    (0, 1): (1, 2),
+    (1, 2): (0, 1),
+    (0, 2): (1, 0),
+    (1, 0): (0, 2),
+}
+
+
+def square_torus(glue=SQUARE_TORUS_GLUE) -> FlatSurface:
+    """A plain unit torus split into two triangles along its diagonal."""
     tris = [(0j, 1 + 0j, 1 + 1j), (0j, 1 + 1j, 1j)]
-    glue = {
-        (0, 0): (1, 1),
-        (1, 1): (0, 0),
-        (0, 1): (1, 2),
-        (1, 2): (0, 1),
-        (0, 2): (1, 0),
-        (1, 0): (0, 2),
-    }
-    return FlatSurface(triangles=tris, glue=glue, area_exact=1.0)
+    return FlatSurface(triangles=tris, glue=dict(glue), area_exact=1.0)
+
+
+# The torus gluing with (1, 1) sent on to (0, 1): not an involution.
+BROKEN_GLUE = {**SQUARE_TORUS_GLUE, (1, 1): (0, 1)}
 
 
 class TestConstruction:
@@ -71,6 +80,34 @@ class TestConstruction:
         s.check()
         assert s.zeros() == []
         assert s.area == pytest.approx(1.0)
+
+    def test_check_rejects_non_involution(self):
+        with pytest.raises(ValueError, match="not an involution"):
+            square_torus(BROKEN_GLUE).check()
+
+    def test_check_rejects_under_optimize(self):
+        # The checks must not be asserts, which ``python -O`` strips.
+        code = textwrap.dedent(
+            f"""
+            from prymsv.flatcount import FlatSurface
+            tris = [(0j, 1 + 0j, 1 + 1j), (0j, 1 + 1j, 1j)]
+            s = FlatSurface(triangles=tris, glue={BROKEN_GLUE!r}, area_exact=1.0)
+            try:
+                s.check()
+            except ValueError as exc:
+                print("rejected:", exc)
+            else:
+                print("accepted")
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        assert out.startswith("rejected: gluing is not an involution"), out
 
     def test_slit_too_long(self):
         with pytest.raises(SlitTooLong):
@@ -188,7 +225,8 @@ class TestEstimates:
         # order of magnitude (the acceptance test uses a much larger R).
         p = TripleProto(1, 0, 1, 0)
         s = build_slit_triple(p, default_slit(p, frac=0.3))
-        c1, c2, c3 = estimate_sv(s, 12.0)
+        estimates = count_report(s, 12.0)["estimates"]
+        c1, c2, c3 = (estimates[f"c{k}"] for k in (1, 2, 3))
         assert 1.0 < c1 < 5.0
         assert 1.5 < c2 < 5.0
         assert 0.0 < c3 < 1.0

@@ -21,7 +21,6 @@ from prymsv.prototypes import (
     enumerate_triple_e,
     orbit_of,
     protos_csv,
-    reduced_split,
     split_degree_counts,
     split_degree_witnesses,
 )
@@ -152,11 +151,6 @@ def test_split_D17():
     protos = enumerate_split(17)
     assert len(protos) == 6
     assert {(4, 0, 1, -1), (4, 0, 1, 1)} <= set(quads(protos))
-
-
-def test_split_reduced():
-    assert all(p.d == 1 and p.b == 0 for p in reduced_split(17))
-    assert reduced_split(8) == enumerate_split(8)
 
 
 def test_split_invariants():

@@ -10,14 +10,13 @@ from prymsv.errors import (
     OutsideTheoremHypotheses,
     UnsupportedResidue,
 )
-from prymsv.euler import BUILTIN_TABLE
+from prymsv.euler import BUILTIN_TABLE, EulerTable
 from prymsv.svconst import (
     CONJECTURED,
     b_D,
     check_conjecture,
     sv_constants,
     volume,
-    volume_cover,
     volume_pm,
 )
 
@@ -44,11 +43,6 @@ def test_volume(D, coeff):
 
 def test_volume_pm_17():
     assert volume_pm(17) == F(-1, 4)
-
-
-def test_volume_cover_factor():
-    assert volume_cover(12) == 24 * volume(12)
-    assert volume_cover(17) == 24 * volume_pm(17)
 
 
 def test_volume_routing():
@@ -110,7 +104,6 @@ def test_result_json():
         "volume_pi2": "-1/4",
         "b_D": None,
     }
-    assert plus.volume_pi2_abs == F(1, 4)
 
 
 def test_check_conjecture_report():
@@ -120,6 +113,24 @@ def test_check_conjecture_report():
     assert 8 in report.skipped  # too small
     assert 16 in report.skipped  # square
     assert 13 in report.skipped  # empty locus
+
+
+def test_check_conjecture_skips_missing_rows():
+    report = check_conjecture(49, 53)
+    assert report.checked == []
+    assert report.skipped == {
+        49: "D = 49 is a square",
+        52: "no table row for D = 52",
+        53: "D = 53 ≡ 5 (mod 8): the theorem locus needs D ≡ 0, 1, 4 (mod 8)",
+    }
+
+
+def test_check_conjecture_propagates_bugs():
+    # A table row holding an unparsed string is a bug, not a reason to skip.
+    rows = dict(BUILTIN_TABLE.rows)
+    rows[17] = ("-10/3", F(-3), F(-4, 3))
+    with pytest.raises(TypeError):
+        check_conjecture(5, 20, EulerTable(rows=rows))
 
 
 positive_scalars = st.fractions(min_value=F(1, 20), max_value=50, max_denominator=20)
