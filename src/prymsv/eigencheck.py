@@ -3,16 +3,19 @@
 Each prototype family comes with a generator ``T`` of the quadratic order
 acting on homology, self-adjoint for a symplectic form ``J`` determined by the
 intersection pairings of the chosen basis, together with (for some cases) an
-explicit eigen period vector.  All checks are exact: matrices are integral and
-period vectors live in Q(sqrt(D)) + i*Q(sqrt(D)).
+explicit eigen period vector.  ``T`` is integral with ``T^2 = t T + n Id``,
+and its eigenvalue ``mu`` (a root of ``x^2 - t x - n``) is real, so every
+check is an integer identity: a period vector, scaled into Z[mu] + i*Z[mu],
+is a real row and an imaginary row, each a pair ``(X, Y)`` of integer
+4-vectors standing for ``X + Y*mu``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import BRequired, InvalidPrototype
-from .exactq import QuadComplex, QuadNum, admissible, lambda_of
+from .errors import BRequired
+from .exactq import QuadNum, admissible, lambda_of
 from .prototypes import (
     CylProto,
     SplitProto,
@@ -23,6 +26,9 @@ from .prototypes import (
 )
 
 Matrix = Sequence[Sequence[int]]
+
+#: A real row vector ``X + Y*mu`` with integer 4-vectors ``X`` and ``Y``.
+Row = tuple[list[int], list[int]]
 
 #: Names of the stable cylinder diagram cases.
 CYL_CASES = ("I.A", "I.B", "II.A", "II.B")
@@ -69,21 +75,34 @@ def verify_selfadjoint(T: Matrix, J: Matrix) -> bool:
     return mat_mul(mat_transpose(T), J) == mat_mul(J, T)
 
 
-def row_times_matrix(v: Sequence[QuadComplex], T: Matrix) -> list[QuadComplex]:
-    D = v[0].D
-    zero = QuadComplex.from_parts(0, 0, D)
-    out = []
-    for j in range(4):
-        acc = zero
-        for i in range(4):
-            if T[i][j]:
-                acc = acc + v[i] * T[i][j]
-        out.append(acc)
-    return out
+def row_times_matrix(x: Sequence[int], T: Matrix) -> list[int]:
+    return [sum(x[i] * T[i][j] for i in range(4)) for j in range(4)]
 
 
-def _qc(re: "QuadNum | int", im: "QuadNum | int", D: int) -> QuadComplex:
-    return QuadComplex.from_parts(re, im, D)
+def eigen_residual(row: Row, T: Matrix, t: int, n: int) -> Row:
+    """``(X + Y mu) T - mu (X + Y mu)`` in the basis ``(1, mu)``, where ``mu^2 = t mu + n``.
+
+    Since ``mu (X + Y mu) = n Y + (X + t Y) mu``, the residual is
+    ``(X T - n Y, Y T - X - t Y)``; it is zero iff the row is a left
+    eigenvector of ``T`` for ``mu``.  The comparison is formal in ``(1, mu)``,
+    as :class:`~prymsv.exactq.QuadNum`'s is in ``(1, sqrt(D))``.
+    """
+    X, Y = row
+    XT, YT = row_times_matrix(X, T), row_times_matrix(Y, T)
+    return (
+        [XT[j] - n * Y[j] for j in range(4)],
+        [YT[j] - X[j] - t * Y[j] for j in range(4)],
+    )
+
+
+def _verify_endo(T: Matrix, J: Matrix, t: int, n: int, rows: Sequence[Row] = ()) -> bool:
+    """Self-adjointness of ``T`` for ``J``, ``T^2 = t T + n Id``, and ``v T = mu v`` on ``rows``."""
+    if not verify_selfadjoint(T, J):
+        return False
+    if mat_mul(T, T) != mat_scale_plus(T, t, n):
+        return False
+    zero = [0, 0, 0, 0]
+    return all(eigen_residual(row, T, t, n) == (zero, zero) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -101,49 +120,37 @@ def build_T(a: int, b: int, d: int, e: int, c: int = 0) -> list[list[int]]:
     ]
 
 
+def cyl_period_vector(p: CylProto) -> list[Row]:
+    """The I.A period vector scaled by ``lambda``: ``(lambda, i lambda, 2a, 2b + 2di)``.
+
+    Real row, then imaginary row, in Z[lambda] with ``lambda = (e + sqrt(D))/2``.
+    """
+    a, b, d = p.a, p.b, p.d
+    return [
+        ([0, 0, 2 * a, 2 * b], [1, 0, 0, 0]),
+        ([0, 0, 0, 2 * d], [0, 1, 0, 0]),
+    ]
+
+
 def verify_cyl_IA(p: CylProto) -> bool:
     """Verify the period eigen-relation for diagram case I.A.
 
-    The periods ``(1, i, 2a/lambda, 2b/lambda + i*2d/lambda)`` with pairings
-    ``(1, 2)`` form a row eigenvector of ``T`` for the eigenvalue
-    ``lambda = (e + sqrt(D))/2``; the cylinder ratios of case I.A,
-    ``l3/l1 = a/lambda`` and ``(h2+h3)/(h1+h2) = d/lambda``, are checked as
-    identities in Q(sqrt(D)).
+    The periods ``v = (1, i, 2a/lambda, 2b/lambda + i*2d/lambda)`` with
+    pairings ``(1, 2)`` form a row eigenvector of ``T`` for the eigenvalue
+    ``lambda = (e + sqrt(D))/2``, root of ``x^2 = e x + 2ad``.  Checked on
+    ``lambda*v`` (:func:`cyl_period_vector`), together with self-adjointness
+    and ``T^2 = e T + 2ad Id``.
+
+    Not re-checked, since ``D = e^2 + 8ad`` with ``a, d > 0`` makes them hold
+    for every prototype: ``lambda > 0`` (``sqrt(D) > |e|``); the minimal
+    polynomial (expand ``((e + sqrt(D))/2)^2``); and the I.A ratios
+    ``l3/l1 = a/lambda = (lambda - e)/(2d)`` and ``(h2+h3)/(h1+h2) = d/lambda
+    = (lambda - e)/(2a)``, which are half the entries ``2a/lambda``,
+    ``2d/lambda`` of ``v`` and equal the right-hand sides because
+    ``lambda (lambda - e) = 2ad``.
     """
-    a, b, d, e = p.a, p.b, p.d, p.e
-    D = p.D
-    lam = lambda_of(D, e)
-    if lam.sign() <= 0:
-        raise InvalidPrototype(f"lambda not positive for {p}")
-    # Minimal polynomial: lambda^2 = e*lambda + 2ad.
-    if lam * lam != lam * e + 2 * a * d:
-        return False
-    T = build_T(a, b, d, e)
-    if not verify_selfadjoint(T, pairing_form(1, 2)):
-        return False
-    x = QuadNum.rational(2 * a, D) / lam
-    z = QuadNum.rational(2 * b, D) / lam
-    t = QuadNum.rational(2 * d, D) / lam
-    v = [
-        _qc(1, 0, D),
-        _qc(0, 1, D),
-        _qc(x, 0, D),
-        _qc(z, t, D),
-    ]
-    lhs = row_times_matrix(v, T)
-    rhs = [QuadComplex.from_parts(lam, 0, D) * vi for vi in v]
-    if any(not (li - ri).is_zero() for li, ri in zip(lhs, rhs)):
-        return False
-    # Case I.A ratios, re-derived from the eigen-relation: the first block
-    # column gives e + x*d = lambda, so x/2 = (lambda - e)/(2d) must equal
-    # a/lambda (and symmetrically t/2 = d/lambda).
-    ratio_l = ratio_length(p)
-    ratio_h = ratio_height(p)
-    if x != 2 * ratio_l or t != 2 * ratio_h:
-        return False
-    if ratio_l != (lam - e) / (2 * d) or ratio_h != (lam - e) / (2 * a):
-        return False
-    return True
+    T = build_T(p.a, p.b, p.d, p.e)
+    return _verify_endo(T, pairing_form(1, 2), p.e, 2 * p.a * p.d, cyl_period_vector(p))
 
 
 def ratio_length(p: CylProto) -> QuadNum:
@@ -187,19 +194,15 @@ def build_T_triple(p: TripleProto) -> list[list[int]]:
 def verify_triple(p: TripleProto) -> bool:
     """Verify the order generator attached to a triple-of-tori prototype.
 
-    Checks: self-adjointness for pairings ``(1, 2)``; the quadratic relation
-    ``T^2 = e T + 2ad Id``; and the exact area ratio ``lambda^2 / (lambda^2 +
-    2ad) = (e + sqrt(D)) / (2 sqrt(D))``.  The lattice index
-    ``[Lambda0 : lambda*Lambda1] = ad = (D - e^2)/8`` holds by the definition
-    ``D = e^2 + 8ad`` and is not re-checked.
+    Checks self-adjointness for pairings ``(1, 2)`` and the quadratic relation
+    ``T^2 = e T + 2ad Id``.  Not re-checked, since ``D = e^2 + 8ad`` makes
+    them hold for every prototype: the lattice index ``[Lambda0 :
+    lambda*Lambda1] = ad = (D - e^2)/8``; and the area ratio
+    ``lambda^2 / (lambda^2 + 2ad) = (e + sqrt(D)) / (2 sqrt(D))``, because
+    ``lambda^2 + 2ad = e lambda + 4ad = sqrt(D) lambda``.
     """
     T = build_T_triple(p)
-    if not verify_selfadjoint(T, pairing_form(1, 2)):
-        return False
-    if mat_mul(T, T) != mat_scale_plus(T, p.e, 2 * p.a * p.d):
-        return False
-    sqrtD = QuadNum.sqrt_D(p.D)
-    return area_ratio(p) == (sqrtD + p.e) / (2 * sqrtD)
+    return _verify_endo(T, pairing_form(1, 2), p.e, 2 * p.a * p.d)
 
 
 def area_ratio(p: TripleProto) -> QuadNum:
@@ -248,44 +251,39 @@ def split_matrices(p: SplitProto, case: str) -> tuple[list[list[int]], list[list
     raise ValueError(f"unknown split case {case!r}; expected one of {SPLIT_CASES}")
 
 
-def split_period_vector(p: SplitProto, case: str) -> list[QuadComplex] | None:
+def split_period_vector(p: SplitProto, case: str) -> list[Row] | None:
     """The exact eigen period vector for ``w1``/``w3`` (none is available for ``w2``).
 
-    For ``w1`` the printed vector ``(2l', 2il', a, id)`` does *not* satisfy
-    the eigen-relation (component 2 misses by ``2iad``); the corrected vector
-    ``(2l', il', a, id)`` does, exactly, and is the one returned here.  See
+    Returned doubled, as real row and imaginary row in Z[mu] with
+    ``mu = 2 lambda' = e + sqrt(D')``: ``w1`` is ``2v = (2mu, i mu, 2a,
+    2di)`` and ``w3`` is ``2v = (mu, 2a + i mu, 4a, mu + 2di)``.  For ``w1``
+    the printed vector ``(2l', 2il', a, id)`` does *not* satisfy the
+    eigen-relation: it misses by ``-2ad*i`` in component 2 and by
+    ``+2d*l'*i`` in component 4.  The corrected ``(2l', il', a, id)``
+    satisfies it exactly and is the one returned here.  See
     :func:`split_period_vector_uncorrected` for the failing variant.
     """
-    D = p.Dprime
-    lam = lambda_of(D, p.e)  # l' = (e + sqrt(D'))/2
+    a, d = p.a, p.d
     if case == "w1":
         return [
-            _qc(2 * lam, 0, D),
-            _qc(0, lam, D),
-            _qc(p.a, 0, D),
-            _qc(0, p.d, D),
+            ([0, 0, 2 * a, 0], [2, 0, 0, 0]),
+            ([0, 0, 0, 2 * d], [0, 1, 0, 0]),
         ]
     if case == "w3":
         return [
-            _qc(lam, 0, D),
-            _qc(p.a, lam, D),
-            _qc(2 * p.a, 0, D),
-            _qc(lam, p.d, D),
+            ([0, 2 * a, 4 * a, 0], [1, 0, 0, 1]),
+            ([0, 0, 0, 2 * d], [0, 1, 0, 0]),
         ]
     if case == "w2":
         return None
     raise ValueError(f"unknown split case {case!r}; expected one of {SPLIT_CASES}")
 
 
-def split_period_vector_uncorrected(p: SplitProto) -> list[QuadComplex]:
-    """The ``w1`` period vector as printed, ``(2l', 2il', a, id)`` — a negative control."""
-    D = p.Dprime
-    lam = lambda_of(D, p.e)
+def split_period_vector_uncorrected(p: SplitProto) -> list[Row]:
+    """The ``w1`` period vector as printed, ``2v = (2mu, 2i mu, 2a, 2di)`` — a negative control."""
     return [
-        _qc(2 * lam, 0, D),
-        _qc(0, 2 * lam, D),
-        _qc(p.a, 0, D),
-        _qc(0, p.d, D),
+        ([0, 0, 2 * p.a, 0], [2, 0, 0, 0]),
+        ([0, 0, 0, 2 * p.d], [0, 2, 0, 0]),
     ]
 
 
@@ -294,22 +292,13 @@ def verify_split_endo(p: SplitProto, case: str) -> bool:
 
     Checks ``T^2 = 2e T + 4ad Id`` and self-adjointness for the case's
     symplectic form; for ``w1`` and ``w3`` additionally verifies the
-    eigen-relation ``v T = 2 lambda' v`` exactly in Q(sqrt(D')).
+    eigen-relation ``v T = 2 lambda' v`` exactly in Z[2 lambda'].
     """
     if p.b != 0:
         raise BRequired(f"endomorphism matrices are printed for b = 0 only, got {p}")
     T, J = split_matrices(p, case)
-    if not verify_selfadjoint(T, J):
-        return False
-    if mat_mul(T, T) != mat_scale_plus(T, 2 * p.e, 4 * p.a * p.d):
-        return False
-    v = split_period_vector(p, case)
-    if v is None:
-        return True
-    D = p.Dprime
-    two_lam = QuadComplex.from_parts(2 * lambda_of(D, p.e), 0, D)
-    lhs = row_times_matrix(v, T)
-    return all((li - two_lam * vi).is_zero() for li, vi in zip(lhs, v))
+    rows = split_period_vector(p, case) or ()
+    return _verify_endo(T, J, 2 * p.e, 4 * p.a * p.d, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ built-in data, since those values come from external computations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,6 +25,10 @@ from .prototypes import enumerate_triple_e
 # Multiplicative helpers, backed by a growable smallest-prime-factor sieve.
 # ---------------------------------------------------------------------------
 
+#: The sieve covers ``0..SIEVE_CAP``; larger ``n`` are factored by trial
+#: division, so its memory (about 40 bytes per entry) stays bounded.
+SIEVE_CAP = 10**7
+
 _spf: list[int] = [0, 1]
 
 
@@ -31,7 +36,7 @@ def _ensure_sieve(n: int) -> None:
     global _spf
     if n < len(_spf):
         return
-    size = max(2 * len(_spf), n + 1)
+    size = min(max(2 * len(_spf), n + 1), SIEVE_CAP + 1)
     spf = list(range(size))
     for p in range(2, math.isqrt(size - 1) + 1):
         if spf[p] == p:
@@ -41,12 +46,42 @@ def _ensure_sieve(n: int) -> None:
     _spf = spf
 
 
+def _trial_divide(n: int, out: dict[int, int]) -> int:
+    """Divide ``n > SIEVE_CAP`` by primes into ``out`` until the cofactor fits the sieve.
+
+    The candidates are the sieve's primes, then (only for ``n > SIEVE_CAP**2``)
+    every integer past the sieve.  Returns the cofactor, or 1 once it is a
+    prime above the cap.
+    """
+    _ensure_sieve(min(math.isqrt(n), SIEVE_CAP))
+    spf = _spf
+    candidates = itertools.chain(
+        (p for p in range(2, len(spf)) if spf[p] == p), itertools.count(len(spf))
+    )
+    for p in candidates:
+        if n <= SIEVE_CAP:
+            return n
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    out[n] = 1
+    return 1
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization ``{p: multiplicity}`` of ``n >= 1``."""
+    """Prime factorization ``{p: multiplicity}`` of ``n >= 1``.
+
+    Reads the smallest-prime-factor sieve up to :data:`SIEVE_CAP`; larger
+    ``n`` are first reduced by trial division.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    _ensure_sieve(n)
     out: dict[int, int] = {}
+    if n > SIEVE_CAP:
+        n = _trial_divide(n, out)
+    _ensure_sieve(n)
     while n > 1:
         p = _spf[n]
         k = 0

@@ -8,7 +8,6 @@ through the explicit :meth:`QuadNum.to_float` escape hatch.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -17,18 +16,12 @@ from .errors import (
     InvalidDiscriminant,
     MismatchedField,
     OutsideTheoremHypotheses,
-    ParseError,
     PrymsvError,
     SquareDiscriminant,
     UnsupportedResidue,
 )
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
-
-_SERIAL_RE = re.compile(
-    r"^(?P<p>-?\d+(?:/\d+)?)(?P<sign>[+-])(?P<q>\d+(?:/\d+)?)\*sqrt(?P<D>\d+)$"
-)
 
 
 def check_discriminant(D: int) -> int:
@@ -122,10 +115,6 @@ class QuadNum:
     def rational(cls, x: RationalLike, D: int) -> "QuadNum":
         return cls(Fraction(x), Fraction(0), D)
 
-    @classmethod
-    def sqrt_D(cls, D: int) -> "QuadNum":
-        return cls(Fraction(0), Fraction(1), D)
-
     # -- ring operations -----------------------------------------------------
 
     def _coerce(self, other: "QuadNum | RationalLike") -> "QuadNum":
@@ -153,9 +142,6 @@ class QuadNum:
             return NotImplemented
         return QuadNum(self.p - o.p, self.q - o.q, self.D)
 
-    def __rsub__(self, other: RationalLike) -> "QuadNum":
-        return QuadNum.rational(other, self.D) - self
-
     def __mul__(self, other: "QuadNum | RationalLike") -> "QuadNum":
         o = self._coerce(other)
         if o is NotImplemented:
@@ -181,19 +167,6 @@ class QuadNum:
         inv = QuadNum(o.p / norm, -o.q / norm, o.D)
         return self * inv
 
-    def __rtruediv__(self, other: RationalLike) -> "QuadNum":
-        return QuadNum.rational(other, self.D) / self
-
-    def conjugate(self) -> "QuadNum":
-        """The Galois conjugate ``p - q*sqrt(D)``."""
-        return QuadNum(self.p, -self.q, self.D)
-
-    def norm(self) -> Fraction:
-        return self.p * self.p - self.q * self.q * self.D
-
-    def trace(self) -> Fraction:
-        return 2 * self.p
-
     # -- exact order structure -------------------------------------------------
 
     def sign(self) -> int:
@@ -214,9 +187,6 @@ class QuadNum:
         cmp = _sign_rational(self.p * self.p - self.q * self.q * self.D)
         return sp * cmp if cmp != 0 else 0
 
-    def is_zero(self) -> bool:
-        return self.sign() == 0
-
     def __lt__(self, other: "QuadNum | RationalLike") -> bool:
         o = self._coerce(other)
         return (self - o).sign() < 0
@@ -235,93 +205,13 @@ class QuadNum:
     def to_float(self) -> float:
         return float(self.p) + float(self.q) * math.sqrt(self.D)
 
-    def serialize(self) -> str:
+    def __str__(self) -> str:
         """Render as ``p/q+r/s*sqrtD``, e.g. ``1/2+1/2*sqrt17``."""
         sign = "-" if self.q < 0 else "+"
         return f"{self.p}{sign}{abs(self.q)}*sqrt{self.D}"
 
-    @classmethod
-    def parse(cls, text: str) -> "QuadNum":
-        m = _SERIAL_RE.match(text.strip())
-        if m is None:
-            raise ParseError(f"cannot parse quadratic number from {text!r}")
-        q = Fraction(m.group("q"))
-        if m.group("sign") == "-":
-            q = -q
-        return cls(Fraction(m.group("p")), q, int(m.group("D")))
-
-    def __str__(self) -> str:
-        return self.serialize()
-
     def __repr__(self) -> str:
         return f"QuadNum({self.p!r}, {self.q!r}, {self.D})"
-
-
-@dataclass(frozen=True)
-class QuadComplex:
-    """A complex number with real and imaginary parts in the same Q(sqrt(D))."""
-
-    re: QuadNum
-    im: QuadNum
-
-    def __init__(self, re: QuadNum, im: QuadNum) -> None:
-        if re.D != im.D:
-            raise MismatchedField("real and imaginary parts live in different fields")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    @classmethod
-    def from_parts(
-        cls, re: "QuadNum | RationalLike", im: "QuadNum | RationalLike", D: int
-    ) -> "QuadComplex":
-        if not isinstance(re, QuadNum):
-            re = QuadNum.rational(re, D)
-        if not isinstance(im, QuadNum):
-            im = QuadNum.rational(im, D)
-        return cls(re, im)
-
-    @property
-    def D(self) -> int:
-        return self.re.D
-
-    def _coerce(self, other: "QuadComplex | QuadNum | RationalLike") -> "QuadComplex":
-        if isinstance(other, QuadComplex):
-            if other.D != self.D:
-                raise MismatchedField(
-                    f"cannot combine sqrt({self.D}) with sqrt({other.D})"
-                )
-            return other
-        if isinstance(other, (QuadNum, int, Fraction)):
-            return QuadComplex.from_parts(other, 0, self.D)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: "QuadComplex | QuadNum | RationalLike") -> "QuadComplex":
-        o = self._coerce(other)
-        return QuadComplex(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "QuadComplex | QuadNum | RationalLike") -> "QuadComplex":
-        o = self._coerce(other)
-        return QuadComplex(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, other: "QuadComplex | QuadNum | RationalLike") -> "QuadComplex":
-        o = self._coerce(other)
-        return QuadComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "QuadComplex":
-        return QuadComplex(-self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def __str__(self) -> str:
-        return f"({self.re}) + ({self.im})*i"
 
 
 def lambda_of(D: int, e: int) -> QuadNum:

@@ -110,12 +110,14 @@ def sv_constants(D: int, table: EulerTable = BUILTIN_TABLE) -> list[SVResult]:
     """
     if err := admissible(D, "theorem"):
         raise err
-    chi03 = chi_W03(D)
+    # The table lookups come first, so that a missing row fails before the
+    # costly chi(W_D(0^3)) is computed.
     chi4 = table.chi_w4(D)
     chi2 = table.chi_w2(D)
-    if D % 4 == 0:
-        b = b_D(D)
-        chi2_term = chi2 + (b * table.chi_w2(D // 4) if b != 0 else 0)
+    b = b_D(D) if D % 4 == 0 else None
+    chi2_term = chi2 + (b * table.chi_w2(D // 4) if b else 0)
+    chi03 = chi_W03(D)
+    if b is not None:
         delta = chi2_term + 9 * chi03
         return [
             SVResult(

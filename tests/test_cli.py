@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -67,6 +68,16 @@ def test_verify_eigen(capsys):
     assert lines[0] == "D,kind,a,b,d,e,check,pass"
     assert len(lines) > 10
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+def test_verify_eigen_csv_pinned(capsys):
+    # SHA-256 of the whole `verify eigen --dmax 200` stdout, recorded before
+    # the eigen checks became integer identities: any change of verdict shows.
+    code, out, _ = run(capsys, "verify", "eigen", "--dmax", "200")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "341f5b7a73e581d07b8875233d31c136adf44d5c103a11b3fe58152f7702d425"
+    )
 
 
 def test_verify_eigen_failure_exit_code(capsys, monkeypatch):

@@ -9,13 +9,14 @@ from prymsv.eigencheck import (
     area_ratio,
     build_T,
     build_T_triple,
+    cyl_period_vector,
     cyl_ratios,
+    eigen_residual,
     mat_mul,
     mat_scale_plus,
     pairing_form,
     ratio_height,
     ratio_length,
-    row_times_matrix,
     split_matrices,
     split_period_vector,
     split_period_vector_uncorrected,
@@ -26,7 +27,7 @@ from prymsv.eigencheck import (
     verify_split_endo,
     verify_triple,
 )
-from prymsv.exactq import QuadComplex, QuadNum, lambda_of
+from prymsv.exactq import QuadNum, lambda_of
 from prymsv.prototypes import (
     CylProto,
     SplitProto,
@@ -96,7 +97,7 @@ class TestTriple:
     def test_area_ratio_closed_form(self):
         for p in enumerate_triple(41):
             lam = lambda_of(p.D, p.e)
-            sqrtD = QuadNum.sqrt_D(p.D)
+            sqrtD = QuadNum(0, 1, p.D)
             assert area_ratio(p) == (sqrtD + p.e) / (2 * sqrtD)
             r = area_ratio(p)
             assert QuadNum.rational(0, p.D) < r < QuadNum.rational(1, p.D)
@@ -145,26 +146,23 @@ class TestSplit:
         assert split_period_vector(SplitProto(2, 0, 1, 0), "w2") is None
 
     def test_uncorrected_w1_vector_fails(self):
-        # The vector (2l', 2il', a, id) misses the eigen-relation in its
-        # second component by -2ad*i; the corrected (2l', il', a, id) passes.
+        # The printed v = (2l', 2il', a, id) misses v T = 2l' v by -2ad*i in
+        # component 2 and by +2d*l'*i in component 4: for 2v in the basis
+        # (1, mu), mu = 2l', the imaginary row's residual is
+        # (-4ad e_2, 2d e_4).  At (4, 0, 1, -1), v's residual is
+        # (0, -8i, 0, (-1 + sqrt(17))i).  The corrected (2l', il', a, id) passes.
         p = SplitProto(4, 0, 1, -1)
-        D = p.Dprime
         T, _ = split_matrices(p, "w1")
-        two_lam = QuadComplex.from_parts(2 * lambda_of(D, p.e), 0, D)
-
+        t, n = 2 * p.e, 4 * p.a * p.d
         bad = split_period_vector_uncorrected(p)
-        diffs = [
-            li - two_lam * vi
-            for li, vi in zip(row_times_matrix(bad, T), bad)
+        assert [eigen_residual(row, T, t, n) for row in bad] == [
+            ([0, 0, 0, 0], [0, 0, 0, 0]),
+            ([0, -16, 0, 0], [0, 0, 0, 2]),
         ]
-        assert diffs[0].is_zero() and diffs[2].is_zero()
-        assert not diffs[1].is_zero()
-        assert diffs[1] == QuadComplex.from_parts(0, -2 * p.a * p.d, D)
-
         good = split_period_vector(p, "w1")
         assert all(
-            (li - two_lam * vi).is_zero()
-            for li, vi in zip(row_times_matrix(good, T), good)
+            eigen_residual(row, T, t, n) == ([0, 0, 0, 0], [0, 0, 0, 0])
+            for row in good
         )
 
     def test_b_required(self):
@@ -184,6 +182,42 @@ class TestSplit:
                         T2, 2 * p.e, 4 * p.a * p.d
                     )
                     assert not (sa and quad)
+
+
+def _perturbations(rows):
+    """Every copy of ``rows`` with one integer entry increased by 1."""
+    for r in range(len(rows)):
+        for part in range(2):
+            for j in range(4):
+                bumped = [([*X], [*Y]) for X, Y in rows]
+                bumped[r][part][j] += 1
+                yield bumped
+
+
+class TestPeriodPerturbations:
+    ZERO = ([0, 0, 0, 0], [0, 0, 0, 0])
+
+    def assert_only_unperturbed_passes(self, rows, T, t, n):
+        def passes(rows):
+            return all(eigen_residual(row, T, t, n) == self.ZERO for row in rows)
+
+        assert passes(rows)
+        variants = list(_perturbations(rows))
+        assert len(variants) == 16
+        assert not any(passes(v) for v in variants)
+
+    @pytest.mark.parametrize("quad", [(2, 0, 1, 1), (2, 1, 2, 1)])
+    def test_cyl_IA_rows(self, quad):
+        p = CylProto(*quad)
+        T = build_T(p.a, p.b, p.d, p.e)
+        self.assert_only_unperturbed_passes(cyl_period_vector(p), T, p.e, 2 * p.a * p.d)
+
+    @pytest.mark.parametrize("case", ["w1", "w3"])
+    def test_split_rows(self, case):
+        p = SplitProto(4, 0, 1, -1)
+        T, _ = split_matrices(p, case)
+        rows = split_period_vector(p, case)
+        self.assert_only_unperturbed_passes(rows, T, 2 * p.e, 4 * p.a * p.d)
 
 
 class TestBatch:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prymsv import euler
 from prymsv.errors import (
     MissingTableEntry,
     ParseError,
@@ -17,6 +18,7 @@ from prymsv.euler import (
     chi_report,
     chi_W03,
     chi_W03_pm,
+    factorize,
     is_12_primitive,
     load_table,
     m_D,
@@ -27,6 +29,32 @@ from prymsv.euler import (
 )
 
 F = Fraction
+
+
+def _product(factors):
+    return math.prod(p**k for p, k in factors.items())
+
+
+def test_factorize_above_sieve_cap():
+    cap = euler.SIEVE_CAP
+    prime = 10**7 + 19
+    assert prime > cap
+    assert factorize(prime) == {prime: 1}
+    assert factorize(10007 * 10009) == {10007: 1, 10009: 1}
+    assert factorize(2**3 * prime) == {2: 3, prime: 1}
+    assert len(euler._spf) <= cap + 1
+
+
+def test_factorize_past_the_sieve(monkeypatch):
+    # With a small cap, n > cap**2 is factored by integers past the sieve too.
+    monkeypatch.setattr(euler, "SIEVE_CAP", 100)
+    monkeypatch.setattr(euler, "_spf", [0, 1])
+    for n in (101 * 103, 2 * 3 * 10007, 10007 * 10009, 10007**2, 99991, 97 * 101**2):
+        factors = factorize(n)
+        assert _product(factors) == n
+        assert all(all(p % q for q in range(2, math.isqrt(p) + 1)) for p in factors)
+    assert factorize(10007 * 10009) == {10007: 1, 10009: 1}
+    assert len(euler._spf) <= 101
 
 
 @pytest.mark.parametrize("n,s", [(1, 1), (2, 3), (4, 7), (6, 12), (12, 28), (100, 217)])

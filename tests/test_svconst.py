@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from prymsv import svconst
 from prymsv.errors import (
     MissingTableEntry,
     NotDivisibleBy4,
@@ -123,6 +124,16 @@ def test_check_conjecture_skips_missing_rows():
         52: "no table row for D = 52",
         53: "D = 53 ≡ 5 (mod 8): the theorem locus needs D ≡ 0, 1, 4 (mod 8)",
     }
+
+
+def test_missing_row_fails_before_chi_W03(monkeypatch):
+    # The table lookups come first: a missing row never pays for chi(W_D(0^3)).
+    def boom(D):
+        raise AssertionError(f"chi_W03({D}) computed before the table lookup")
+
+    monkeypatch.setattr(svconst, "chi_W03", boom)
+    with pytest.raises(MissingTableEntry):
+        sv_constants(52)
 
 
 def test_check_conjecture_propagates_bugs():
