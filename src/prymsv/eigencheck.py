@@ -49,10 +49,6 @@ def mat_mul(A: Matrix, B: Matrix) -> list[list[int]]:
     ]
 
 
-def mat_transpose(A: Matrix) -> list[list[int]]:
-    return [[A[j][i] for j in range(4)] for i in range(4)]
-
-
 def mat_scale_plus(A: Matrix, s: int, c: int) -> list[list[int]]:
     """``s*A + c*Id``."""
     return [
@@ -71,8 +67,14 @@ def pairing_form(j1: int, j2: int) -> list[list[int]]:
 
 
 def verify_selfadjoint(T: Matrix, J: Matrix) -> bool:
-    """True iff ``transpose(T) J == J T`` exactly."""
-    return mat_mul(mat_transpose(T), J) == mat_mul(J, T)
+    """True iff ``transpose(T) J == J T`` exactly, for an antisymmetric ``J``.
+
+    Every :func:`pairing_form` is antisymmetric, and then
+    ``transpose(J T) = transpose(T) transpose(J) = -transpose(T) J``, so the
+    identity holds iff ``J T`` is antisymmetric: one product instead of two.
+    """
+    JT = mat_mul(J, T)
+    return all(JT[i][j] == -JT[j][i] for i in range(4) for j in range(i, 4))
 
 
 def row_times_matrix(x: Sequence[int], T: Matrix) -> list[int]:

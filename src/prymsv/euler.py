@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import MissingTableEntry, ParseError, ResidueMismatch
 from .exactq import admissible, check_discriminant
@@ -26,10 +26,10 @@ from .prototypes import enumerate_triple_e
 # ---------------------------------------------------------------------------
 
 #: The sieve covers ``0..SIEVE_CAP``; larger ``n`` are factored by trial
-#: division, so its memory (about 40 bytes per entry) stays bounded.
+#: division, so its memory (4 bytes per entry, at most 40 MB) stays bounded.
 SIEVE_CAP = 10**7
 
-_spf: list[int] = [0, 1]
+_spf: Sequence[int] = array("i", [0, 1])
 
 
 def _ensure_sieve(n: int) -> None:
@@ -37,51 +37,51 @@ def _ensure_sieve(n: int) -> None:
     if n < len(_spf):
         return
     size = min(max(2 * len(_spf), n + 1), SIEVE_CAP + 1)
-    spf = list(range(size))
-    for p in range(2, math.isqrt(size - 1) + 1):
-        if spf[p] == p:
-            for multiple in range(p * p, size, p):
-                if spf[multiple] == multiple:
-                    spf[multiple] = p
+    spf = array("i", range(size))
+    root = math.isqrt(size - 1)
+    primes = [p for p in range(2, root + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    # Largest prime first, so each entry ends with its smallest prime factor.
+    for p in reversed(primes):
+        spf[p * p :: p] = array("i", [p]) * len(range(p * p, size, p))
     _spf = spf
 
 
-def _trial_divide(n: int, out: dict[int, int]) -> int:
-    """Divide ``n > SIEVE_CAP`` by primes into ``out`` until the cofactor fits the sieve.
+def _trial_divide(n: int) -> dict[int, int]:
+    """Factor ``n > SIEVE_CAP`` by trial division; the sieve grows only to cover ``sqrt(n)``.
 
     The candidates are the sieve's primes, then (only for ``n > SIEVE_CAP**2``)
-    every integer past the sieve.  Returns the cofactor, or 1 once it is a
-    prime above the cap.
+    every integer past the sieve.  Division stops once ``p**2`` exceeds the
+    cofactor, which is then 1 or a prime.
     """
     _ensure_sieve(min(math.isqrt(n), SIEVE_CAP))
     spf = _spf
     candidates = itertools.chain(
         (p for p in range(2, len(spf)) if spf[p] == p), itertools.count(len(spf))
     )
+    out: dict[int, int] = {}
     for p in candidates:
-        if n <= SIEVE_CAP:
-            return n
         if p * p > n:
             break
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
-    out[n] = 1
-    return 1
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization ``{p: multiplicity}`` of ``n >= 1``.
 
-    Reads the smallest-prime-factor sieve up to :data:`SIEVE_CAP`; larger
-    ``n`` are first reduced by trial division.
+    Reads the smallest-prime-factor sieve for ``n <=`` :data:`SIEVE_CAP`;
+    larger ``n`` are factored by trial division.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    out: dict[int, int] = {}
     if n > SIEVE_CAP:
-        n = _trial_divide(n, out)
+        return _trial_divide(n)
     _ensure_sieve(n)
+    out: dict[int, int] = {}
     while n > 1:
         p = _spf[n]
         k = 0
@@ -100,7 +100,6 @@ def sigma1(n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def c_index(m: int) -> int:
     """The index of Gamma_0(m) in SL(2,Z): ``m * prod_{p | m} (1 + 1/p)``."""
     num, den = m, 1
@@ -141,7 +140,6 @@ def p1_count(m: int) -> int:
     return pairs // units
 
 
-@lru_cache(maxsize=None)
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = f**2 * q`` with ``q`` squarefree; returns ``(f, q)``."""
     f = q = 1

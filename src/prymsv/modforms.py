@@ -3,9 +3,10 @@
 The series ``f = G2(8z) * theta(z) + theta'(z)/(48 pi i)`` vanishes
 identically; its coefficients admit a closed form as alternating divisor
 sums, whose vanishing in turn encodes the alternating-sum identity for the
-torus-projection degrees (``S_D = 0``).  Everything here is a finite, exact
-rational computation: the derivative series is only ever stored with its
-``1/(48 pi i)`` scaling, so no transcendental constant materializes.
+torus-projection degrees (``S_D = 0``).  Everything here is integer
+arithmetic: the series are stored scaled by 24, as ``24 f = -E2(8z) theta(z)
++ theta'(z)/(2 pi i)``, whose coefficients are integers, so neither a
+fraction nor a transcendental constant materializes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .euler import m_D, sigma1, squarefree_decompose
 from .exactq import admissible
@@ -21,25 +21,25 @@ from .exactq import admissible
 
 @dataclass(frozen=True)
 class QSeries:
-    """A q-expansion truncated at exponent ``N``, with sparse rational coefficients."""
+    """A q-expansion truncated at exponent ``N``, with sparse integer coefficients."""
 
     N: int
-    coeffs: dict[int, Fraction] = field(default_factory=dict)
+    coeffs: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         bad = [n for n in self.coeffs if n < 0 or n > self.N]
         if bad:
             raise ValueError(f"exponents outside [0, {self.N}]: {bad[:5]}")
 
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs.get(n, Fraction(0))
+    def __getitem__(self, n: int) -> int:
+        return self.coeffs.get(n, 0)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         N = min(self.N, other.N)
         coeffs = {n: c for n, c in self.coeffs.items() if n <= N}
         for n, c in other.coeffs.items():
             if n <= N:
-                total = coeffs.get(n, Fraction(0)) + c
+                total = coeffs.get(n, 0) + c
                 if total:
                     coeffs[n] = total
                 else:
@@ -48,7 +48,7 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         N = min(self.N, other.N)
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int] = {}
         for n1, c1 in self.coeffs.items():
             if n1 > N:
                 continue
@@ -56,7 +56,7 @@ class QSeries:
                 n = n1 + n2
                 if n > N:
                     continue
-                total = coeffs.get(n, Fraction(0)) + c1 * c2
+                total = coeffs.get(n, 0) + c1 * c2
                 if total:
                     coeffs[n] = total
                 else:
@@ -76,60 +76,60 @@ def psi(n: int) -> int:
 
 def theta_psi(N: int) -> QSeries:
     """The twisted theta series: coefficient ``psi(s) * s`` at ``n = s**2``."""
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     s = 1
     while s * s <= N:
         if psi(s):
-            coeffs[s * s] = Fraction(psi(s) * s)
+            coeffs[s * s] = psi(s) * s
         s += 1
     return QSeries(N, coeffs)
 
 
 def theta_prime_scaled(N: int) -> QSeries:
-    """The theta derivative scaled by ``1/(48 pi i)``: ``psi(s) * s**3 / 24`` at ``n = s**2``.
+    """The theta derivative scaled by ``1/(2 pi i)``: ``psi(s) * s**3`` at ``n = s**2``.
 
     Term-wise differentiation multiplies the ``s**2``-th term by ``2 pi i s**2``;
-    the ``1/(48 pi i)`` normalization cancels the ``2 pi i`` exactly, leaving
-    rational coefficients.
+    the ``1/(2 pi i)`` normalization cancels the ``2 pi i`` exactly, leaving
+    integer coefficients.  This is 24 times the ``1/(48 pi i)`` term of ``f``.
     """
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     s = 1
     while s * s <= N:
         if psi(s):
-            coeffs[s * s] = Fraction(psi(s) * s ** 3, 24)
+            coeffs[s * s] = psi(s) * s ** 3
         s += 1
     return QSeries(N, coeffs)
 
 
 def g2_8(N: int) -> QSeries:
-    """The weight-2 Eisenstein series at ``8z``: ``-1/24`` at 0, ``sigma1(k)`` at ``8k``."""
-    coeffs: dict[int, Fraction] = {0: Fraction(-1, 24)}
+    """24 times the weight-2 Eisenstein series at ``8z``: ``-1`` at 0, ``24 sigma1(k)`` at ``8k``.
+
+    That is ``-E2(8z)``, with integer coefficients.
+    """
+    coeffs: dict[int, int] = {0: -1}
     for k in range(1, N // 8 + 1):
-        coeffs[8 * k] = Fraction(sigma1(k))
+        coeffs[8 * k] = 24 * sigma1(k)
     return QSeries(N, coeffs)
 
 
 def f_coeffs(N: int) -> QSeries:
-    """The combination ``g2_8 * theta_psi + theta_prime_scaled`` up to exponent ``N``."""
+    """The series ``24 f = g2_8 * theta_psi + theta_prime_scaled`` up to exponent ``N``."""
     return g2_8(N) * theta_psi(N) + theta_prime_scaled(N)
 
 
-def c_n_closed(n: int) -> Fraction:
-    """Closed form of the ``n``-th coefficient of :func:`f_coeffs`.
+def c_n_closed(n: int) -> int:
+    """Closed form of the ``n``-th coefficient of :func:`f_coeffs` (that is, ``24 c_n``).
 
-    Zero unless ``n ≡ 1 (mod 8)``; an alternating divisor sum over odd
-    ``e < sqrt(n)`` otherwise, with an extra polynomial term when ``n`` is a
-    perfect square.
+    Zero unless ``n ≡ 1 (mod 8)``; 24 times an alternating divisor sum over
+    odd ``e < sqrt(n)`` otherwise, plus ``psi(r) (r**3 - r)`` when ``n = r**2``.
     """
     if n % 8 != 1:
-        return Fraction(0)
-    total = Fraction(0)
+        return 0
     root = math.isqrt(n)
     bound = root if root * root == n else root + 1
-    for e in range(1, bound, 2):
-        total += psi(e) * e * sigma1((n - e * e) // 8)
+    total = 24 * sum(psi(e) * e * sigma1((n - e * e) // 8) for e in range(1, bound, 2))
     if root * root == n:
-        total += Fraction(psi(root) * (root ** 3 - root), 24)
+        total += psi(root) * (root ** 3 - root)
     return total
 
 
@@ -156,38 +156,35 @@ def verify_vanishing(N: int) -> VanishingReport:
     return VanishingReport(N=N, violations=violations)
 
 
-def S_D(D: int) -> Fraction:
+def S_D(D: int) -> int:
     """The alternating degree sum ``sum over odd 0 < e < sqrt(D)`` of ``(-1)^((e-1)/2) e m_D(e)``.
 
     Vanishes for every non-square ``D ≡ 1 (mod 8)``.
     """
     if err := admissible(D, "S_D"):
         raise err
-    total = Fraction(0)
-    for e in range(1, math.isqrt(D) + 1, 2):
-        total += psi(e) * e * m_D(D, e)
-    return total
+    return sum(psi(e) * e * m_D(D, e) for e in range(1, math.isqrt(D) + 1, 2))
 
 
-def S_D_sigma(D: int) -> Fraction:
+def S_D_sigma(D: int) -> int:
     """The same alternating sum with ``sigma1((D - e^2)/8)`` in place of ``m_D(e)``.
 
     Agrees with :func:`S_D` exactly when ``D`` admits no square divisor
     (the degrees then reduce to plain divisor sums).
     """
-    total = Fraction(0)
-    for e in range(1, math.isqrt(D) + 1, 2):
-        if (D - e * e) % 8 == 0:
-            total += psi(e) * e * sigma1((D - e * e) // 8)
-    return total
+    return sum(
+        psi(e) * e * sigma1((D - e * e) // 8)
+        for e in range(1, math.isqrt(D) + 1, 2)
+        if (D - e * e) % 8 == 0
+    )
 
 
 @dataclass(frozen=True)
 class RecursionReport:
     D: int
     f: int
-    lhs: Fraction
-    rhs: Fraction
+    lhs: int
+    rhs: int
 
     @property
     def ok(self) -> bool:
@@ -204,8 +201,5 @@ def verify_S_recursion(D: int) -> RecursionReport:
     if err := admissible(D, "S_D"):
         raise err
     f, _ = squarefree_decompose(D)
-    rhs = Fraction(0)
-    for r in range(1, f + 1):
-        if f % r == 0:
-            rhs += psi(r) * r * S_D(D // (r * r))
+    rhs = sum(psi(r) * r * S_D(D // (r * r)) for r in range(1, f + 1) if f % r == 0)
     return RecursionReport(D=D, f=f, lhs=S_D_sigma(D), rhs=rhs)

@@ -80,6 +80,27 @@ def test_verify_eigen_csv_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("verify", "modular", "--nmax", "20000"),
+            "2813d827c1254dd0f40fc37c9799ef1f60c27e58bdf49215655a07d47c4e5757",
+        ),
+        (
+            ("verify", "identity", "--dmax", "20000"),
+            "fc708b85e31abb556ba529002a6aa11dbf95e214fbfb21ef2ee3d25e13ae4a17",
+        ),
+    ],
+)
+def test_verify_number_theory_pinned(capsys, argv, digest):
+    # SHA-256 of the whole stdout, recorded while the q-series and S_D were
+    # still summed in Fraction: the integer sums must print the same report.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_eigen_failure_exit_code(capsys, monkeypatch):
     # One failing check (the triple of D = 8) must set exit code 1.
     real = eigencheck.verify_triple

@@ -57,6 +57,26 @@ def test_factorize_past_the_sieve(monkeypatch):
     assert len(euler._spf) <= 101
 
 
+def test_trial_division_sieves_only_to_sqrt(monkeypatch):
+    # Trial division runs until p**2 exceeds the cofactor, so the prime
+    # cofactor 9973 never sizes the sieve.
+    monkeypatch.setattr(euler, "SIEVE_CAP", 10**4)
+    monkeypatch.setattr(euler, "_spf", [0, 1])
+    n = 3 * 9973
+    assert factorize(n) == {3: 1, 9973: 1}
+    assert len(euler._spf) <= math.isqrt(n) + 1
+
+
+def test_sieve_holds_smallest_prime_factor(monkeypatch):
+    monkeypatch.setattr(euler, "_spf", [0, 1])
+    for n in (2, 3, 50, 1000, 5000):  # grows the sieve in several steps
+        factorize(n)
+    spf = euler._spf
+    assert len(spf) >= 5001
+    for n in range(2, len(spf)):
+        assert spf[n] == next(p for p in range(2, n + 1) if n % p == 0), n
+
+
 @pytest.mark.parametrize("n,s", [(1, 1), (2, 3), (4, 7), (6, 12), (12, 28), (100, 217)])
 def test_sigma1(n, s):
     assert sigma1(n) == s

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,33 +18,31 @@ from prymsv.modforms import (
     verify_vanishing,
 )
 
-F = Fraction
-
 
 class TestQSeries:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            QSeries(4, {5: F(1)})
+            QSeries(4, {5: 1})
         with pytest.raises(ValueError):
-            QSeries(4, {-1: F(1)})
+            QSeries(4, {-1: 1})
 
     def test_add_truncates_and_drops_zeros(self):
-        a = QSeries(10, {0: F(1), 3: F(2), 9: F(5)})
-        b = QSeries(5, {3: F(-2), 4: F(1)})
+        a = QSeries(10, {0: 1, 3: 2, 9: 5})
+        b = QSeries(5, {3: -2, 4: 1})
         s = a + b
         assert s.N == 5
-        assert s.coeffs == {0: F(1), 4: F(1)}
+        assert s.coeffs == {0: 1, 4: 1}
 
     def test_mul(self):
         # (1 + q)^2 = 1 + 2q + q^2
-        a = QSeries(6, {0: F(1), 1: F(1)})
-        assert (a * a).coeffs == {0: F(1), 1: F(2), 2: F(1)}
+        a = QSeries(6, {0: 1, 1: 1})
+        assert (a * a).coeffs == {0: 1, 1: 2, 2: 1}
 
     def test_getitem_default(self):
         assert QSeries(3)[2] == 0
 
     def test_support_sorted(self):
-        assert QSeries(9, {9: F(1), 1: F(2)}).support() == [1, 9]
+        assert QSeries(9, {9: 1, 1: 2}).support() == [1, 9]
 
 
 def test_psi_values():
@@ -54,17 +51,19 @@ def test_psi_values():
 
 def test_theta_psi():
     t = theta_psi(30)
-    assert t.coeffs == {1: F(1), 9: F(-3), 25: F(5)}
+    assert t.coeffs == {1: 1, 9: -3, 25: 5}
 
 
 def test_theta_prime_scaled():
+    # theta'/(2 pi i): psi(s) * s**3 at s**2.
     t = theta_prime_scaled(30)
-    assert t.coeffs == {1: F(1, 24), 9: F(-27, 24), 25: F(125, 24)}
+    assert t.coeffs == {1: 1, 9: -27, 25: 125}
 
 
 def test_g2_8():
+    # -E2(8z) = 24 * G2(8z): -1 at 0, 24 * sigma1(k) at 8k.
     g = g2_8(30)
-    assert g.coeffs == {0: F(-1, 24), 8: F(1), 16: F(3), 24: F(4)}
+    assert g.coeffs == {0: -1, 8: 24, 16: 72, 24: 96}
 
 
 def test_f_coeffs_small_vanishes():
@@ -83,10 +82,19 @@ def test_closed_form_needs_residue_one():
 
 
 def test_closed_form_terms():
-    # n = 9: e = 1 gives sigma1(1) = 1, square term psi(3)*(27 - 3)/24 = -1.
-    assert c_n_closed(9) == F(1) + F(psi(3) * (27 - 3), 24) == 0
-    # n = 17: sigma1(2) - 3*sigma1(1) = 3 - 3.
-    assert c_n_closed(17) == psi(1) * 1 * 3 + psi(3) * 3 * 1 == 0
+    # n = 9: e = 1 gives 24 * sigma1(1) = 24, square term psi(3) * (27 - 3) = -24.
+    assert c_n_closed(9) == 24 * 1 + psi(3) * (27 - 3) == 0
+    # n = 17: 24 * (sigma1(2) - 3 * sigma1(1)) = 24 * (3 - 3).
+    assert c_n_closed(17) == 24 * (psi(1) * 1 * 3 + psi(3) * 3 * 1) == 0
+
+
+def test_everything_is_an_int():
+    values = [S_D(153), S_D_sigma(153), c_n_closed(153), c_n_closed(12)]
+    report = verify_S_recursion(153)
+    values += [report.lhs, report.rhs]
+    for series in (f_coeffs(200), g2_8(200) * theta_psi(200), theta_prime_scaled(200)):
+        values += series.coeffs.values()
+    assert values and all(type(v) is int for v in values)
 
 
 def test_verify_vanishing_report():
@@ -97,7 +105,7 @@ def test_verify_vanishing_report():
 
 def test_vanishing_catches_violations():
     # Deliberately wrong series: support shows up as violations.
-    broken = f_coeffs(100) + QSeries(100, {33: F(1)})
+    broken = f_coeffs(100) + QSeries(100, {33: 1})
     assert broken.support() == [33]
 
 
