@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Iterator, Sequence
 
@@ -78,9 +79,7 @@ def _cmd_protos(args: argparse.Namespace) -> int:
         "triple": prototypes.enumerate_triple,
         "split": prototypes.enumerate_split,
     }
-    csv = prototypes.protos_csv(enumerators[args.kind](args.d))
-    if csv:
-        print(csv)
+    print(prototypes.protos_csv(enumerators[args.kind](args.d)))
     return 0
 
 
@@ -95,19 +94,32 @@ def _parse_proto(text: str) -> tuple[int, int, int, int]:
     return a, b, d, e
 
 
+def _parse_finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return x
+
+
 def _parse_vec(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected re,im")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad vector {text!r}") from exc
+    return complex(*map(_parse_finite, parts))
+
+
+def _parse_radius(text: str) -> float:
+    R = _parse_finite(text)
+    if R <= 0:
+        raise argparse.ArgumentTypeError(f"radius {text!r} is not > 0")
+    return R
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    a, b, d, e = args.proto
-    p = prototypes.TripleProto(a, b, d, e)
+    p = prototypes.TripleProto(*args.proto)
     if p.D != args.d:
         print(
             f"error: prototype {args.proto} has discriminant {p.D}, not {args.d}",
@@ -117,7 +129,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     t = args.slit if args.slit is not None else flatcount.default_slit(p)
     surface = flatcount.build_slit_triple(p, t)
     surface.check()
-    report = flatcount.count_report(surface, args.radius, args.tol)
+    report = flatcount.count_report(surface, args.radius)
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -171,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--d", type=int, required=True)
     p_count.add_argument("--proto", type=_parse_proto, required=True)
     p_count.add_argument("--slit", type=_parse_vec, default=None)
-    p_count.add_argument("--radius", type=float, required=True)
-    p_count.add_argument("--tol", type=float, default=None)
+    p_count.add_argument("--radius", type=_parse_radius, required=True)
     p_count.set_defaults(func=_cmd_count)
 
     p_conj = sub.add_parser("conjecture", help="check (25/9, 3, 2/9) over a range")

@@ -314,15 +314,15 @@ def verification_rows(dmax: int) -> Iterable[tuple[int, str, object, str, bool]]
         if admissible(D, "disc") is not None:
             continue
         for p in enumerate_cyl(D):
-            yield D, "cyl", p, "IA", verify_cyl_IA(p)
+            yield D, p.kind, p, "IA", verify_cyl_IA(p)
         if admissible(D, "triple") is None:
             for p in enumerate_triple(D):
-                yield D, "triple", p, "triple", verify_triple(p)
+                yield D, p.kind, p, "triple", verify_triple(p)
         for p in enumerate_split(D):
             if p.b != 0:
                 continue
             for case in SPLIT_CASES:
-                yield D, "split", p, case, verify_split_endo(p, case)
+                yield D, p.kind, p, case, verify_split_endo(p, case)
 
 
 def verification_csv(rows: Iterable[tuple[int, str, object, str, bool]]) -> str:

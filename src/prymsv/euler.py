@@ -100,13 +100,17 @@ def sigma1(n: int) -> int:
     return total
 
 
+def _c_prime_power(p: int, k: int) -> int:
+    """``c(p**k)``: ``p**k + p**(k - 1)`` for ``k >= 1``, and ``c(1) = 1``."""
+    return p ** (k - 1) * (p + 1) if k else 1
+
+
 def c_index(m: int) -> int:
     """The index of Gamma_0(m) in SL(2,Z): ``m * prod_{p | m} (1 + 1/p)``."""
-    num, den = m, 1
-    for p in factorize(m):
-        num *= p + 1
-        den *= p
-    return num // den
+    total = 1
+    for p, k in factorize(m).items():
+        total *= _c_prime_power(p, k)
+    return total
 
 
 def p1_count(m: int) -> int:
@@ -169,14 +173,16 @@ def m_D(D: int, e: int) -> int:
     With ``(D - e^2)/8 = f^2 * q`` (``q`` squarefree), this is
     ``sum of c((D - e^2) / (8 r^2))`` over ``r | f`` with ``gcd(r, e) = 1``.
     The convention ``gcd(r, 0) = r`` means ``e = 0`` only admits ``r = 1``.
+    As ``c`` is multiplicative, this is a product over ``p**k || n``: of
+    ``c(p**k)`` if ``p | e``, else of ``c(p**(k - 2j))`` summed over ``j <= k/2``.
     """
     _check_e(D, e)
-    n = (D - e * e) // 8
-    f, _ = squarefree_decompose(n)
-    total = 0
-    for r in range(1, f + 1):
-        if f % r == 0 and math.gcd(r, e) == 1:
-            total += c_index(n // (r * r))
+    total = 1
+    for p, k in factorize((D - e * e) // 8).items():
+        if e % p == 0:
+            total *= _c_prime_power(p, k)
+        else:
+            total *= sum(_c_prime_power(p, k - 2 * j) for j in range(k // 2 + 1))
     return total
 
 

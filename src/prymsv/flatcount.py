@@ -280,8 +280,11 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     only); a developed vertex strictly inside the current direction sector is
     a saddle connection.  The wedge-boundary directions are exactly the
     triangulation edges, recorded directly.  Deterministic: results are
-    sorted by (length, angle, endpoints).
+    sorted by (length, angle, endpoints).  A non-finite ``R`` never stops the
+    search, so it raises ``ValueError``.
     """
+    if not math.isfinite(R):
+        raise ValueError(f"radius must be finite, got {R}")
     if R <= 0:
         return []
     zeros = set(s.zeros())
@@ -399,26 +402,25 @@ def group_families(
     ]
 
 
-def family_counts(
-    s: FlatSurface, R: float, tol: float | None = None
-) -> dict[int, int]:
-    """Counts ``{multiplicity: number of families}`` of zero-joining connections."""
-    if tol is None:
-        tol = 1e-9 * R
+def family_counts(s: FlatSurface, R: float) -> dict[int, int]:
+    """Counts ``{multiplicity: number of families}`` of zero-joining connections.
+
+    Holonomies within ``1e-9 * R`` of each other form one family.
+    """
     z = s.zeros()
     if len(z) != 2:
         raise ValueError(f"expected exactly two cone points, found {z}")
     z1, z2 = z
     connections = [sc for sc in enumerate_sc(s, R) if (sc.start, sc.end) == (z1, z2)]
     counts: dict[int, int] = {}
-    for fam in group_families(connections, tol):
+    for fam in group_families(connections, 1e-9 * R):
         counts[fam.multiplicity] = counts.get(fam.multiplicity, 0) + 1
     return counts
 
 
-def count_report(s: FlatSurface, R: float, tol: float | None = None) -> dict:
+def count_report(s: FlatSurface, R: float) -> dict:
     """JSON-ready report with family counts and empirical constants."""
-    counts = family_counts(s, R, tol)
+    counts = family_counts(s, R)
     norm = s.area / (math.pi * R * R)
     return {
         "R": R,

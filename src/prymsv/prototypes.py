@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator, TypeVar
 
 from .errors import (
     BRequired,
@@ -36,71 +36,75 @@ def _divisors(n: int) -> list[int]:
 
 
 @dataclass(frozen=True, order=True)
-class CylProto:
-    """Cylinder prototype: ``D = e**2 + 8ad``, ``0 <= b < gcd(a, d)``."""
+class _Proto:
+    """A prototype ``(a, b, d, e)`` of one family, validated on construction.
+
+    Every family needs ``a > 0``, ``d > 0``, ``0 <= b < b_bound(a, d)`` and
+    ``gcd(a, b, d, e) = 1``; its discriminant is ``D = e**2 + k*a*d``.  A
+    family sets only the class constants below.
+    """
 
     a: int
     b: int
     d: int
     e: int
 
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.d <= 0:
-            raise InvalidPrototype(f"{self} needs a > 0 and d > 0")
-        if not 0 <= self.b < math.gcd(self.a, self.d):
-            raise InvalidPrototype(f"{self} needs 0 <= b < gcd(a, d)")
-        if math.gcd(math.gcd(self.a, self.b), math.gcd(self.d, self.e)) != 1:
-            raise InvalidPrototype(f"{self} needs gcd(a, b, d, e) = 1")
-
-    @property
-    def D(self) -> int:
-        return self.e * self.e + 8 * self.a * self.d
-
-
-@dataclass(frozen=True, order=True)
-class TripleProto:
-    """Triple-of-tori prototype: ``D = e**2 + 8ad``, ``0 <= b < a``."""
-
-    a: int
-    b: int
-    d: int
-    e: int
+    #: The coefficient of ``a*d`` in the discriminant.
+    k: ClassVar[int] = 8
+    #: The family's name in CSV output.
+    kind: ClassVar[str]
+    #: Whether the family also needs ``a > d + e``.
+    a_exceeds_d_plus_e: ClassVar[bool] = False
+    #: The exclusive upper bound on ``b``, as a function of ``(a, d)``.
+    b_bound = staticmethod(math.gcd)
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.d <= 0:
+        a, b, d, e = self.a, self.b, self.d, self.e
+        if a <= 0 or d <= 0:
             raise InvalidPrototype(f"{self} needs a > 0 and d > 0")
-        if not 0 <= self.b < self.a:
-            raise InvalidPrototype(f"{self} needs 0 <= b < a")
-        if math.gcd(math.gcd(self.a, self.b), math.gcd(self.d, self.e)) != 1:
+        if not 0 <= b < self.b_bound(a, d):
+            raise InvalidPrototype(f"{self} needs 0 <= b < {self.b_bound(a, d)}")
+        if math.gcd(a, b, d, e) != 1:
             raise InvalidPrototype(f"{self} needs gcd(a, b, d, e) = 1")
-
-    @property
-    def D(self) -> int:
-        return self.e * self.e + 8 * self.a * self.d
-
-
-@dataclass(frozen=True, order=True)
-class SplitProto:
-    """Splitting prototype: ``D' = e**2 + 4ad``, ``0 <= b < gcd(a, d)``, ``a > d + e``."""
-
-    a: int
-    b: int
-    d: int
-    e: int
-
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.d <= 0:
-            raise InvalidPrototype(f"{self} needs a > 0 and d > 0")
-        if not 0 <= self.b < math.gcd(self.a, self.d):
-            raise InvalidPrototype(f"{self} needs 0 <= b < gcd(a, d)")
-        if math.gcd(math.gcd(self.a, self.b), math.gcd(self.d, self.e)) != 1:
-            raise InvalidPrototype(f"{self} needs gcd(a, b, d, e) = 1")
-        if self.a <= self.d + self.e:
+        if self.a_exceeds_d_plus_e and a <= d + e:
             raise InvalidPrototype(f"{self} needs a > d + e")
 
     @property
-    def Dprime(self) -> int:
-        return self.e * self.e + 4 * self.a * self.d
+    def D(self) -> int:
+        return self.e * self.e + self.k * self.a * self.d
+
+
+@dataclass(frozen=True)
+class CylProto(_Proto):
+    """Cylinder prototype: ``D = e**2 + 8ad``, ``0 <= b < gcd(a, d)``."""
+
+    kind = "cyl"
+
+
+@dataclass(frozen=True)
+class TripleProto(_Proto):
+    """Triple-of-tori prototype: ``D = e**2 + 8ad``, ``0 <= b < a``."""
+
+    kind = "triple"
+
+    @staticmethod
+    def b_bound(a: int, d: int) -> int:
+        return a
+
+
+@dataclass(frozen=True)
+class SplitProto(_Proto):
+    """Splitting prototype: ``D' = e**2 + 4ad``, ``0 <= b < gcd(a, d)``, ``a > d + e``.
+
+    Its ``D`` is the paper's ``D'``.
+    """
+
+    k = 4
+    kind = "split"
+    a_exceeds_d_plus_e = True
+
+
+P = TypeVar("P", bound=_Proto)
 
 
 class Sign(Enum):
@@ -114,7 +118,9 @@ class OrbitClass:
     """Invariants ``(e, l, m)`` with ``D = e**2 + 8*l**2*m`` separating orbits.
 
     For ``D % 8 == 1`` the locus has two components and ``sign`` records which
-    one the prototype's boundary lies on (``+`` iff ``e % 4 == 1``).
+    one the prototype's boundary lies on (``+`` iff ``e % 4 == 1``).  Built
+    by :func:`orbit_of` only, where ``l = gcd(a, b, d)`` makes both
+    ``l**2 * m = a*d`` and ``gcd(e, l) = gcd(a, b, d, e) = 1`` hold.
     """
 
     e: int
@@ -122,30 +128,6 @@ class OrbitClass:
     m: int
     D: int
     sign: Sign
-
-    def __post_init__(self) -> None:
-        if self.D != self.e * self.e + 8 * self.l * self.l * self.m:
-            raise InvalidPrototype(f"{self}: D != e^2 + 8*l^2*m")
-        if math.gcd(self.e, self.l) != 1:
-            raise InvalidPrototype(f"{self}: gcd(e, l) != 1")
-
-
-def _sort_key(p: "CylProto | TripleProto | SplitProto") -> tuple[int, int, int, int]:
-    return (p.e, p.a, p.d, p.b)
-
-
-def enumerate_cyl(D: int) -> list[CylProto]:
-    """All cylinder prototypes of discriminant ``D``, sorted by ``(e, a, d, b)``."""
-    check_discriminant(D)
-    out: list[CylProto] = []
-    for e, n in _e_candidates(D, 8):
-        for a in _divisors(n):
-            d = n // a
-            g = math.gcd(a, d)
-            for b in range(g):
-                if math.gcd(math.gcd(a, b), math.gcd(d, e)) == 1:
-                    out.append(CylProto(a, b, d, e))
-    return sorted(out, key=_sort_key)
 
 
 def _e_candidates(D: int, k: int) -> Iterator[tuple[int, int]]:
@@ -156,14 +138,37 @@ def _e_candidates(D: int, k: int) -> Iterator[tuple[int, int]]:
             yield e, (D - e * e) // k
 
 
+def _enumerate(cls: type[P], pairs: Iterable[tuple[int, int]]) -> list[P]:
+    """The prototypes of family ``cls`` with ``(e, a*d)`` among ``pairs``.
+
+    They come out in ``(e, a, d, b)`` order when ``pairs`` ascends in ``e``.
+    ``gcd(a, b, d, e) = gcd(b, G)`` with ``G = gcd(a, d, e)``, so when
+    ``G = 1`` every ``b`` below the bound is admissible.
+    """
+    out: list[P] = []
+    for e, n in pairs:
+        for a in _divisors(n):
+            d = n // a
+            if cls.a_exceeds_d_plus_e and a <= d + e:
+                continue
+            G = math.gcd(a, d, e)
+            for b in range(cls.b_bound(a, d)):
+                if G == 1 or math.gcd(b, G) == 1:
+                    out.append(cls(a, b, d, e))
+    return out
+
+
+def enumerate_cyl(D: int) -> list[CylProto]:
+    """All cylinder prototypes of discriminant ``D``, by ``(e, a, d, b)``."""
+    check_discriminant(D)
+    return _enumerate(CylProto, _e_candidates(D, 8))
+
+
 def enumerate_triple(D: int) -> list[TripleProto]:
-    """All triple-of-tori prototypes of discriminant ``D``."""
+    """All triple-of-tori prototypes of discriminant ``D``, by ``(e, a, d, b)``."""
     if err := admissible(D, "triple"):
         raise err
-    out: list[TripleProto] = []
-    for e, n in _e_candidates(D, 8):
-        out.extend(_triple_protos(e, n))
-    return sorted(out, key=_sort_key)
+    return _enumerate(TripleProto, _e_candidates(D, 8))
 
 
 def enumerate_triple_e(D: int, e: int) -> list[TripleProto]:
@@ -172,17 +177,7 @@ def enumerate_triple_e(D: int, e: int) -> list[TripleProto]:
         raise err
     if e * e >= D or (D - e * e) % 8 != 0:
         return []
-    return sorted(_triple_protos(e, (D - e * e) // 8), key=_sort_key)
-
-
-def _triple_protos(e: int, n: int) -> list[TripleProto]:
-    out = []
-    for a in _divisors(n):
-        d = n // a
-        for b in range(a):
-            if math.gcd(math.gcd(a, b), math.gcd(d, e)) == 1:
-                out.append(TripleProto(a, b, d, e))
-    return out
+    return _enumerate(TripleProto, [(e, (D - e * e) // 8)])
 
 
 def orbit_of(p: TripleProto) -> OrbitClass:
@@ -201,21 +196,11 @@ def orbit_of(p: TripleProto) -> OrbitClass:
     return OrbitClass(e=p.e, l=l, m=m, D=D, sign=sign)
 
 
-def enumerate_split(Dprime: int) -> list[SplitProto]:
-    """All splitting prototypes of discriminant ``Dprime``."""
-    if err := admissible(Dprime, "split"):
+def enumerate_split(D: int) -> list[SplitProto]:
+    """Splitting prototypes of discriminant ``D`` (the paper's ``D'``), by ``(e, a, d, b)``."""
+    if err := admissible(D, "split"):
         raise err
-    out: list[SplitProto] = []
-    for e, n in _e_candidates(Dprime, 4):
-        for a in _divisors(n):
-            d = n // a
-            if a <= d + e:
-                continue
-            g = math.gcd(a, d)
-            for b in range(g):
-                if math.gcd(math.gcd(a, b), math.gcd(d, e)) == 1:
-                    out.append(SplitProto(a, b, d, e))
-    return sorted(out, key=_sort_key)
+    return _enumerate(SplitProto, _e_candidates(D, 4))
 
 
 class SplitClass(Enum):
@@ -279,14 +264,9 @@ def split_degree_witnesses(D: int) -> tuple[list[SplitProto], SplitClass]:
         else:  # q % 8 == 5
             k = (q - 5) // 8
             quads, target = [(2 * k + 1, 1)], SplitClass.FOUR_D
-    witnesses = []
-    for a, e in quads:
-        try:
-            witnesses.append(SplitProto(a, 0, 1, e))
-        except InvalidPrototype:
-            # At very small discriminants one of the two +-/ witnesses can fall
-            # outside the a > d + e range; the surviving one suffices.
-            pass
+    # With d = 1, b = 0 only a > d + e can fail: at very small D one of the two
+    # +-/ witnesses falls outside it, and the surviving one suffices.
+    witnesses = [SplitProto(a, 0, 1, e) for a, e in quads if a > 1 + e]
     if not witnesses:
         raise InvalidDiscriminant(f"D = {D} too small for a valid witness")
     return witnesses, target
@@ -310,11 +290,9 @@ def split_degree_counts(D: int) -> int:
     return counts.pop()
 
 
-def protos_csv(protos: Iterable["CylProto | TripleProto | SplitProto"]) -> str:
+def protos_csv(protos: Iterable[_Proto]) -> str:
     """CSV with header ``D,kind,a,b,d,e``, one prototype per row."""
-    kinds = {CylProto: "cyl", TripleProto: "triple", SplitProto: "split"}
     lines = ["D,kind,a,b,d,e"]
     for p in protos:
-        D = p.Dprime if isinstance(p, SplitProto) else p.D
-        lines.append(f"{D},{kinds[type(p)]},{p.a},{p.b},{p.d},{p.e}")
+        lines.append(f"{p.D},{p.kind},{p.a},{p.b},{p.d},{p.e}")
     return "\n".join(lines)

@@ -121,6 +121,31 @@ def test_protos(capsys):
     assert all(line.startswith("17,cyl,") for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("protos", "--d", "2001", "--kind", "cyl"),
+            "aee6cf984588664b91858aeba39cbac0bf2c8caa1bc6622c36366f151394f1c4",
+        ),
+        (
+            ("protos", "--d", "2001", "--kind", "split"),
+            "aa5130aa997314efeb0e402f74dc6ab76b770effe02eaa96f88a5530ded58df0",
+        ),
+        (
+            ("protos", "--d", "2000", "--kind", "triple"),
+            "5a55f3221b1368189a63691091c31a629a9b0fb08abac1a6146743e2645c63ab",
+        ),
+    ],
+)
+def test_protos_pinned(capsys, argv, digest):
+    # SHA-256 of the whole stdout, recorded while each family had its own
+    # validator and enumeration loop and the lists were sorted afterwards.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_protos_empty(capsys):
     code, out, _ = run(capsys, "protos", "--d", "5", "--kind", "cyl")
     assert code == 0
@@ -153,6 +178,22 @@ def test_count_bad_slit(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--radius", "0"),
+        ("--radius", "-1"),
+        ("--radius", "nan"),
+        ("--radius", "inf"),
+        ("--radius", "5", "--slit", "nan,0.1"),
+    ],
+)
+def test_count_rejects_bad_numbers(extra):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["count", "--d", "8", "--proto", "1,0,1,0", *extra])
+    assert exc.value.code == 2
 
 
 def test_conjecture(capsys):

@@ -146,6 +146,12 @@ class TestEnumeration:
     def test_zero_radius(self, surface8):
         assert enumerate_sc(surface8, 0.0) == []
 
+    @pytest.mark.parametrize("R", [math.nan, math.inf])
+    def test_non_finite_radius(self, surface8, R):
+        # Neither value ever prunes the search, so it would not terminate.
+        with pytest.raises(ValueError):
+            enumerate_sc(surface8, R)
+
     def test_negation_symmetry(self, surface8):
         sc = enumerate_sc(surface8, 2.5)
         holos = sorted((round(c.holonomy.real, 9), round(c.holonomy.imag, 9)) for c in sc)

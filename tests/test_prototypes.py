@@ -62,6 +62,48 @@ def test_cyl_b_range_constraint():
         CylProto(2, 1, 1, 1)  # gcd(2,1)=1 forces b=0
 
 
+# The validator's messages, as patterns: one per condition.
+POSITIVE = "a > 0 and d > 0"
+B_RANGE = "0 <= b <"
+GCD = r"gcd\(a, b, d, e\) = 1"
+SPLIT = r"a > d \+ e"
+
+
+@pytest.mark.parametrize(
+    "cls,quad,needs",
+    [
+        (CylProto, (0, 0, 1, 1), POSITIVE),
+        (CylProto, (1, 0, 0, 1), POSITIVE),
+        (CylProto, (2, -1, 2, 1), B_RANGE),
+        (CylProto, (2, 0, 2, 2), GCD),
+        (TripleProto, (0, 0, 1, 1), POSITIVE),
+        (TripleProto, (1, 0, 0, 1), POSITIVE),
+        (TripleProto, (2, 2, 1, 1), B_RANGE),
+        (TripleProto, (2, -1, 1, 1), B_RANGE),
+        (TripleProto, (2, 0, 2, 2), GCD),
+        (SplitProto, (0, 0, 1, -2), POSITIVE),
+        (SplitProto, (3, 0, 0, 1), POSITIVE),
+        (SplitProto, (3, 1, 1, 0), B_RANGE),
+        (SplitProto, (4, -1, 2, 1), B_RANGE),
+        (SplitProto, (4, 0, 2, 0), GCD),
+        (SplitProto, (3, 0, 1, 2), SPLIT),  # a = d + e
+        (SplitProto, (3, 0, 2, 2), SPLIT),  # a < d + e
+    ],
+)
+def test_constructor_rejects(cls, quad, needs):
+    with pytest.raises(InvalidPrototype, match=needs):
+        cls(*quad)
+
+
+@pytest.mark.parametrize("enumerate_kind", [enumerate_cyl, enumerate_triple, enumerate_split])
+def test_enumeration_order(enumerate_kind):
+    for D in range(5, 401):
+        if D % 4 not in (0, 1) or (enumerate_kind is enumerate_triple and D % 8 == 5):
+            continue
+        protos = enumerate_kind(D)
+        assert protos == sorted(protos, key=lambda p: (p.e, p.a, p.d, p.b))
+
+
 # --- triple family ---------------------------------------------------------
 
 
@@ -158,7 +200,7 @@ def test_split_invariants():
         if D % 4 not in (0, 1):
             continue
         for p in enumerate_split(D):
-            assert p.Dprime == D
+            assert p.D == D
             assert p.a > p.d + p.e
             assert 0 <= p.b < math.gcd(p.a, p.d)
 
