@@ -31,6 +31,11 @@ SIEVE_CAP = 10**7
 
 _spf: Sequence[int] = array("i", [0, 1])
 
+#: ``(bound, primes)``: the primes below ``bound``.  Trial division lists them
+#: from the sieve once per sieve length; factorizations that only read the
+#: sieve never pay that scan.
+_primes: tuple[int, Sequence[int]] = (0, array("i"))
+
 
 def _ensure_sieve(n: int) -> None:
     global _spf
@@ -53,11 +58,12 @@ def _trial_divide(n: int) -> dict[int, int]:
     every integer past the sieve.  Division stops once ``p**2`` exceeds the
     cofactor, which is then 1 or a prime.
     """
+    global _primes
     _ensure_sieve(min(math.isqrt(n), SIEVE_CAP))
     spf = _spf
-    candidates = itertools.chain(
-        (p for p in range(2, len(spf)) if spf[p] == p), itertools.count(len(spf))
-    )
+    if _primes[0] != len(spf):
+        _primes = (len(spf), array("i", [p for p in range(2, len(spf)) if spf[p] == p]))
+    candidates = itertools.chain(_primes[1], itertools.count(len(spf)))
     out: dict[int, int] = {}
     for p in candidates:
         if p * p > n:

@@ -1,11 +1,12 @@
 """Slit-tori surfaces and empirical saddle-connection counting.
 
 This is the one module that works in double precision: it builds the
-triple-of-tori translation surface with a short slit (three square-tiled...
-rather, three flat tori cyclically reglued along a slit of holonomy ``t``),
-enumerates all saddle connections up to a radius by developing triangles into
-the plane, groups them into families by holonomy, and turns the family counts
-into empirical Siegel-Veech constants ``c_k = N_k(R) * Area / (pi R^2)``.
+triple-of-tori translation surface with a short slit (three flat tori
+cyclically reglued along a slit of holonomy ``t``), enumerates the saddle
+connections from one cone point z1 to the other, z2, up to a radius by
+developing triangles into the plane, groups them into families by holonomy,
+and turns the family counts into empirical Siegel-Veech constants
+``c_k = N_k(R) * Area / (pi R^2)``.
 
 The surface: one square torus C/lambda(Z+iZ) and two copies of
 C/(aZ + (b+id)Z), each slit along the same segment of holonomy ``t`` based at
@@ -273,66 +274,81 @@ def _segment_distance(a: complex, b: complex) -> float:
 
 
 def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
-    """All saddle connections of length <= R, one record per orientation.
+    """The z1 -> z2 saddle connections of length <= R, one record per connection.
 
-    From every corner of every triangle at a cone point, the wedge between the
-    two adjacent edges is developed across glued triangles (translations
-    only); a developed vertex strictly inside the current direction sector is
-    a saddle connection.  The wedge-boundary directions are exactly the
-    triangulation edges, recorded directly.  Deterministic: results are
-    sorted by (length, angle, endpoints).  A non-finite ``R`` never stops the
-    search, so it raises ``ValueError``.
+    Here ``z1, z2 = s.zeros()``; a surface without exactly two cone points
+    raises ``ValueError``.  From every corner of every triangle at z1, the
+    wedge between the two adjacent edges is developed across glued triangles
+    (translations only); a developed vertex at z2 strictly inside the current
+    direction sector is a saddle connection.  The wedge-boundary directions are
+    exactly the triangulation edges, recorded directly.  Every z2 -> z1
+    connection is the reversal of one of these, so developing from z2 too
+    would find nothing new.  Deterministic: results are sorted by (length,
+    angle, endpoints).  A non-finite ``R`` never stops the search, so it
+    raises ``ValueError``.
     """
     if not math.isfinite(R):
         raise ValueError(f"radius must be finite, got {R}")
+    zeros = s.zeros()
+    if len(zeros) != 2:
+        raise ValueError(f"expected exactly two cone points, found {zeros}")
     if R <= 0:
         return []
-    zeros = set(s.zeros())
+    z1, z2 = zeros
     triangles = s.triangles
-    glue = s.glue
     vclass = s.vertex_class
-    found: list[SaddleConnection] = []
-    for t in range(len(triangles)):
-        tri = triangles[t]
+    # One row per directed edge 3*t + i: its endpoints in triangle t's chart,
+    # then, across the glue, the glued triangle's base vertex, its far vertex,
+    # whether that vertex is z2, and the rows of the two sub-edges past it.
+    edges = []
+    for t, tri in enumerate(triangles):
         for i in range(3):
-            start = vclass[(t, i)]
-            if start not in zeros:
+            nt, ne = s.glue[(t, i)]
+            k = (ne + 2) % 3
+            edges.append((
+                tri[i], tri[(i + 1) % 3], triangles[nt][ne], triangles[nt][k],
+                vclass[(nt, k)] == z2, 3 * nt + (ne + 1) % 3, 3 * nt + k,
+            ))
+    found: list[SaddleConnection] = []
+    for t, tri in enumerate(triangles):
+        for i in range(3):
+            if vclass[(t, i)] != z1:
                 continue
             apex = tri[i]
             lo = tri[(i + 1) % 3] - apex
             hi = tri[(i + 2) % 3] - apex
             # The wedge's low boundary is the directed edge (t, i) itself.
-            if abs(lo) <= R:
-                found.append(SaddleConnection(start, vclass[(t, (i + 1) % 3)], lo))
+            if abs(lo) <= R and vclass[(t, (i + 1) % 3)] == z2:
+                found.append(SaddleConnection(z1, z2, lo))
             # Develop the wedge interior, starting at the opposite edge.
-            stack = [(t, (i + 1) % 3, -apex, lo, hi)]
+            stack = [(3 * t + (i + 1) % 3, -apex, lo, hi)]
             while stack:
-                ct, ce, offset, slo, shi = stack.pop()
+                e, offset, slo, shi = stack.pop()
                 if _cross(slo, shi) <= 0.0:
                     continue
-                x = triangles[ct][ce] + offset
-                y = triangles[ct][(ce + 1) % 3] + offset
+                x, y, base, far, at_z2, left, right = edges[e]
+                x += offset
+                y += offset
                 if _segment_distance(x, y) > R:
                     continue
-                nt, ne = glue[(ct, ce)]
-                noffset = y - triangles[nt][ne]
-                k = (ne + 2) % 3
-                w = triangles[nt][k] + noffset
+                noffset = y - base
+                w = far + noffset
                 # A sector boundary ray always passes through an already-found
                 # vertex (a cone point), so a vertex collinear with it is not
                 # the endpoint of a new saddle connection; exclude the boundary
-                # with a relative band so round-off cannot admit it in one
-                # orientation and drop it in the other.
-                inside_lo = _cross(slo, w) > 1e-12 * abs(slo) * abs(w)
-                inside_hi = _cross(w, shi) > 1e-12 * abs(shi) * abs(w)
-                if inside_lo and inside_hi and abs(w) <= R:
-                    found.append(SaddleConnection(start, vclass[(nt, k)], w))
+                # with a relative band so round-off cannot admit it when
+                # developing from one end and drop it from the other.
+                aw = abs(w)
+                inside_lo = _cross(slo, w) > 1e-12 * abs(slo) * aw
+                inside_hi = _cross(w, shi) > 1e-12 * abs(shi) * aw
+                if inside_lo and inside_hi and at_z2 and aw <= R:
+                    found.append(SaddleConnection(z1, z2, w))
                 # Left sub-edge x -> w, sector clipped above by w.
                 if inside_lo:
-                    stack.append((nt, (ne + 1) % 3, noffset, slo, w if inside_hi else shi))
+                    stack.append((left, noffset, slo, w if inside_hi else shi))
                 # Right sub-edge w -> y, sector clipped below by w.
                 if inside_hi:
-                    stack.append((nt, (ne + 2) % 3, noffset, w if inside_lo else slo, shi))
+                    stack.append((right, noffset, w if inside_lo else slo, shi))
     found.sort(key=SaddleConnection.sort_key)
     return found
 
@@ -403,17 +419,12 @@ def group_families(
 
 
 def family_counts(s: FlatSurface, R: float) -> dict[int, int]:
-    """Counts ``{multiplicity: number of families}`` of zero-joining connections.
+    """Counts ``{multiplicity: number of families}`` of z1 -> z2 connections.
 
     Holonomies within ``1e-9 * R`` of each other form one family.
     """
-    z = s.zeros()
-    if len(z) != 2:
-        raise ValueError(f"expected exactly two cone points, found {z}")
-    z1, z2 = z
-    connections = [sc for sc in enumerate_sc(s, R) if (sc.start, sc.end) == (z1, z2)]
     counts: dict[int, int] = {}
-    for fam in group_families(connections, 1e-9 * R):
+    for fam in group_families(enumerate_sc(s, R), 1e-9 * R):
         counts[fam.multiplicity] = counts.get(fam.multiplicity, 0) + 1
     return counts
 

@@ -184,7 +184,7 @@ class TestCriterion8Empirical:
 
     P = P8
 
-    def test_structural_invariants(self, surface):
+    def test_structural_invariants(self, surface, swap_zeros):
         # Angle excess 2*pi*(2g - 2) with two 6*pi cone points (genus 3).
         zeros = surface.zeros()
         assert len(zeros) == 2
@@ -196,7 +196,9 @@ class TestCriterion8Empirical:
         # The three slit copies form one multiplicity-3 family.
         t = flatcount.default_slit(self.P, frac=0.3)
         assert flatcount.family_counts(surface, abs(t) * 1.01) == {3: 1}
-        # Negation symmetry and prefix monotonicity of the enumeration.
+        # Prefix monotonicity of the enumeration, and negation symmetry:
+        # developed from z2's corners (the relabelled copy), the connections
+        # are the reversals of those developed from z1's.
         sc2 = flatcount.enumerate_sc(surface, 2.0)
         sc3 = flatcount.enumerate_sc(surface, 3.0)
         assert set(sc2) == {c for c in sc3 if c.length <= 2.0}
@@ -204,8 +206,10 @@ class TestCriterion8Empirical:
             (round(c.holonomy.real, 9), round(c.holonomy.imag, 9)) for c in sc3
         )
         neg = sorted(
-            (round(-c.holonomy.real, 9), round(-c.holonomy.imag, 9)) for c in sc3
+            (round(-c.holonomy.real, 9), round(-c.holonomy.imag, 9))
+            for c in flatcount.enumerate_sc(swap_zeros(surface), 3.0)
         )
+        assert holos
         assert holos == neg
 
     def test_estimates_within_band(self, surface):

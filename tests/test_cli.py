@@ -146,6 +146,27 @@ def test_protos_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("count", "--d", "8", "--proto", "1,0,1,0", "--radius", "20"),
+            "49ed09f46304220d8f74eb9a9077786cbacebf912c08245149ec1b3186716091",
+        ),
+        (
+            ("count", "--d", "17", "--proto", "2,1,1,-1", "--radius", "15"),
+            "779cab2dd44877c150be2377a281c0adf3979667d0452a09e9f1df78aa81e35d",
+        ),
+    ],
+)
+def test_count_pinned(capsys, argv, digest):
+    # SHA-256 of the whole stdout, recorded while enumerate_sc developed
+    # wedges from both zeros and family_counts kept only the z1 -> z2 hits.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_protos_empty(capsys):
     code, out, _ = run(capsys, "protos", "--d", "5", "--kind", "cyl")
     assert code == 0

@@ -67,6 +67,41 @@ def test_trial_division_sieves_only_to_sqrt(monkeypatch):
     assert len(euler._spf) <= math.isqrt(n) + 1
 
 
+def _brute_factorize(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def test_trial_division_after_sieve_growth(monkeypatch):
+    # Trial division lists the sieve's primes once per sieve length; each n
+    # below grows the sieve, so a stale list would miss a factor.
+    monkeypatch.setattr(euler, "SIEVE_CAP", 1000)
+    monkeypatch.setattr(euler, "_spf", [0, 1])
+    sizes = []
+    for n in (
+        97 * 89,  # trial division, sieve to isqrt(n)
+        211 * 223,  # trial division, a longer sieve
+        500,  # the sieve path
+        999,
+        1001,  # just past the cap
+        1009 * 1013 * 3,  # past cap**2: integers beyond the sieve too
+        1009**2 * 2,
+        10**6 + 3,  # a prime past cap**2
+        999983 * 2,
+    ):
+        assert factorize(n) == _brute_factorize(n), n
+        sizes.append(len(euler._spf))
+    assert sizes[:4] == sorted(set(sizes[:4]))  # grew before each of the first four
+    assert sizes[-1] == 1001
+
+
 def test_sieve_holds_smallest_prime_factor(monkeypatch):
     monkeypatch.setattr(euler, "_spf", [0, 1])
     for n in (2, 3, 50, 1000, 5000):  # grows the sieve in several steps

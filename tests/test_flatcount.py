@@ -130,18 +130,31 @@ class TestConstruction:
         assert abs(default_slit(P8)) == pytest.approx(0.05)
 
 
+def _holonomies(s, R, sign=1):
+    """The sorted holonomies of ``enumerate_sc(s, R)``, times ``sign``, to 9 places."""
+    return sorted(
+        (round(sign * c.holonomy.real, 9), round(sign * c.holonomy.imag, 9))
+        for c in enumerate_sc(s, R)
+    )
+
+
 class TestEnumeration:
-    def test_slit_family_of_three(self, surface8):
+    def test_slit_family_of_three(self, surface8, swap_zeros):
         t = default_slit(P8)
-        sc = enumerate_sc(surface8, abs(t) * 1.01)
-        z1, z2 = surface8.zeros()
-        forward = [c for c in sc if (c.start, c.end) == (z1, z2)]
-        backward = [c for c in sc if (c.start, c.end) == (z2, z1)]
+        R = abs(t) * 1.01
+        forward = enumerate_sc(surface8, R)
+        backward = enumerate_sc(swap_zeros(surface8), R)
         assert len(forward) == len(backward) == 3
         for c in forward:
             assert cmath.isclose(c.holonomy, t, rel_tol=1e-9)
         for c in backward:
             assert cmath.isclose(c.holonomy, -t, rel_tol=1e-9)
+
+    def test_records_join_z1_to_z2(self, surface8):
+        z1, z2 = surface8.zeros()
+        sc = enumerate_sc(surface8, 2.0)
+        assert sc
+        assert {(c.start, c.end) for c in sc} == {(z1, z2)}
 
     def test_zero_radius(self, surface8):
         assert enumerate_sc(surface8, 0.0) == []
@@ -152,11 +165,20 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_sc(surface8, R)
 
-    def test_negation_symmetry(self, surface8):
-        sc = enumerate_sc(surface8, 2.5)
-        holos = sorted((round(c.holonomy.real, 9), round(c.holonomy.imag, 9)) for c in sc)
-        negated = sorted((round(-c.holonomy.real, 9), round(-c.holonomy.imag, 9)) for c in sc)
-        assert holos == negated
+    def test_negation_symmetry(self, surface8, swap_zeros):
+        # Developed from z2's corners, the connections are the reversals of
+        # those developed from z1's.
+        forward = _holonomies(surface8, 2.5)
+        assert forward
+        assert forward == _holonomies(swap_zeros(surface8), 2.5, sign=-1)
+
+    @pytest.mark.parametrize(
+        "proto,frac", [((1, 0, 1, 0), 0.3), ((2, 1, 1, -1), 0.05), ((2, 1, 1, -1), 0.3)]
+    )
+    def test_negation_symmetry_other_slits(self, swap_zeros, proto, frac):
+        p = TripleProto(*proto)
+        s = build_slit_triple(p, default_slit(p, frac))
+        assert _holonomies(s, 3.0) == _holonomies(swap_zeros(s), 3.0, sign=-1)
 
     def test_prefix_monotonicity(self, surface8):
         small = enumerate_sc(surface8, 1.5)
@@ -238,5 +260,7 @@ class TestEstimates:
         assert 0.0 < c3 < 1.0
 
     def test_two_zeros_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="two cone points"):
             family_counts(square_torus(), 1.0)
+        with pytest.raises(ValueError, match="two cone points"):
+            enumerate_sc(square_torus(), 1.0)
