@@ -194,9 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser, built by the first :func:`dispatch` (not at import) and reused.
+_parser: argparse.ArgumentParser | None = None
+
+
 def dispatch(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except PrymsvError as exc:

@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 
 from .errors import MissingTableEntry, ParseError, ResidueMismatch
 from .exactq import admissible, check_discriminant
-from .prototypes import enumerate_triple_e
 
 # ---------------------------------------------------------------------------
 # Multiplicative helpers, backed by a growable smallest-prime-factor sieve.
@@ -181,6 +180,13 @@ def m_D(D: int, e: int) -> int:
     The convention ``gcd(r, 0) = r`` means ``e = 0`` only admits ``r = 1``.
     As ``c`` is multiplicative, this is a product over ``p**k || n``: of
     ``c(p**k)`` if ``p | e``, else of ``c(p**(k - 2j))`` summed over ``j <= k/2``.
+
+    That sum is ``sigma1(p**k)``, so ``m_D(e)`` is ``c(p**k)`` over ``p | e``
+    times ``sigma1(p**k)`` over ``p ∤ e`` (both are ``p + 1`` at ``k = 1``).
+    Proof: ``c(1) = 1`` and ``c(p**m) = p**(m - 1) * (p + 1)`` for ``m >= 1``,
+    so the sum is ``(p + 1)(1 + p^2 + ... + p^(k-1)) = 1 + p + ... + p^k`` for
+    odd ``k``, and ``1 + p(p + 1)(1 + p^2 + ... + p^(k-2)) = 1 + p + ... + p^k``
+    for even ``k``.
     """
     _check_e(D, e)
     total = 1
@@ -188,14 +194,26 @@ def m_D(D: int, e: int) -> int:
         if e % p == 0:
             total *= _c_prime_power(p, k)
         else:
-            total *= sum(_c_prime_power(p, k - 2 * j) for j in range(k // 2 + 1))
+            total *= (p ** (k + 1) - 1) // (p - 1)
     return total
 
 
 def m_D_bruteforce(D: int, e: int) -> int:
-    """Oracle for :func:`m_D`: the number of triple prototypes with this ``e``."""
+    """Oracle for :func:`m_D`: the number of triple prototypes with this ``e``.
+
+    Counts ``(a, b, d)`` with ``a * d = (D - e^2)/8``, ``0 <= b < a`` and
+    ``gcd(a, b, d, e) = 1`` in its own loop, so it shares no code with
+    :func:`m_D`'s factorization or with prototype enumeration.
+    """
     _check_e(D, e)
-    return len(enumerate_triple_e(D, e))
+    n = (D - e * e) // 8
+    gcd = math.gcd
+    count = 0
+    for a in range(1, n + 1):
+        if n % a == 0:
+            d = n // a
+            count += sum(1 for b in range(a) if gcd(a, b, d, e) == 1)
+    return count
 
 
 def is_12_primitive(D: int) -> bool:

@@ -107,29 +107,6 @@ class SplitProto(_Proto):
 P = TypeVar("P", bound=_Proto)
 
 
-class Sign(Enum):
-    PLUS = "+"
-    MINUS = "-"
-    NONE = "none"
-
-
-@dataclass(frozen=True)
-class OrbitClass:
-    """Invariants ``(e, l, m)`` with ``D = e**2 + 8*l**2*m`` separating orbits.
-
-    For ``D % 8 == 1`` the locus has two components and ``sign`` records which
-    one the prototype's boundary lies on (``+`` iff ``e % 4 == 1``).  Built
-    by :func:`orbit_of` only, where ``l = gcd(a, b, d)`` makes both
-    ``l**2 * m = a*d`` and ``gcd(e, l) = gcd(a, b, d, e) = 1`` hold.
-    """
-
-    e: int
-    l: int
-    m: int
-    D: int
-    sign: Sign
-
-
 def _e_candidates(D: int, k: int) -> Iterator[tuple[int, int]]:
     """Pairs ``(e, (D - e^2)/k)`` over all e with ``e^2 < D``, ``e^2 ≡ D (mod k)``."""
     bound = math.isqrt(D - 1)
@@ -178,22 +155,6 @@ def enumerate_triple_e(D: int, e: int) -> list[TripleProto]:
     if e * e >= D or (D - e * e) % 8 != 0:
         return []
     return _enumerate(TripleProto, [(e, (D - e * e) // 8)])
-
-
-def orbit_of(p: TripleProto) -> OrbitClass:
-    """The orbit invariants of a triple prototype.
-
-    Two triple prototypes of the same discriminant lie in the same
-    GL+(2,R)-orbit if and only if their ``OrbitClass`` values agree.
-    """
-    l = math.gcd(math.gcd(p.a, p.b), p.d)
-    m = (p.a * p.d) // (l * l)
-    D = p.D
-    if D % 8 == 1:
-        sign = Sign.PLUS if p.e % 4 == 1 else Sign.MINUS
-    else:
-        sign = Sign.NONE
-    return OrbitClass(e=p.e, l=l, m=m, D=D, sign=sign)
 
 
 def enumerate_split(D: int) -> list[SplitProto]:

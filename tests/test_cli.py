@@ -1,9 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from prymsv import eigencheck
+from prymsv import cli, eigencheck
 from prymsv.cli import build_parser, dispatch
 
 
@@ -96,6 +99,35 @@ def test_verify_eigen_csv_pinned(capsys):
 def test_verify_number_theory_pinned(capsys, argv, digest):
     # SHA-256 of the whole stdout, recorded while the q-series and S_D were
     # still summed in Fraction: the integer sums must print the same report.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("chi", "--dmin", "5", "--dmax", "2000"),
+            "d9a4995018b831b8edeb1b4ba2438b6cf03b663a6e2e8738b4abbafa1e682899",
+        ),
+        (
+            ("conjecture", "--dmax", "2100"),
+            "6863c8cd3039d5de9734767da2286e8e33f719526ce9ba26ec38b3304fa48019",
+        ),
+        (
+            ("sv", "--d", "17", "--json"),
+            "c9a9f44b711adc777536823f139ddba6044c3dcac4a3a9291e4f889b6d044892",
+        ),
+        (
+            ("sv", "--d", "48"),
+            "441503a0d07163eb29baf7613f9154cfefad4e9ec565099d4b6dbefc1b7431f5",
+        ),
+    ],
+)
+def test_euler_characteristics_pinned(capsys, argv, digest):
+    # SHA-256 of the whole stdout, recorded while m_D summed c(p^(k - 2j))
+    # at each prime not dividing e, before that sum became sigma1(p^k).
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -240,6 +272,33 @@ def test_usage_errors():
         dispatch(["verify", "nonsense"])
     with pytest.raises(SystemExit):
         dispatch(["count", "--d", "8", "--proto", "1,0,1", "--radius", "2"])
+
+
+def _fresh_stdout(*argv):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "prymsv.cli", *argv],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+
+
+def test_parser_built_once_and_reused(capsys, monkeypatch):
+    # One parser serves a usage error and then two different commands; each
+    # prints what a fresh process prints.
+    built = []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["sv"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for argv in (("sv", "--d", "17", "--json"), ("protos", "--d", "33", "--kind", "split")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == _fresh_stdout(*argv)
+    assert len(built) == 1
 
 
 def test_parser_prog():

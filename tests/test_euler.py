@@ -27,6 +27,7 @@ from prymsv.euler import (
     sigma1,
     squarefree_decompose,
 )
+from prymsv.exactq import admissible
 
 F = Fraction
 
@@ -172,6 +173,41 @@ def test_m_D_against_bruteforce(D):
     for e in range(math.isqrt(D) + 1):
         if (D - e * e) % 8 == 0:
             assert m_D(D, e) == m_D_bruteforce(D, e)
+
+
+def test_sigma1_is_the_sum_over_squares_at_a_prime(monkeypatch):
+    # The lemma behind m_D: for p not dividing e, the factor at p**k is
+    # sum_j c(p**(k - 2j)), and that equals sigma1(p**k).  A small sieve cap
+    # keeps trial division of p**k (up to 47**10) from building the full sieve.
+    monkeypatch.setattr(euler, "SIEVE_CAP", 1000)
+    monkeypatch.setattr(euler, "_spf", [0, 1])
+    for p in (p for p in range(2, 50) if all(p % q for q in range(2, p))):
+        for k in range(11):
+            over_squares = sum(euler._c_prime_power(p, k - 2 * j) for j in range(k // 2 + 1))
+            assert over_squares == sigma1(p**k), (p, k)
+
+
+def test_m_D_against_its_definition():
+    # The docstring's definition, by enumeration and without factoring:
+    # sum of p1_count(n / r^2) over r with r^2 | n and gcd(r, e) = 1.  (r^2 | n
+    # iff r | f, since q is squarefree.)
+    pairs = 0
+    for D in range(5, 1501):
+        if admissible(D, "W03") is not None:
+            continue
+        bound = math.isqrt(D - 1)
+        for e in range(-bound, bound + 1):
+            if (D - e * e) % 8:
+                continue
+            n = (D - e * e) // 8
+            expected = sum(
+                p1_count(n // (r * r))
+                for r in range(1, math.isqrt(n) + 1)
+                if n % (r * r) == 0 and math.gcd(r, e) == 1
+            )
+            assert m_D(D, e) == expected, (D, e)
+            pairs += 1
+    assert pairs == 9146
 
 
 def test_is_12_primitive():

@@ -8,9 +8,10 @@ from prymsv.errors import (
     InvalidPrototype,
     UnsupportedResidue,
 )
+from prymsv.euler import m_D_bruteforce
+from prymsv.exactq import admissible
 from prymsv.prototypes import (
     CylProto,
-    Sign,
     SplitClass,
     SplitProto,
     TripleProto,
@@ -19,7 +20,6 @@ from prymsv.prototypes import (
     enumerate_split,
     enumerate_triple,
     enumerate_triple_e,
-    orbit_of,
     protos_csv,
     split_degree_counts,
     split_degree_witnesses,
@@ -136,6 +136,22 @@ def test_triple_partition_property():
                 assert by_e[e] == by_e[-e]
 
 
+def test_triple_slices_match_the_counting_oracle():
+    # m_D_bruteforce counts (a, b, d) in its own loop, so it is an oracle for
+    # the enumerator as well as for m_D.
+    built = 0
+    for D in range(5, 1001):
+        if admissible(D, "W03") is not None:
+            continue
+        bound = math.isqrt(D - 1)
+        for e in range(-bound, bound + 1):
+            if (D - e * e) % 8 == 0:
+                n = len(enumerate_triple_e(D, e))
+                assert n == m_D_bruteforce(D, e), (D, e)
+                built += n
+    assert built == 386_331
+
+
 def test_triple_invariants_revalidated():
     for D in range(5, 300):
         if D % 4 not in (0, 1) or D % 8 == 5:
@@ -144,42 +160,6 @@ def test_triple_invariants_revalidated():
             assert p.D == D
             assert p.a > 0 and p.d > 0 and 0 <= p.b < p.a
             assert math.gcd(math.gcd(p.a, p.b), math.gcd(p.d, p.e)) == 1
-
-
-# --- orbit classification --------------------------------------------------
-
-
-def test_orbit_D17():
-    o = orbit_of(TripleProto(2, 1, 1, 1))
-    assert (o.e, o.l, o.m, o.sign) == (1, 1, 2, Sign.PLUS)
-    assert orbit_of(TripleProto(1, 0, 2, 1)) == orbit_of(TripleProto(2, 0, 1, 1))
-
-
-def test_orbit_D8_no_sign():
-    o = orbit_of(TripleProto(1, 0, 1, 0))
-    assert (o.e, o.l, o.m, o.sign) == (0, 1, 1, Sign.NONE)
-
-
-def test_orbit_sign_by_e_mod_4():
-    assert orbit_of(TripleProto(1, 0, 1, -3)).sign == Sign.PLUS  # -3 ≡ 1 (mod 4)
-    assert orbit_of(TripleProto(1, 0, 2, -1)).sign == Sign.MINUS
-
-
-def test_orbit_determined_by_e_and_l():
-    # Brute-force fiber check: within a discriminant, the class is a function
-    # of (e, l) and conversely.
-    for D in range(5, 2001):
-        if D % 4 not in (0, 1) or D % 8 == 5:
-            continue
-        seen = {}
-        for p in enumerate_triple(D):
-            o = orbit_of(p)
-            key = (p.e, math.gcd(math.gcd(p.a, p.b), p.d))
-            if key in seen:
-                assert seen[key] == o
-            else:
-                seen[key] = o
-        assert len(set(seen.values())) == len(seen)
 
 
 # --- split family ----------------------------------------------------------
