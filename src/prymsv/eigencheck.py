@@ -8,6 +8,11 @@ and its eigenvalue ``mu`` (a root of ``x^2 - t x - n``) is real, so every
 check is an integer identity: a period vector, scaled into Z[mu] + i*Z[mu],
 is a real row and an imaginary row, each a pair ``(X, Y)`` of integer
 4-vectors standing for ``X + Y*mu``.
+
+The kernels :func:`row_times_matrix`, :func:`mat_mul` and
+:func:`mat_scale_plus` are straight-line 4x4 integer code over unpacked
+entries, with no index loops; an input that is not 4x4 (or a row that is not
+of length 4) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -38,21 +43,52 @@ SPLIT_CASES = ("w1", "w2", "w3")
 
 
 # ---------------------------------------------------------------------------
-# Small exact matrix helpers (4x4, integer entries).
+# Small exact matrix helpers: straight-line 4x4 integer code over unpacked
+# entries, so a non-4x4 input fails to unpack and raises ValueError.
 # ---------------------------------------------------------------------------
 
 
-def mat_mul(A: Matrix, B: Matrix) -> list[list[int]]:
+def row_times_matrix(x: Sequence[int], T: Matrix) -> list[int]:
+    """``x T``; raises ``ValueError`` unless ``x`` has length 4 and ``T`` is 4x4."""
+    x0, x1, x2, x3 = x
+    (
+        (t00, t01, t02, t03),
+        (t10, t11, t12, t13),
+        (t20, t21, t22, t23),
+        (t30, t31, t32, t33),
+    ) = T
     return [
-        [sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)]
-        for i in range(4)
+        x0 * t00 + x1 * t10 + x2 * t20 + x3 * t30,
+        x0 * t01 + x1 * t11 + x2 * t21 + x3 * t31,
+        x0 * t02 + x1 * t12 + x2 * t22 + x3 * t32,
+        x0 * t03 + x1 * t13 + x2 * t23 + x3 * t33,
+    ]
+
+
+def mat_mul(A: Matrix, B: Matrix) -> list[list[int]]:
+    """``A B``; raises ``ValueError`` unless both are 4x4."""
+    a0, a1, a2, a3 = A
+    return [
+        row_times_matrix(a0, B),
+        row_times_matrix(a1, B),
+        row_times_matrix(a2, B),
+        row_times_matrix(a3, B),
     ]
 
 
 def mat_scale_plus(A: Matrix, s: int, c: int) -> list[list[int]]:
-    """``s*A + c*Id``."""
+    """``s*A + c*Id``; raises ``ValueError`` unless ``A`` is 4x4."""
+    (
+        (a00, a01, a02, a03),
+        (a10, a11, a12, a13),
+        (a20, a21, a22, a23),
+        (a30, a31, a32, a33),
+    ) = A
     return [
-        [s * A[i][j] + (c if i == j else 0) for j in range(4)] for i in range(4)
+        [s * a00 + c, s * a01, s * a02, s * a03],
+        [s * a10, s * a11 + c, s * a12, s * a13],
+        [s * a20, s * a21, s * a22 + c, s * a23],
+        [s * a30, s * a31, s * a32, s * a33 + c],
     ]
 
 
@@ -75,10 +111,6 @@ def verify_selfadjoint(T: Matrix, J: Matrix) -> bool:
     """
     JT = mat_mul(J, T)
     return all(JT[i][j] == -JT[j][i] for i in range(4) for j in range(i, 4))
-
-
-def row_times_matrix(x: Sequence[int], T: Matrix) -> list[int]:
-    return [sum(x[i] * T[i][j] for i in range(4)) for j in range(4)]
 
 
 def eigen_residual(row: Row, T: Matrix, t: int, n: int) -> Row:

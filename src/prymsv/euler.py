@@ -51,25 +51,38 @@ def _ensure_sieve(n: int) -> None:
 
 
 def _trial_divide(n: int) -> dict[int, int]:
-    """Factor ``n > SIEVE_CAP`` by trial division; the sieve grows only to cover ``sqrt(n)``.
+    """Factor ``n > SIEVE_CAP`` by trial division; the sieve grows only as far as the cofactor needs.
 
-    The candidates are the sieve's primes, then (only for ``n > SIEVE_CAP**2``)
-    every integer past the sieve.  Division stops once ``p**2`` exceeds the
-    cofactor, which is then 1 or a prime.
+    The candidates are the sieve's primes.  When they run out while the
+    sieve's length squared is still at most the cofactor, the sieve doubles
+    (up to :data:`SIEVE_CAP`) and division goes on with its new primes only;
+    past the cap it goes on with every integer.  Division stops once ``p**2``
+    exceeds the cofactor, which is then 1 or a prime.
     """
     global _primes
-    _ensure_sieve(min(math.isqrt(n), SIEVE_CAP))
-    spf = _spf
-    if _primes[0] != len(spf):
-        _primes = (len(spf), array("i", [p for p in range(2, len(spf)) if spf[p] == p]))
-    candidates = itertools.chain(_primes[1], itertools.count(len(spf)))
     out: dict[int, int] = {}
-    for p in candidates:
-        if p * p > n:
-            break
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
+    done = 0  # the first `done` primes of the sieve are divided out
+    while True:
+        spf = _spf
+        bound = len(spf)
+        if _primes[0] != bound:
+            _primes = (bound, array("i", [p for p in range(2, bound) if spf[p] == p]))
+        primes = _primes[1]
+        candidates = itertools.islice(primes, done, None)
+        if bound > SIEVE_CAP:
+            candidates = itertools.chain(candidates, itertools.count(bound))
+        for p in candidates:
+            if p * p > n:
+                break
+            while n % p == 0:
+                n //= p
+                out[p] = out.get(p, 0) + 1
+        else:
+            if bound * bound <= n:  # the primes ran out below sqrt(n): double the sieve
+                done = len(primes)
+                _ensure_sieve(bound)
+                continue
+        break
     if n > 1:
         out[n] = 1
     return out

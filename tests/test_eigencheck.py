@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from prymsv.errors import BRequired
 from prymsv.eigencheck import (
@@ -17,6 +18,7 @@ from prymsv.eigencheck import (
     pairing_form,
     ratio_height,
     ratio_length,
+    row_times_matrix,
     split_matrices,
     split_period_vector,
     split_period_vector_uncorrected,
@@ -46,6 +48,53 @@ def test_selfadjoint_basic():
     # Breaking one entry destroys self-adjointness.
     T[0][2] += 1
     assert not verify_selfadjoint(T, pairing_form(1, 2))
+
+
+# Entries past a machine word, so the kernels must keep exact Python ints.
+entries = st.integers(min_value=-(2**70), max_value=2**70)
+containers = st.sampled_from([list, tuple])
+
+
+@st.composite
+def matrices(draw):
+    outer, inner = draw(containers), draw(containers)
+    return outer(inner(draw(st.lists(entries, min_size=4, max_size=4))) for _ in range(4))
+
+
+class TestKernels:
+    """The straight-line kernels against index-loop references."""
+
+    @given(matrices(), matrices(), st.lists(entries, min_size=4, max_size=4), containers)
+    def test_products_match_reference(self, A, B, x, container):
+        x = container(x)
+        assert row_times_matrix(x, B) == [sum(x[k] * B[k][j] for k in range(4)) for j in range(4)]
+        assert mat_mul(A, B) == [
+            [sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)] for i in range(4)
+        ]
+
+    @given(matrices(), entries, entries)
+    def test_scale_plus_matches_reference(self, A, s, c):
+        assert mat_scale_plus(A, s, c) == [
+            [s * A[i][j] + (c if i == j else 0) for j in range(4)] for i in range(4)
+        ]
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_non_4x4_raises(self, size):
+        M = [[i * size + j for j in range(size)] for i in range(size)]
+        T = build_T(1, 0, 1, 0)
+        for call in (
+            lambda: mat_mul(M, M),
+            lambda: mat_mul(M, T),
+            lambda: mat_mul(T, M),
+            lambda: mat_scale_plus(M, 2, 1),
+            lambda: row_times_matrix([1, 2, 3, 4], M),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_short_row_raises(self):
+        with pytest.raises(ValueError):
+            row_times_matrix([1, 2, 3], build_T(1, 0, 1, 0))
 
 
 class TestCylinder:

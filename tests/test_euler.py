@@ -103,6 +103,17 @@ def test_trial_division_after_sieve_growth(monkeypatch):
     assert sizes[-1] == 1001
 
 
+def test_smooth_numbers_past_the_cap_keep_the_sieve_small(monkeypatch):
+    # At the default cap, a smooth n > SIEVE_CAP**2 grows the sieve only
+    # until its primes pass the square root of the cofactor.
+    monkeypatch.setattr(euler, "_spf", [0, 1])
+    assert factorize(2**60) == {2: 60}
+    assert factorize(3**40 * 7) == {3: 40, 7: 1}
+    factorize(96)  # a sieve of length 97
+    assert factorize(2**40 * 97**2) == {2: 40, 97: 2}  # cofactor len(sieve)**2
+    assert len(euler._spf) <= 1000
+
+
 def test_sieve_holds_smallest_prime_factor(monkeypatch):
     monkeypatch.setattr(euler, "_spf", [0, 1])
     for n in (2, 3, 50, 1000, 5000):  # grows the sieve in several steps
@@ -175,12 +186,9 @@ def test_m_D_against_bruteforce(D):
             assert m_D(D, e) == m_D_bruteforce(D, e)
 
 
-def test_sigma1_is_the_sum_over_squares_at_a_prime(monkeypatch):
+def test_sigma1_is_the_sum_over_squares_at_a_prime():
     # The lemma behind m_D: for p not dividing e, the factor at p**k is
-    # sum_j c(p**(k - 2j)), and that equals sigma1(p**k).  A small sieve cap
-    # keeps trial division of p**k (up to 47**10) from building the full sieve.
-    monkeypatch.setattr(euler, "SIEVE_CAP", 1000)
-    monkeypatch.setattr(euler, "_spf", [0, 1])
+    # sum_j c(p**(k - 2j)), and that equals sigma1(p**k).
     for p in (p for p in range(2, 50) if all(p % q for q in range(2, p))):
         for k in range(11):
             over_squares = sum(euler._c_prime_power(p, k - 2 * j) for j in range(k // 2 + 1))
