@@ -73,13 +73,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(passed) else 1
 
 
+_PROTO_FAMILIES = {
+    cls.kind: cls
+    for cls in (prototypes.CylProto, prototypes.TripleProto, prototypes.SplitProto)
+}
+
+
 def _cmd_protos(args: argparse.Namespace) -> int:
-    enumerators = {
-        "cyl": prototypes.enumerate_cyl,
-        "triple": prototypes.enumerate_triple,
-        "split": prototypes.enumerate_split,
-    }
-    print(prototypes.protos_csv(enumerators[args.kind](args.d)))
+    sys.stdout.writelines(prototypes.protos_csv(_PROTO_FAMILIES[args.kind], args.d))
     return 0
 
 
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_protos = sub.add_parser("protos", help="enumerate prototypes as CSV")
     p_protos.add_argument("--d", type=int, required=True)
-    p_protos.add_argument("--kind", choices=["cyl", "triple", "split"], required=True)
+    p_protos.add_argument("--kind", choices=list(_PROTO_FAMILIES), required=True)
     p_protos.set_defaults(func=_cmd_protos)
 
     p_count = sub.add_parser("count", help="saddle-connection counting report")

@@ -109,8 +109,17 @@ def verify_selfadjoint(T: Matrix, J: Matrix) -> bool:
     ``transpose(J T) = transpose(T) transpose(J) = -transpose(T) J``, so the
     identity holds iff ``J T`` is antisymmetric: one product instead of two.
     """
-    JT = mat_mul(J, T)
-    return all(JT[i][j] == -JT[j][i] for i in range(4) for j in range(i, 4))
+    (
+        (m00, m01, m02, m03),
+        (m10, m11, m12, m13),
+        (m20, m21, m22, m23),
+        (m30, m31, m32, m33),
+    ) = mat_mul(J, T)
+    return (
+        m00 == m11 == m22 == m33 == 0
+        and m01 == -m10 and m02 == -m20 and m03 == -m30
+        and m12 == -m21 and m13 == -m31 and m23 == -m32
+    )
 
 
 def eigen_residual(row: Row, T: Matrix, t: int, n: int) -> Row:

@@ -5,6 +5,12 @@ relation (``D = e**2 + 8ad`` for the cylinder and triple-of-tori families,
 ``D' = e**2 + 4ad`` for the splitting family) together with gcd and range
 constraints.  Prototypes parametrize cusps and boundary components of the
 eigenform loci; everything here is pure integer arithmetic.
+
+One loop walks the ``(e, a, d)`` groups of a family.  The ``enumerate_*``
+functions build validated prototype objects from it; :func:`protos_csv`
+streams the CSV rows one group at a time, so its memory is bounded by the
+largest group (at most ``D/8`` rows), and every row passes the family's
+validator before it is emitted.
 """
 
 from __future__ import annotations
@@ -53,21 +59,32 @@ class _Proto:
     k: ClassVar[int] = 8
     #: The family's name in CSV output.
     kind: ClassVar[str]
+    #: The :func:`~prymsv.exactq.admissible` locus that gates the enumeration.
+    locus: ClassVar[str]
     #: Whether the family also needs ``a > d + e``.
     a_exceeds_d_plus_e: ClassVar[bool] = False
     #: The exclusive upper bound on ``b``, as a function of ``(a, d)``.
     b_bound = staticmethod(math.gcd)
 
     def __post_init__(self) -> None:
-        a, b, d, e = self.a, self.b, self.d, self.e
+        self._check(self.a, self.b, self.d, self.e)
+
+    @classmethod
+    def _check(cls, a: int, b: int, d: int, e: int) -> None:
+        """Raise :class:`InvalidPrototype` unless ``(a, b, d, e)`` is in the family."""
         if a <= 0 or d <= 0:
-            raise InvalidPrototype(f"{self} needs a > 0 and d > 0")
-        if not 0 <= b < self.b_bound(a, d):
-            raise InvalidPrototype(f"{self} needs 0 <= b < {self.b_bound(a, d)}")
-        if math.gcd(a, b, d, e) != 1:
-            raise InvalidPrototype(f"{self} needs gcd(a, b, d, e) = 1")
-        if self.a_exceeds_d_plus_e and a <= d + e:
-            raise InvalidPrototype(f"{self} needs a > d + e")
+            need = "a > 0 and d > 0"
+        elif not 0 <= b < cls.b_bound(a, d):
+            need = f"0 <= b < {cls.b_bound(a, d)}"
+        elif math.gcd(a, b, d, e) != 1:
+            need = "gcd(a, b, d, e) = 1"
+        elif cls.a_exceeds_d_plus_e and a <= d + e:
+            need = "a > d + e"
+        else:
+            return
+        # The message names the prototype as the dataclass repr would.
+        proto = f"{cls.__qualname__}(a={a!r}, b={b!r}, d={d!r}, e={e!r})"
+        raise InvalidPrototype(f"{proto} needs {need}")
 
     @property
     def D(self) -> int:
@@ -79,6 +96,7 @@ class CylProto(_Proto):
     """Cylinder prototype: ``D = e**2 + 8ad``, ``0 <= b < gcd(a, d)``."""
 
     kind = "cyl"
+    locus = "disc"
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,7 @@ class TripleProto(_Proto):
     """Triple-of-tori prototype: ``D = e**2 + 8ad``, ``0 <= b < a``."""
 
     kind = "triple"
+    locus = "triple"
 
     @staticmethod
     def b_bound(a: int, d: int) -> int:
@@ -101,67 +120,73 @@ class SplitProto(_Proto):
 
     k = 4
     kind = "split"
+    locus = "split"
     a_exceeds_d_plus_e = True
 
 
 P = TypeVar("P", bound=_Proto)
 
-
-def _e_candidates(D: int, k: int) -> Iterator[tuple[int, int]]:
-    """Pairs ``(e, (D - e^2)/k)`` over all e with ``e^2 < D``, ``e^2 ≡ D (mod k)``."""
-    bound = math.isqrt(D - 1)
-    for e in range(-bound, bound + 1):
-        if (D - e * e) % k == 0:
-            yield e, (D - e * e) // k
+#: One group of prototypes sharing ``(e, a, d)``: ``(e, a, d, bs)``.
+_Group = tuple[int, int, int, Iterable[int]]
 
 
-def _enumerate(cls: type[P], pairs: Iterable[tuple[int, int]]) -> list[P]:
-    """The prototypes of family ``cls`` with ``(e, a*d)`` among ``pairs``.
+def _groups(cls: type[_Proto], D: int, only_e: int | None = None) -> Iterator[_Group]:
+    """The ``(e, a, d, bs)`` groups of family ``cls`` at discriminant ``D``.
 
-    They come out in ``(e, a, d, b)`` order when ``pairs`` ascends in ``e``.
-    ``gcd(a, b, d, e) = gcd(b, G)`` with ``G = gcd(a, d, e)``, so when
-    ``G = 1`` every ``b`` below the bound is admissible.
+    Raises at once if ``D`` is outside the family's locus.  The groups come
+    in ``(e, a, d)`` order, over every ``e`` or only ``only_e``; ``bs``
+    lists the admissible ``b`` in ascending order.  ``gcd(a, b, d, e) =
+    gcd(b, G)`` with ``G = gcd(a, d, e)``, so when ``G = 1`` every ``b`` below
+    the bound is admissible.
     """
-    out: list[P] = []
-    for e, n in pairs:
-        for a in _divisors(n):
-            d = n // a
-            if cls.a_exceeds_d_plus_e and a <= d + e:
+    if err := admissible(D, cls.locus):
+        raise err
+    bound = math.isqrt(D - 1)
+    if only_e is None:
+        es: Iterable[int] = range(-bound, bound + 1)
+    else:
+        es = [only_e] if abs(only_e) <= bound else []
+
+    def walk() -> Iterator[_Group]:
+        k, b_bound, a_exceeds_d_plus_e = cls.k, cls.b_bound, cls.a_exceeds_d_plus_e
+        for e in es:
+            if (D - e * e) % k:
                 continue
-            G = math.gcd(a, d, e)
-            for b in range(cls.b_bound(a, d)):
-                if G == 1 or math.gcd(b, G) == 1:
-                    out.append(cls(a, b, d, e))
-    return out
+            n = (D - e * e) // k
+            for a in _divisors(n):
+                d = n // a
+                if a_exceeds_d_plus_e and a <= d + e:
+                    continue
+                G = math.gcd(a, d, e)
+                bs = range(b_bound(a, d))
+                yield e, a, d, bs if G == 1 else [b for b in bs if math.gcd(b, G) == 1]
+
+    return walk()
+
+
+def _enumerate(cls: type[P], D: int, only_e: int | None = None) -> list[P]:
+    """The prototypes of :func:`_groups`, built and validated, by ``(e, a, d, b)``."""
+    return [cls(a, b, d, e) for e, a, d, bs in _groups(cls, D, only_e) for b in bs]
 
 
 def enumerate_cyl(D: int) -> list[CylProto]:
     """All cylinder prototypes of discriminant ``D``, by ``(e, a, d, b)``."""
-    check_discriminant(D)
-    return _enumerate(CylProto, _e_candidates(D, 8))
+    return _enumerate(CylProto, D)
 
 
 def enumerate_triple(D: int) -> list[TripleProto]:
     """All triple-of-tori prototypes of discriminant ``D``, by ``(e, a, d, b)``."""
-    if err := admissible(D, "triple"):
-        raise err
-    return _enumerate(TripleProto, _e_candidates(D, 8))
+    return _enumerate(TripleProto, D)
 
 
 def enumerate_triple_e(D: int, e: int) -> list[TripleProto]:
     """The triple prototypes of discriminant ``D`` with the given ``e``."""
-    if err := admissible(D, "triple"):
-        raise err
-    if e * e >= D or (D - e * e) % 8 != 0:
-        return []
-    return _enumerate(TripleProto, [(e, (D - e * e) // 8)])
+    return _enumerate(TripleProto, D, e)
 
 
 def enumerate_split(D: int) -> list[SplitProto]:
     """Splitting prototypes of discriminant ``D`` (the paper's ``D'``), by ``(e, a, d, b)``."""
-    if err := admissible(D, "split"):
-        raise err
-    return _enumerate(SplitProto, _e_candidates(D, 4))
+    return _enumerate(SplitProto, D)
 
 
 class SplitClass(Enum):
@@ -251,9 +276,21 @@ def split_degree_counts(D: int) -> int:
     return counts.pop()
 
 
-def protos_csv(protos: Iterable[_Proto]) -> str:
-    """CSV with header ``D,kind,a,b,d,e``, one prototype per row."""
-    lines = ["D,kind,a,b,d,e"]
-    for p in protos:
-        lines.append(f"{p.D},{p.kind},{p.a},{p.b},{p.d},{p.e}")
-    return "\n".join(lines)
+def protos_csv(cls: type[_Proto], D: int) -> Iterator[str]:
+    """CSV of family ``cls`` at ``D``: the header ``D,kind,a,b,d,e``, then one
+    string of rows per ``(e, a, d)`` group, in :func:`_enumerate`'s order.
+
+    Every line ends in a newline.  Each row passes the family's validator
+    (:meth:`_Proto._check`) before it is emitted, but no prototype object is
+    built.  An inadmissible ``D`` raises before the header is yielded.
+    """
+    groups = _groups(cls, D)
+    check = cls._check
+    yield "D,kind,a,b,d,e\n"
+    for e, a, d, bs in groups:
+        head, tail = f"{D},{cls.kind},{a},", f",{d},{e}\n"
+        rows = []
+        for b in bs:
+            check(a, b, d, e)
+            rows.append(f"{head}{b}{tail}")
+        yield "".join(rows)

@@ -202,6 +202,15 @@ def test_count_pinned(capsys, argv, digest):
 def test_protos_empty(capsys):
     code, out, _ = run(capsys, "protos", "--d", "5", "--kind", "cyl")
     assert code == 0
+    assert out == "D,kind,a,b,d,e\n"
+
+
+@pytest.mark.parametrize("D,kind", [(21, "triple"), (7, "cyl"), (4, "split")])
+def test_protos_inadmissible_prints_nothing(capsys, D, kind):
+    code, out, err = run(capsys, "protos", "--d", str(D), "--kind", kind)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_count(capsys):

@@ -50,6 +50,22 @@ def test_selfadjoint_basic():
     assert not verify_selfadjoint(T, pairing_form(1, 2))
 
 
+@pytest.mark.parametrize("i,j", [(i, j) for i in range(4) for j in range(i, 4)])
+def test_selfadjoint_checks_every_entry(i, j):
+    # With J = pairing_form(1, 1), J^-1 = -J, so T = -J M gives J T = M.
+    # Breaking the antisymmetry of M at (i, j) breaks exactly one of the ten
+    # comparisons, so each must be made.
+    J = pairing_form(1, 1)
+    M = [[0, 2, 3, 5], [-2, 0, 7, 11], [-3, -7, 0, 13], [-5, -11, -13, 0]]
+    for expected in (True, False):
+        T = [[-x for x in row] for row in mat_mul(J, M)]
+        assert mat_mul(J, T) == M
+        transpose_T = [list(col) for col in zip(*T)]
+        assert (mat_mul(transpose_T, J) == mat_mul(J, T)) is expected
+        assert verify_selfadjoint(T, J) is expected
+        M[i][j] += 1
+
+
 # Entries past a machine word, so the kernels must keep exact Python ints.
 entries = st.integers(min_value=-(2**70), max_value=2**70)
 containers = st.sampled_from([list, tuple])

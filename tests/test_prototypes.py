@@ -6,12 +6,14 @@ from prymsv.errors import (
     BRequired,
     InvalidDiscriminant,
     InvalidPrototype,
+    OutsideTheoremHypotheses,
     UnsupportedResidue,
 )
 from prymsv.euler import m_D_bruteforce
 from prymsv.exactq import admissible
 from prymsv.prototypes import (
     CylProto,
+    _Proto,
     SplitClass,
     SplitProto,
     TripleProto,
@@ -247,8 +249,74 @@ def test_split_degree_rejects_odd_nonsplit():
 
 
 def test_protos_csv():
-    rows = protos_csv(enumerate_cyl(8) + enumerate_split(8)).splitlines()
-    assert rows[0] == "D,kind,a,b,d,e"
-    assert rows[1] == "8,cyl,1,0,1,0"
-    assert rows[2] == "8,split,1,0,1,-2"
-    assert rows[3] == "8,split,2,0,1,0"
+    assert "".join(protos_csv(CylProto, 8)).splitlines() == [
+        "D,kind,a,b,d,e",
+        "8,cyl,1,0,1,0",
+    ]
+    assert "".join(protos_csv(SplitProto, 8)).splitlines() == [
+        "D,kind,a,b,d,e",
+        "8,split,1,0,1,-2",
+        "8,split,2,0,1,0",
+    ]
+
+
+FAMILIES = [(CylProto, enumerate_cyl), (TripleProto, enumerate_triple), (SplitProto, enumerate_split)]
+
+
+@pytest.mark.parametrize("cls,enumerate_kind", FAMILIES)
+def test_protos_csv_matches_the_objects(cls, enumerate_kind):
+    # The row path formats (e, a, d) groups; the oracle formats the validated
+    # objects of the object path, row by row.
+    checked = 0
+    for D in range(5, 601):
+        if admissible(D, cls.locus) is not None:
+            continue
+        expected = "D,kind,a,b,d,e\n" + "".join(
+            f"{p.D},{p.kind},{p.a},{p.b},{p.d},{p.e}\n" for p in enumerate_kind(D)
+        )
+        assert "".join(protos_csv(cls, D)) == expected, D
+        checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("cls,D", [(CylProto, 2001), (TripleProto, 2000), (SplitProto, 2001)])
+def test_protos_csv_checks_every_row(monkeypatch, cls, D):
+    check = _Proto._check.__func__
+    seen = []
+
+    def counting(kls, a, b, d, e):
+        seen.append((a, b, d, e))
+        check(kls, a, b, d, e)
+
+    monkeypatch.setattr(_Proto, "_check", classmethod(counting))
+    rows = "".join(protos_csv(cls, D)).splitlines()[1:]
+    assert len(rows) > 100
+    assert len(seen) == len(rows)
+    assert seen == [tuple(map(int, row.split(",")[2:])) for row in rows]
+
+
+def test_protos_csv_raises_on_a_rejected_row(monkeypatch):
+    check = _Proto._check.__func__
+
+    def planted(kls, a, b, d, e):
+        if (a, b, d, e) == (2, 1, 1, 1):  # a valid triple row of D = 17
+            raise InvalidPrototype("planted")
+        check(kls, a, b, d, e)
+
+    monkeypatch.setattr(_Proto, "_check", classmethod(planted))
+    with pytest.raises(InvalidPrototype, match="planted"):
+        "".join(protos_csv(TripleProto, 17))
+
+
+@pytest.mark.parametrize(
+    "cls,D,error",
+    [
+        (CylProto, 7, InvalidDiscriminant),
+        (TripleProto, 21, UnsupportedResidue),
+        (SplitProto, 4, OutsideTheoremHypotheses),
+    ],
+)
+def test_protos_csv_gates_before_the_header(cls, D, error):
+    rows = protos_csv(cls, D)
+    with pytest.raises(error):
+        next(rows)
