@@ -230,10 +230,6 @@ def cyl_ratios(p: CylProto, case: str) -> dict[str, QuadNum]:
 # ---------------------------------------------------------------------------
 
 
-def build_T_triple(p: TripleProto) -> list[list[int]]:
-    return build_T(p.a, p.b, p.d, p.e, c=0)
-
-
 def verify_triple(p: TripleProto) -> bool:
     """Verify the order generator attached to a triple-of-tori prototype.
 
@@ -244,7 +240,7 @@ def verify_triple(p: TripleProto) -> bool:
     ``lambda^2 / (lambda^2 + 2ad) = (e + sqrt(D)) / (2 sqrt(D))``, because
     ``lambda^2 + 2ad = e lambda + 4ad = sqrt(D) lambda``.
     """
-    T = build_T_triple(p)
+    T = build_T(p.a, p.b, p.d, p.e)
     return _verify_endo(T, pairing_form(1, 2), p.e, 2 * p.a * p.d)
 
 

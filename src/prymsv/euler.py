@@ -314,9 +314,6 @@ class EulerTable:
             raise MissingTableEntry(f"table has no chi({label}) entry at D = {D}")
         return value
 
-    def discriminants(self) -> list[int]:
-        return sorted(self.rows)
-
 
 BUILTIN_TABLE = EulerTable(rows=dict(_BUILTIN_ROWS))
 

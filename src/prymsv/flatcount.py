@@ -29,6 +29,11 @@ from .prototypes import TripleProto
 
 Edge = tuple[int, int]  # (triangle index, edge index 0..2)
 
+#: Relative tolerance of :meth:`FlatSurface.check` on edge vectors and area.
+_CHECK_RTOL = 1e-9
+#: How close to a lattice generator the slit may point, in basis coordinates.
+_BASIS_EPS = 1e-12
+
 
 def _cross(z: complex, w: complex) -> float:
     return z.real * w.imag - z.imag * w.real
@@ -121,7 +126,7 @@ class FlatSurface:
             if abs(ang - 2 * math.pi) > 1e-9
         )
 
-    def check(self, rtol: float = 1e-9) -> None:
+    def check(self) -> None:
         """Check the structural invariants; raises ValueError on the first failure.
 
         Every triangle closes up and is counter-clockwise, the gluing is an
@@ -133,17 +138,17 @@ class FlatSurface:
             if not ok:
                 raise ValueError(what)
 
-        scale = max(abs(v) for tri in self.triangles for v in tri)
+        slack = _CHECK_RTOL * max(abs(v) for tri in self.triangles for v in tri)
         for t, tri in enumerate(self.triangles):
             require(
-                abs(sum(self.edge_vector((t, i)) for i in range(3))) <= rtol * scale,
+                abs(sum(self.edge_vector((t, i)) for i in range(3))) <= slack,
                 f"triangle {t} does not close up",
             )
             require(_cross(tri[1] - tri[0], tri[2] - tri[0]) > 0, f"triangle {t} not ccw")
         for edge, other in self.glue.items():
             require(self.glue[other] == edge, f"gluing is not an involution at {edge}")
             require(
-                abs(self.edge_vector(edge) + self.edge_vector(other)) <= rtol * scale,
+                abs(self.edge_vector(edge) + self.edge_vector(other)) <= slack,
                 f"glued edges {edge}, {other} must carry opposite vectors",
             )
         excess = 0.0
@@ -161,7 +166,7 @@ class FlatSurface:
         )
         if self.area_exact:
             require(
-                abs(self.area - self.area_exact) <= rtol * self.area_exact,
+                abs(self.area - self.area_exact) <= _CHECK_RTOL * self.area_exact,
                 f"area {self.area} differs from {self.area_exact}",
             )
 
@@ -171,7 +176,7 @@ class FlatSurface:
 # ---------------------------------------------------------------------------
 
 
-def _adjust_basis(u: complex, v: complex, t: complex, eps: float) -> tuple[complex, complex]:
+def _adjust_basis(u: complex, v: complex, t: complex) -> tuple[complex, complex]:
     """Replace (u, v) by an oriented basis of the same lattice with ``t`` in its open cone."""
     det = _cross(u, v)
     if det < 0:
@@ -179,7 +184,7 @@ def _adjust_basis(u: complex, v: complex, t: complex, eps: float) -> tuple[compl
         det = -det
     alpha = _cross(t, v) / det
     beta = _cross(u, t) / det
-    if abs(alpha) <= eps or abs(beta) <= eps:
+    if abs(alpha) <= _BASIS_EPS or abs(beta) <= _BASIS_EPS:
         raise DegenerateDirection(
             f"slit direction {t} is (nearly) parallel to a lattice generator"
         )
@@ -231,7 +236,7 @@ def build_slit_triple(p: TripleProto, t: complex) -> FlatSurface:
     triangles: list[tuple[complex, complex, complex]] = []
     glue: dict[Edge, Edge] = {}
     for j, (u0, v0) in enumerate(lattices):
-        u, v = _adjust_basis(u0, v0, t, eps=1e-12)
+        u, v = _adjust_basis(u0, v0, t)
         corners = (0j, u, u + v, v)
         base = 4 * j
         for k in range(4):
@@ -372,27 +377,17 @@ def group_families(
     """Group connections with equal ordered endpoints and holonomy within ``tol``.
 
     Raises :class:`AmbiguousGrouping` when two holonomies with the same
-    endpoints are distinct yet closer than ``2 * tol``; with ``tol = 0`` only
-    exact duplicates group.
+    endpoints are distinct yet closer than ``2 * tol``, and ``ValueError``
+    unless ``tol > 0``.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    cell = tol if tol > 0 else None
+    if not tol > 0:
+        raise ValueError(f"tolerance must be > 0, got {tol}")
     # reps: (start, end) -> list of (holonomy, count), bucketed on a tol-grid.
     buckets: dict[tuple, list[int]] = {}
     reps: list[list] = []  # [start, end, holonomy, count]
     for sc in connections:
-        if cell is None:
-            key = (sc.start, sc.end, sc.holonomy.real, sc.holonomy.imag)
-            idx = buckets.get(key)
-            if idx is None:
-                buckets[key] = [len(reps)]
-                reps.append([sc.start, sc.end, sc.holonomy, 1])
-            else:
-                reps[idx[0]][3] += 1
-            continue
-        cx = math.floor(sc.holonomy.real / cell)
-        cy = math.floor(sc.holonomy.imag / cell)
+        cx = math.floor(sc.holonomy.real / tol)
+        cy = math.floor(sc.holonomy.imag / tol)
         matches = []
         near = []
         for dx in (-2, -1, 0, 1, 2):

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Iterable, Iterator, TypeVar
 
-from .errors import (
-    BRequired,
-    InvalidDiscriminant,
-    InvalidPrototype,
-    UnsupportedResidue,
-)
-from .exactq import admissible, check_discriminant
+from .errors import BRequired, InvalidPrototype
+from .exactq import admissible
 
 
 def _divisors(n: int) -> list[int]:
@@ -216,63 +211,28 @@ def classify_split(p: SplitProto, i: int) -> SplitClass:
     return SplitClass.SAME_D if conds[i] else SplitClass.FOUR_D
 
 
-def split_degree_witnesses(D: int) -> tuple[list[SplitProto], SplitClass]:
-    """Witness prototypes for the degree count at discriminant ``D``.
-
-    Returns the witnesses together with the classification value being
-    counted: ``SAME_D`` for witnesses drawn from the prototypes of
-    discriminant ``D`` itself, ``FOUR_D`` for witnesses drawn from
-    discriminant ``D/4`` (whose non-splitting curve systems land in the
-    discriminant-``4*(D/4) = D`` locus).
-    """
-    check_discriminant(D)
-    quads: list[tuple[int, int]]
-    if D % 8 == 1:
-        if D <= 9:
-            raise InvalidDiscriminant(f"D = {D} too small for a witness")
-        quads, target = [((D - 1) // 4, -1), ((D - 1) // 4, 1)], SplitClass.SAME_D
-    elif D % 4 != 0:
-        raise UnsupportedResidue(f"no degree count for D = {D} ≡ {D % 8} (mod 8)")
-    else:
-        q = D // 4
-        if q % 4 in (2, 3):
-            # D = 8k or 8k + 4 with k odd; the witness sits at discriminant D.
-            k = D // 8
-            quads = [(2 * k, 0)] if D % 8 == 0 else [(2 * k + 1, 0)]
-            target = SplitClass.SAME_D
-        # Remaining cases: witnesses at discriminant D/4, counting the curve
-        # systems along which the splitting jumps to discriminant 4*(D/4).
-        elif q % 4 == 0:
-            quads, target = [(D // 16, 0)], SplitClass.FOUR_D
-        elif q % 8 == 1:
-            k = (q - 1) // 8
-            quads, target = [(2 * k, -1), (2 * k, 1)], SplitClass.FOUR_D
-        else:  # q % 8 == 5
-            k = (q - 5) // 8
-            quads, target = [(2 * k + 1, 1)], SplitClass.FOUR_D
-    # With d = 1, b = 0 only a > d + e can fail: at very small D one of the two
-    # +-/ witnesses falls outside it, and the surviving one suffices.
-    witnesses = [SplitProto(a, 0, 1, e) for a, e in quads if a > 1 + e]
-    if not witnesses:
-        raise InvalidDiscriminant(f"D = {D} too small for a valid witness")
-    return witnesses, target
-
-
 def split_degree_counts(D: int) -> int:
     """Degree (divided by 4!) of the splitting map at discriminant ``D``.
 
-    Counts, over the hard-coded witness prototypes, the curve systems whose
-    classification hits the designated target discriminant.  All witnesses of
-    a discriminant must agree; expected values are 1, 4, 3, 5 (by residue of
-    ``D/4``) and 2 (``D ≡ 1 (mod 8)``).
+    If ``D/4`` is a discriminant, counts the curve systems 1..5 of each
+    ``b = 0`` splitting prototype of ``D/4`` that land in ``FOUR_D``, and
+    otherwise those of each ``b = 0`` prototype of ``D`` that stay in
+    ``SAME_D``.  Every prototype must give the same count; it is the
+    independent oracle of :func:`prymsv.svconst.b_D`.
     """
-    witnesses, target = split_degree_witnesses(D)
+    if err := admissible(D, "triple"):
+        raise err
+    if D % 4 == 0 and admissible(D // 4, "disc") is None:
+        source, target = D // 4, SplitClass.FOUR_D
+    else:
+        source, target = D, SplitClass.SAME_D
     counts = {
-        sum(1 for i in range(1, 6) if classify_split(w, i) is target)
-        for w in witnesses
+        sum(classify_split(SplitProto(a, 0, d, e), i) is target for i in range(1, 6))
+        for e, a, d, _ in _groups(SplitProto, source)
+        if math.gcd(a, d, e) == 1
     }
     if len(counts) != 1:
-        raise InvalidPrototype(f"witnesses for D = {D} disagree: {counts}")
+        raise InvalidPrototype(f"b = 0 prototypes for D = {D} give counts {counts}")
     return counts.pop()
 
 

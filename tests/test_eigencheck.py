@@ -9,7 +9,6 @@ from prymsv.eigencheck import (
     SPLIT_CASES,
     area_ratio,
     build_T,
-    build_T_triple,
     cyl_period_vector,
     cyl_ratios,
     eigen_residual,
@@ -175,7 +174,7 @@ class TestTriple:
 
     def test_perturbation_fails(self):
         p = TripleProto(2, 1, 1, 1)
-        T = build_T_triple(p)
+        T = build_T(p.a, p.b, p.d, p.e)
         for i in range(4):
             for j in range(4):
                 T2 = [row[:] for row in T]

@@ -197,15 +197,6 @@ class TestEnumeration:
 
 
 class TestGrouping:
-    def test_exact_grouping(self):
-        sc = [
-            SaddleConnection(0, 1, 1 + 1j),
-            SaddleConnection(0, 1, 1 + 1j),
-            SaddleConnection(0, 1, 2 + 0j),
-        ]
-        fams = group_families(sc, 0.0)
-        assert sorted(f.multiplicity for f in fams) == [1, 2]
-
     def test_tolerant_grouping(self):
         sc = [
             SaddleConnection(0, 1, 1 + 1j),
@@ -227,8 +218,9 @@ class TestGrouping:
             group_families(sc, 1e-6)
 
     def test_negative_tol(self):
-        with pytest.raises(ValueError):
-            group_families([], -1.0)
+        for tol in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                group_families([], tol)
 
 
 class TestEstimates:
@@ -236,6 +228,10 @@ class TestEstimates:
         t = default_slit(P8)
         counts = family_counts(surface8, abs(t) * 1.01)
         assert counts == {3: 1}
+
+    def test_report_needs_positive_radius(self, surface8):
+        with pytest.raises(ValueError):
+            count_report(surface8, 0.0)
 
     def test_report_shape(self, surface8):
         report = count_report(surface8, 2.0)

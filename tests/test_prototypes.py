@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from prymsv import prototypes
 from prymsv.errors import (
     BRequired,
     InvalidDiscriminant,
@@ -24,8 +25,8 @@ from prymsv.prototypes import (
     enumerate_triple_e,
     protos_csv,
     split_degree_counts,
-    split_degree_witnesses,
 )
+from prymsv.svconst import b_D
 
 
 def quads(protos):
@@ -224,8 +225,8 @@ def test_classify_split_bad_index():
         (12, 1), (28, 1), (44, 1),  # D/4 ≡ 3 (mod 4)
         (32, 4), (48, 4), (80, 4),  # D/4 ≡ 0 (mod 4)
         (68, 3), (132, 3), (164, 3),  # D/4 ≡ 1 (mod 8)
-        (36, 3),  # D/4 = 9: square allowed here, one witness filtered out
-        (52, 5), (84, 5), (116, 5),  # D/4 ≡ 5 (mod 8)
+        (36, 3),  # D/4 = 9: a square, counted over the prototypes of 9
+        (20, 5), (52, 5), (84, 5), (116, 5),  # D/4 ≡ 5 (mod 8)
         (17, 2), (33, 2), (41, 2),  # D ≡ 1 (mod 8)
     ],
 )
@@ -233,11 +234,36 @@ def test_split_degree_counts(D, count):
     assert split_degree_counts(D) == count
 
 
-def test_split_degree_witness_targets():
-    _, target = split_degree_witnesses(8)
-    assert target is SplitClass.SAME_D
-    _, target = split_degree_witnesses(32)
-    assert target is SplitClass.FOUR_D
+def test_split_degree_counts_match_b_D():
+    # Every b = 0 prototype agrees, and the count is b_D wherever b_D != 0.
+    for D in range(1, 3001):
+        if D == 16 or admissible(D, "triple") is not None:
+            continue
+        if D % 4 == 0 and b_D(D):
+            expected = b_D(D)
+        else:
+            expected = 2 if D % 8 == 1 else 1
+        assert split_degree_counts(D) == expected, D
+
+
+def test_split_degree_counts_below_the_split_locus():
+    # D/4 = 4 has no splitting prototypes: raise, never return a count.
+    with pytest.raises(OutsideTheoremHypotheses):
+        split_degree_counts(16)
+
+
+def test_split_degree_counts_raise_on_disagreement(monkeypatch):
+    flipped = SplitProto(4, 0, 1, 1)  # one of the five b = 0 prototypes at D = 17
+
+    def classify(p, i):
+        same = classify_split(p, i) is SplitClass.SAME_D
+        if p == flipped and i == 1:
+            same = not same
+        return SplitClass.SAME_D if same else SplitClass.FOUR_D
+
+    monkeypatch.setattr(prototypes, "classify_split", classify)
+    with pytest.raises(InvalidPrototype):
+        split_degree_counts(17)
 
 
 def test_split_degree_rejects_odd_nonsplit():
