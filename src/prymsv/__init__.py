@@ -2,7 +2,7 @@
 
 Modules:
 
-- :mod:`prymsv.exactq` — exact arithmetic in real quadratic fields
+- :mod:`prymsv.exactq` — discriminant validation
 - :mod:`prymsv.prototypes` — the three prototype families and their invariants
 - :mod:`prymsv.euler` — divisor sums, projection degrees, Euler characteristics
 - :mod:`prymsv.svconst` — volumes and Siegel-Veech constants

@@ -119,6 +119,16 @@ def _parse_radius(text: str) -> float:
     return R
 
 
+def _parse_nmax(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"nmax {text!r} is not >= 0")
+    return n
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     p = prototypes.TripleProto(*args.proto)
     if p.D != args.d:
@@ -171,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="exact verification suites")
     p_verify.add_argument("what", choices=["modular", "identity", "eigen"])
-    p_verify.add_argument("--nmax", type=int, default=10000)
+    p_verify.add_argument("--nmax", type=_parse_nmax, default=10000)
     p_verify.add_argument("--dmax", type=int, default=500)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import BRequired
-from .exactq import QuadNum, admissible, lambda_of
+from .exactq import admissible
 from .prototypes import (
     CylProto,
     SplitProto,
@@ -34,9 +34,6 @@ Matrix = Sequence[Sequence[int]]
 
 #: A real row vector ``X + Y*mu`` with integer 4-vectors ``X`` and ``Y``.
 Row = tuple[list[int], list[int]]
-
-#: Names of the stable cylinder diagram cases.
-CYL_CASES = ("I.A", "I.B", "II.A", "II.B")
 
 #: Splitting curve systems with printed endomorphism matrices.
 SPLIT_CASES = ("w1", "w2", "w3")
@@ -127,8 +124,8 @@ def eigen_residual(row: Row, T: Matrix, t: int, n: int) -> Row:
 
     Since ``mu (X + Y mu) = n Y + (X + t Y) mu``, the residual is
     ``(X T - n Y, Y T - X - t Y)``; it is zero iff the row is a left
-    eigenvector of ``T`` for ``mu``.  The comparison is formal in ``(1, mu)``,
-    as :class:`~prymsv.exactq.QuadNum`'s is in ``(1, sqrt(D))``.
+    eigenvector of ``T`` for ``mu``.  The comparison is formal in the basis
+    ``(1, mu)``: two integer rows, with no square root evaluated.
     """
     X, Y = row
     XT, YT = row_times_matrix(X, T), row_times_matrix(Y, T)
@@ -190,39 +187,11 @@ def verify_cyl_IA(p: CylProto) -> bool:
     ``l3/l1 = a/lambda = (lambda - e)/(2d)`` and ``(h2+h3)/(h1+h2) = d/lambda
     = (lambda - e)/(2a)``, which are half the entries ``2a/lambda``,
     ``2d/lambda`` of ``v`` and equal the right-hand sides because
-    ``lambda (lambda - e) = 2ad``.
+    ``lambda (lambda - e) = 2ad``.  The cases I.B, II.A and II.B give the
+    same two values to other sums of lengths and heights, so they hold too.
     """
     T = build_T(p.a, p.b, p.d, p.e)
     return _verify_endo(T, pairing_form(1, 2), p.e, 2 * p.a * p.d, cyl_period_vector(p))
-
-
-def ratio_length(p: CylProto) -> QuadNum:
-    """The horizontal ratio ``a/lambda`` common to all four diagram cases."""
-    return QuadNum.rational(p.a, p.D) / lambda_of(p.D, p.e)
-
-
-def ratio_height(p: CylProto) -> QuadNum:
-    """The vertical ratio ``d/lambda`` common to all four diagram cases."""
-    return QuadNum.rational(p.d, p.D) / lambda_of(p.D, p.e)
-
-
-def cyl_ratios(p: CylProto, case: str) -> dict[str, QuadNum]:
-    """Named cylinder ratios for one of the four stable diagram cases.
-
-    Only case I.A carries a fully verified period basis; the other cases get
-    the stated ratio values computed exactly (the combinations of cylinder
-    lengths/heights they constrain differ per case).
-    """
-    names = {
-        "I.A": ("l3/l1", "(h2+h3)/(h1+h2)"),
-        "I.B": ("(l3-l1)/l1", "(h2+h3)/(h1+h2+h3+h4)"),
-        "II.A": ("l3/l1", "h3/(h1+h2)"),
-        "II.B": ("l3/l1", "h3/(h1+h2)"),
-    }
-    if case not in names:
-        raise ValueError(f"unknown diagram case {case!r}; expected one of {CYL_CASES}")
-    ln, hn = names[case]
-    return {ln: ratio_length(p), hn: ratio_height(p)}
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +211,6 @@ def verify_triple(p: TripleProto) -> bool:
     """
     T = build_T(p.a, p.b, p.d, p.e)
     return _verify_endo(T, pairing_form(1, 2), p.e, 2 * p.a * p.d)
-
-
-def area_ratio(p: TripleProto) -> QuadNum:
-    """The exact fraction of the total area carried by the square torus."""
-    lam = lambda_of(p.D, p.e)
-    return lam * lam / (lam * lam + 2 * p.a * p.d)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,6 @@ class PrymsvError(Exception):
     """Base class for all package-specific errors."""
 
 
-class MismatchedField(PrymsvError):
-    """Arithmetic attempted between numbers living in different quadratic fields."""
-
-
 class InvalidDiscriminant(PrymsvError):
     """An integer that is not a positive discriminant (:math:`D \\equiv 0, 1 \\pmod 4`)."""
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import AmbiguousGrouping, DegenerateDirection, SlitTooLong
-from .exactq import lambda_of
 from .prototypes import TripleProto
 
 Edge = tuple[int, int]  # (triangle index, edge index 0..2)
@@ -197,9 +196,14 @@ def _adjust_basis(u: complex, v: complex, t: complex) -> tuple[complex, complex]
     return -v, u  # alpha > 0, beta < 0
 
 
+def lambda_float(D: int, e: int) -> float:
+    """The eigenvalue ``lambda = (e + sqrt(D)) / 2`` in floating point."""
+    return e / 2 + 0.5 * math.sqrt(D)
+
+
 def systole_estimate(p: TripleProto) -> float:
     """A (tight, for short slits) lower estimate of the shortest lattice vector."""
-    lam = lambda_of(p.D, p.e).to_float()
+    lam = lambda_float(p.D, p.e)
     shortest = lam
     u, v = complex(p.a), complex(p.b, p.d)
     for m in range(-2, 3):
@@ -224,7 +228,7 @@ def build_slit_triple(p: TripleProto, t: complex) -> FlatSurface:
     endpoint ``L = 0`` at its corner; the doubled slit edge of torus ``j`` is
     reglued to torus ``j + 1 (mod 3)``.  Area is ``lambda^2 + 2ad``.
     """
-    lam = lambda_of(p.D, p.e).to_float()
+    lam = lambda_float(p.D, p.e)
     lattices = [
         (complex(lam), complex(0, lam)),
         (complex(p.a), complex(p.b, p.d)),
@@ -416,8 +420,11 @@ def group_families(
 def family_counts(s: FlatSurface, R: float) -> dict[int, int]:
     """Counts ``{multiplicity: number of families}`` of z1 -> z2 connections.
 
-    Holonomies within ``1e-9 * R`` of each other form one family.
+    Holonomies within ``1e-9 * R`` of each other form one family.  Raises
+    ``ValueError`` unless ``R > 0``.
     """
+    if not R > 0:
+        raise ValueError(f"radius must be > 0, got {R}")
     counts: dict[int, int] = {}
     for fam in group_families(enumerate_sc(s, R), 1e-9 * R):
         counts[fam.multiplicity] = counts.get(fam.multiplicity, 0) + 1

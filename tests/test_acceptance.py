@@ -21,7 +21,7 @@ from prymsv.eigencheck import (
     verification_rows,
     verify_selfadjoint,
 )
-from prymsv.exactq import is_square, lambda_of
+from prymsv.exactq import is_square
 from prymsv.prototypes import TripleProto, split_degree_counts
 
 F = Fraction
@@ -191,7 +191,7 @@ class TestCriterion8Empirical:
         for z in zeros:
             assert surface.cone_angles[z] == pytest.approx(6 * math.pi)
         assert surface.area == pytest.approx(
-            lambda_of(8, 0).to_float() ** 2 + 2
+            flatcount.lambda_float(8, 0) ** 2 + 2
         )
         # The three slit copies form one multiplicity-3 family.
         t = flatcount.default_slit(self.P, frac=0.3)

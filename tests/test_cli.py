@@ -258,6 +258,19 @@ def test_count_rejects_bad_numbers(extra):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("nmax", ["-1", "-5", "1.5", "x"])
+def test_verify_modular_rejects_bad_nmax(nmax):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["verify", "modular", "--nmax", nmax])
+    assert exc.value.code == 2
+
+
+def test_verify_modular_accepts_nmax_zero(capsys):
+    code, out, _ = run(capsys, "verify", "modular", "--nmax", "0")
+    assert code == 0
+    assert json.loads(out) == {"N": 0, "violations": []}
+
+
 def test_conjecture(capsys):
     code, out, _ = run(capsys, "conjecture", "--dmax", "48")
     assert code == 0

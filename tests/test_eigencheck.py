@@ -1,22 +1,15 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
 from prymsv.errors import BRequired
 from prymsv.eigencheck import (
-    CYL_CASES,
     SPLIT_CASES,
-    area_ratio,
     build_T,
     cyl_period_vector,
-    cyl_ratios,
     eigen_residual,
     mat_mul,
     mat_scale_plus,
     pairing_form,
-    ratio_height,
-    ratio_length,
     row_times_matrix,
     split_matrices,
     split_period_vector,
@@ -28,17 +21,13 @@ from prymsv.eigencheck import (
     verify_split_endo,
     verify_triple,
 )
-from prymsv.exactq import QuadNum, lambda_of
 from prymsv.prototypes import (
     CylProto,
     SplitProto,
     TripleProto,
     enumerate_cyl,
     enumerate_split,
-    enumerate_triple,
 )
-
-F = Fraction
 
 
 def test_selfadjoint_basic():
@@ -117,24 +106,6 @@ class TestCylinder:
     def test_examples(self, quad):
         assert verify_cyl_IA(CylProto(*quad))
 
-    def test_ratios_for_unit_prototype(self):
-        p = CylProto(1, 0, 1, 0)  # D = 8, lambda = sqrt(2)
-        lam = lambda_of(8, 0)
-        assert ratio_length(p) == QuadNum.rational(1, 8) / lam
-        assert ratio_length(p) == ratio_height(p)
-        # a/lambda = 1/sqrt(2) = sqrt(8)/4.
-        assert ratio_length(p) == QuadNum(0, F(1, 4), 8)
-
-    def test_case_names(self):
-        p = CylProto(2, 0, 1, 1)
-        assert set(cyl_ratios(p, "I.A")) == {"l3/l1", "(h2+h3)/(h1+h2)"}
-        assert set(cyl_ratios(p, "I.B")) == {"(l3-l1)/l1", "(h2+h3)/(h1+h2+h3+h4)"}
-        for case in CYL_CASES:
-            vals = sorted(cyl_ratios(p, case).values())
-            assert vals == sorted([ratio_length(p), ratio_height(p)])
-        with pytest.raises(ValueError):
-            cyl_ratios(p, "III.A")
-
     def test_perturbed_matrix_fails(self):
         # A perturbed generator is no longer self-adjoint, so the full
         # verification must reject it: emulate by checking directly.
@@ -153,18 +124,6 @@ class TestTriple:
     @pytest.mark.parametrize("quad", [(1, 0, 1, 0), (2, 1, 1, 1), (3, 2, 1, -3)])
     def test_examples(self, quad):
         assert verify_triple(TripleProto(*quad))
-
-    def test_unit_area_ratio(self):
-        # (1,0,1,0): lambda = sqrt(2), ratio lambda^2/(lambda^2+2) = 1/2.
-        assert area_ratio(TripleProto(1, 0, 1, 0)) == QuadNum(F(1, 2), 0, 8)
-
-    def test_area_ratio_closed_form(self):
-        for p in enumerate_triple(41):
-            lam = lambda_of(p.D, p.e)
-            sqrtD = QuadNum(0, 1, p.D)
-            assert area_ratio(p) == (sqrtD + p.e) / (2 * sqrtD)
-            r = area_ratio(p)
-            assert QuadNum.rational(0, p.D) < r < QuadNum.rational(1, p.D)
 
     def test_quadratic_relation_example(self):
         # (4,0,1,-1) splitting-style quad reused as a plain matrix check:

@@ -8,7 +8,6 @@ import textwrap
 import pytest
 
 from prymsv.errors import AmbiguousGrouping, DegenerateDirection, SlitTooLong
-from prymsv.exactq import lambda_of
 from prymsv.flatcount import (
     FlatSurface,
     SaddleConnection,
@@ -18,6 +17,7 @@ from prymsv.flatcount import (
     enumerate_sc,
     family_counts,
     group_families,
+    lambda_float,
     systole_estimate,
 )
 from prymsv.prototypes import TripleProto
@@ -57,7 +57,7 @@ class TestConstruction:
         assert len(surface8.triangles) == 12
         assert abs(surface8.area - 4.0) <= 1e-12
         assert surface8.area_exact == pytest.approx(
-            lambda_of(8, 0).to_float() ** 2 + 2
+            lambda_float(8, 0) ** 2 + 2
         )
 
     def test_two_six_pi_zeros(self, surface8):
@@ -122,7 +122,7 @@ class TestConstruction:
         p = TripleProto(2, 1, 1, -1)  # D = 17
         s = build_slit_triple(p, default_slit(p))
         s.check()
-        lam = lambda_of(17, -1).to_float()
+        lam = lambda_float(17, -1)
         assert s.area == pytest.approx(lam * lam + 4)
 
     def test_systole(self):
@@ -230,8 +230,11 @@ class TestEstimates:
         assert counts == {3: 1}
 
     def test_report_needs_positive_radius(self, surface8):
-        with pytest.raises(ValueError):
-            count_report(surface8, 0.0)
+        for R in (0.0, -1.0):
+            with pytest.raises(ValueError, match="radius"):
+                count_report(surface8, R)
+            with pytest.raises(ValueError, match="radius"):
+                family_counts(surface8, R)
 
     def test_report_shape(self, surface8):
         report = count_report(surface8, 2.0)
