@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import euler, flatcount, modforms, prototypes, svconst
 from .eigencheck import verification_csv, verification_rows
@@ -26,6 +26,9 @@ def _table(args: argparse.Namespace) -> euler.EulerTable:
 
 
 def _cmd_chi(args: argparse.Namespace) -> int:
+    if args.dmin > args.dmax:
+        print(f"error: --dmin {args.dmin} exceeds --dmax {args.dmax}", file=sys.stderr)
+        return 2
     print(euler.chi_report(args.dmin, args.dmax, _table(args)))
     return 0
 
@@ -60,17 +63,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 failures.append(D)
         print(json.dumps({"dmax": args.dmax, "checked": checked, "failures": failures}))
         return 0 if not failures else 1
-    # eigen: the exit code comes from the rows' pass flags, kept on the side
-    # so that the rows themselves need not be held in memory.
-    passed: list[bool] = []
-
-    def rows() -> Iterator[tuple[int, str, object, str, bool]]:
-        for row in verification_rows(args.dmax):
-            passed.append(row[4])
-            yield row
-
-    print(verification_csv(rows()))
-    return 0 if all(passed) else 1
+    # eigen: each row is written as it is checked, so none is held in memory.
+    return 0 if verification_csv(verification_rows(args.dmax), sys.stdout) else 1
 
 
 _PROTO_FAMILIES = {
@@ -119,13 +113,14 @@ def _parse_radius(text: str) -> float:
     return R
 
 
-def _parse_nmax(text: str) -> int:
+def _parse_nonneg(text: str) -> int:
+    """An integer bound ``>= 0``: every ``--nmax``, ``--dmin`` and ``--dmax``."""
     try:
         n = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
     if n < 0:
-        raise argparse.ArgumentTypeError(f"nmax {text!r} is not >= 0")
+        raise argparse.ArgumentTypeError(f"{text!r} is not >= 0")
     return n
 
 
@@ -168,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_chi = sub.add_parser("chi", help="CSV of computed chi(W_D(0^3)) over a range")
-    p_chi.add_argument("--dmin", type=int, required=True)
-    p_chi.add_argument("--dmax", type=int, required=True)
+    p_chi.add_argument("--dmin", type=_parse_nonneg, required=True)
+    p_chi.add_argument("--dmax", type=_parse_nonneg, required=True)
     p_chi.add_argument("--table")
     p_chi.set_defaults(func=_cmd_chi)
 
@@ -181,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="exact verification suites")
     p_verify.add_argument("what", choices=["modular", "identity", "eigen"])
-    p_verify.add_argument("--nmax", type=_parse_nmax, default=10000)
-    p_verify.add_argument("--dmax", type=int, default=500)
+    p_verify.add_argument("--nmax", type=_parse_nonneg, default=10000)
+    p_verify.add_argument("--dmax", type=_parse_nonneg, default=500)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_protos = sub.add_parser("protos", help="enumerate prototypes as CSV")
@@ -198,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=_cmd_count)
 
     p_conj = sub.add_parser("conjecture", help="check (25/9, 3, 2/9) over a range")
-    p_conj.add_argument("--dmax", type=int, required=True)
+    p_conj.add_argument("--dmax", type=_parse_nonneg, required=True)
     p_conj.add_argument("--table")
     p_conj.set_defaults(func=_cmd_conjecture)
 

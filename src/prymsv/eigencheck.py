@@ -17,7 +17,7 @@ of length 4) raises ``ValueError``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 from .errors import BRequired
 from .exactq import admissible
@@ -150,13 +150,13 @@ def _verify_endo(T: Matrix, J: Matrix, t: int, n: int, rows: Sequence[Row] = ())
 # ---------------------------------------------------------------------------
 
 
-def build_T(a: int, b: int, d: int, e: int, c: int = 0) -> list[list[int]]:
-    """The order generator ``(e*Id, 2B; B*, 0)`` with ``B = (a b; c d)``."""
+def build_T(a: int, b: int, d: int, e: int) -> list[list[int]]:
+    """The order generator ``(e*Id, 2B; B*, 0)`` with ``B = (a b; 0 d)``."""
     return [
         [e, 0, 2 * a, 2 * b],
-        [0, e, 2 * c, 2 * d],
+        [0, e, 0, 2 * d],
         [d, -b, 0, 0],
-        [-c, a, 0, 0],
+        [0, a, 0, 0],
     ]
 
 
@@ -325,11 +325,14 @@ def verification_rows(dmax: int) -> Iterable[tuple[int, str, object, str, bool]]
                 yield D, p.kind, p, case, verify_split_endo(p, case)
 
 
-def verification_csv(rows: Iterable[tuple[int, str, object, str, bool]]) -> str:
-    """CSV report ``D,kind,a,b,d,e,check,pass`` of :func:`verification_rows` output."""
-    lines = ["D,kind,a,b,d,e,check,pass"]
+def verification_csv(rows: Iterable[tuple[int, str, object, str, bool]], out: TextIO) -> bool:
+    """Write the CSV report ``D,kind,a,b,d,e,check,pass`` of :func:`verification_rows`.
+
+    Each row is written to ``out`` as it arrives.  Returns whether every row passed.
+    """
+    out.write("D,kind,a,b,d,e,check,pass\n")
+    ok = True
     for D, kind, p, check, passed in rows:
-        lines.append(
-            f"{D},{kind},{p.a},{p.b},{p.d},{p.e},{check},{'pass' if passed else 'FAIL'}"
-        )
-    return "\n".join(lines)
+        out.write(f"{D},{kind},{p.a},{p.b},{p.d},{p.e},{check},{'pass' if passed else 'FAIL'}\n")
+        ok = ok and passed
+    return ok

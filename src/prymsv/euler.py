@@ -251,18 +251,9 @@ def chi_W03(D: int) -> Fraction:
     return Fraction(-total, 6)
 
 
-def chi_W03_pm(D: int) -> Fraction:
-    """Euler characteristic of either component W_{D+-}(0^3) for D ≡ 1 (mod 8)."""
-    if err := admissible(D, "S_D"):
-        raise err
-    return chi_W03(D) / 2
-
-
 # ---------------------------------------------------------------------------
 # The table of external Euler characteristics (chapter-one data).
 # ---------------------------------------------------------------------------
-
-_W4, _W2, _W03 = "w4", "w2", "w03"
 
 # chi values for W_D(4), W_D(2), W_D(0^3); None marks a nonexistent locus.
 _BUILTIN_ROWS: dict[int, tuple[Fraction | None, Fraction, Fraction | None]] = {

@@ -386,16 +386,18 @@ def group_families(
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
-    # reps: (start, end) -> list of (holonomy, count), bucketed on a tol-grid.
+    # Representatives bucketed on a (2 tol)-grid: every holonomy within
+    # 2 tol of a representative lies in the same or an adjacent cell.
+    cell = 2 * tol
     buckets: dict[tuple, list[int]] = {}
     reps: list[list] = []  # [start, end, holonomy, count]
     for sc in connections:
-        cx = math.floor(sc.holonomy.real / tol)
-        cy = math.floor(sc.holonomy.imag / tol)
+        cx = math.floor(sc.holonomy.real / cell)
+        cy = math.floor(sc.holonomy.imag / cell)
         matches = []
         near = []
-        for dx in (-2, -1, 0, 1, 2):
-            for dy in (-2, -1, 0, 1, 2):
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
                 for idx in buckets.get((sc.start, sc.end, cx + dx, cy + dy), ()):
                     dist = abs(reps[idx][2] - sc.holonomy)
                     if dist <= tol:

@@ -88,17 +88,12 @@ def theta_psi(N: int) -> QSeries:
 def theta_prime_scaled(N: int) -> QSeries:
     """The theta derivative scaled by ``1/(2 pi i)``: ``psi(s) * s**3`` at ``n = s**2``.
 
-    Term-wise differentiation multiplies the ``s**2``-th term by ``2 pi i s**2``;
-    the ``1/(2 pi i)`` normalization cancels the ``2 pi i`` exactly, leaving
-    integer coefficients.  This is 24 times the ``1/(48 pi i)`` term of ``f``.
+    That is ``q d/dq`` of :func:`theta_psi`, ``n a_n`` at each exponent ``n``:
+    term-wise differentiation brings down ``2 pi i n``, and the ``1/(2 pi i)``
+    normalization cancels the ``2 pi i`` exactly, leaving integer
+    coefficients.  This is 24 times the ``1/(48 pi i)`` term of ``f``.
     """
-    coeffs: dict[int, int] = {}
-    s = 1
-    while s * s <= N:
-        if psi(s):
-            coeffs[s * s] = psi(s) * s ** 3
-        s += 1
-    return QSeries(N, coeffs)
+    return QSeries(N, {n: n * c for n, c in theta_psi(N).coeffs.items()})
 
 
 def g2_8(N: int) -> QSeries:
@@ -120,14 +115,12 @@ def f_coeffs(N: int) -> QSeries:
 def c_n_closed(n: int) -> int:
     """Closed form of the ``n``-th coefficient of :func:`f_coeffs` (that is, ``24 c_n``).
 
-    Zero unless ``n ≡ 1 (mod 8)``; 24 times an alternating divisor sum over
-    odd ``e < sqrt(n)`` otherwise, plus ``psi(r) (r**3 - r)`` when ``n = r**2``.
+    ``24 * S_D_sigma(n)``, the alternating divisor sum over odd ``e <
+    sqrt(n)`` (zero unless ``n ≡ 1 (mod 8)``), plus ``psi(r) (r**3 - r)`` when
+    ``n = r**2`` (zero for even ``r``; an odd square is ``≡ 1 (mod 8)``).
     """
-    if n % 8 != 1:
-        return 0
+    total = 24 * S_D_sigma(n)
     root = math.isqrt(n)
-    bound = root if root * root == n else root + 1
-    total = 24 * sum(psi(e) * e * sigma1((n - e * e) // 8) for e in range(1, bound, 2))
     if root * root == n:
         total += psi(root) * (root ** 3 - root)
     return total
@@ -169,13 +162,15 @@ def S_D(D: int) -> int:
 def S_D_sigma(D: int) -> int:
     """The same alternating sum with ``sigma1((D - e^2)/8)`` in place of ``m_D(e)``.
 
+    Summed over odd ``0 < e < sqrt(D)``, and zero unless ``D ≡ 1 (mod 8)``.
     Agrees with :func:`S_D` exactly when ``D`` admits no square divisor
     (the degrees then reduce to plain divisor sums).
     """
+    if D % 8 != 1:
+        return 0
     return sum(
         psi(e) * e * sigma1((D - e * e) // 8)
-        for e in range(1, math.isqrt(D) + 1, 2)
-        if (D - e * e) % 8 == 0
+        for e in range(1, math.isqrt(D - 1) + 1, 2)
     )
 
 

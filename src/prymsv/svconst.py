@@ -1,11 +1,12 @@
-"""Volumes and Siegel-Veech constants of the eigenform loci.
+"""Siegel-Veech constants of the eigenform loci, and their volumes.
 
 All quantities are exact rationals built from the Euler characteristics: the
 external table supplies chi(W_D(2)) and chi(W_D(4)), while chi(W_D(0^3)) is
 always recomputed from :func:`prymsv.euler.chi_W03` (the table's column is a
-cross-check only).  Note the volume formulas evaluate to *negative*
-coefficients of pi^2 with the table's negative chi inputs; they are returned
-verbatim.
+cross-check only).  The constants and the volume share one numerator, stated
+once in :func:`sv_constants`; the volume is ``SVResult.volume_pi2_coeff``
+(``volume_pi2`` in the CLI output), the coefficient of pi^2.  With the
+table's negative chi inputs it is *negative*; it is returned verbatim.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotDivisibleBy4, PrymsvError
+from .errors import MissingTableEntry, NotDivisibleBy4
 from .euler import BUILTIN_TABLE, EulerTable, chi_W03
 from .exactq import admissible
 
@@ -37,32 +38,6 @@ def b_D(D: int) -> int:
     if q % 4 == 0:
         return 4
     return 3 if q % 8 == 1 else 5
-
-
-def volume(D: int, table: EulerTable = BUILTIN_TABLE) -> Fraction:
-    """Coefficient of pi^2 in the volume of the whole locus, for ``4 | D``.
-
-    ``(1/36) * (chi(W_D(2)) + b_D * chi(W_{D/4}(2)) + 9 * chi(W_D(0^3)))``.
-    The ``D/4`` term only enters when ``b_D != 0``.  Odd ``D`` raise
-    :class:`NotDivisibleBy4` from :func:`b_D`; use :func:`volume_pm` for them.
-    """
-    if err := admissible(D, "W03"):
-        raise err
-    b = b_D(D)
-    total = table.chi_w2(D) + 9 * chi_W03(D)
-    if b != 0:
-        total += b * table.chi_w2(D // 4)
-    return total / 36
-
-
-def volume_pm(D: int, table: EulerTable = BUILTIN_TABLE) -> Fraction:
-    """Coefficient of pi^2 in the volume of either component, ``D ≡ 1 (mod 8)``.
-
-    ``(1/72) * (2 * chi(W_D(2)) + 9 * chi(W_D(0^3)))``.
-    """
-    if err := admissible(D, "S_D"):
-        raise err
-    return (2 * table.chi_w2(D) + 9 * chi_W03(D)) / 72
 
 
 @dataclass(frozen=True)
@@ -99,52 +74,49 @@ class SVResult:
         return json.dumps(self.to_dict())
 
 
+def _chi2_term(D: int, b: int | None, table: EulerTable) -> Fraction:
+    """The table's part ``T`` of the volume numerator ``Delta = T + 9 chi(W_D(0^3))``.
+
+    ``T = chi(W_D(2)) + b_D chi(W_{D/4}(2))`` for ``4 | D`` (the ``D/4`` row
+    is read only when ``b_D != 0``), and ``T = 2 chi(W_D(2))`` on each
+    component for ``D ≡ 1 (mod 8)`` (``b`` is ``None``).
+    """
+    chi2 = table.chi_w2(D)
+    if b is None:
+        return 2 * chi2
+    return chi2 + b * table.chi_w2(D // 4) if b else chi2
+
+
 def sv_constants(D: int, table: EulerTable = BUILTIN_TABLE) -> list[SVResult]:
     """The exact Siegel-Veech constants ``(c1, c2, c3)``, one result per component.
 
-    For ``4 | D`` (one component, with ``Delta`` the volume numerator):
-    ``c1 = 15 chi(W_D(4)) / Delta``,
-    ``c2 = 9 (chi(W_D(2)) + b_D chi(W_{D/4}(2))) / Delta``,
-    ``c3 = 3 chi(W_D(0^3)) / Delta``.
-    For ``D ≡ 1 (mod 8)`` (two equal components, ``Delta' = 2 chi(W_D(2)) +
-    9 chi(W_D(0^3))``): ``c1 = 15 chi(W_D(4)) / Delta'``, ``c2 = 18
-    chi(W_D(2)) / Delta'``, ``c3 = 3 chi(W_D(0^3)) / Delta'``.
+    With ``T`` from :func:`_chi2_term` and ``Delta = T + 9 chi(W_D(0^3))``:
+    ``c1 = 15 chi(W_D(4)) / Delta``, ``c2 = 9 T / Delta``, ``c3 = 3
+    chi(W_D(0^3)) / Delta``.  ``4 | D`` has one component, of volume ``Delta /
+    36`` times pi^2; ``D ≡ 1 (mod 8)`` has two equal ones, each of volume
+    ``Delta / 72`` times pi^2.
     """
     if err := admissible(D, "theorem"):
         raise err
     # The table lookups come first, so that a missing row fails before the
     # costly chi(W_D(0^3)) is computed.
     chi4 = table.chi_w4(D)
-    chi2 = table.chi_w2(D)
     b = b_D(D) if D % 4 == 0 else None
-    chi2_term = chi2 + (b * table.chi_w2(D // 4) if b else 0)
+    T = _chi2_term(D, b, table)
     chi03 = chi_W03(D)
-    if b is not None:
-        delta = chi2_term + 9 * chi03
-        return [
-            SVResult(
-                D=D,
-                component="whole",
-                b_D=b,
-                volume_pi2_coeff=delta / 36,
-                c1=15 * chi4 / delta,
-                c2=9 * chi2_term / delta,
-                c3=3 * chi03 / delta,
-            )
-        ]
-    delta = 2 * chi2 + 9 * chi03
-    vol = delta / 72
+    delta = T + 9 * chi03
+    components = ("whole",) if b is not None else ("plus", "minus")
     return [
         SVResult(
             D=D,
             component=component,
-            b_D=None,
-            volume_pi2_coeff=vol,
+            b_D=b,
+            volume_pi2_coeff=delta / 36 if b is not None else delta / 72,
             c1=15 * chi4 / delta,
-            c2=18 * chi2 / delta,
+            c2=9 * T / delta,
             c3=3 * chi03 / delta,
         )
-        for component in ("plus", "minus")
+        for component in components
     ]
 
 
@@ -165,7 +137,8 @@ def check_conjecture(
     """Check ``sv_constants(D) == (25/9, 3, 2/9)`` over a discriminant range.
 
     Discriminants outside the hypotheses (see :func:`prymsv.exactq.admissible`),
-    or missing from the table, are recorded as skipped with the reason.
+    or missing from the table, are recorded as skipped with the reason; any
+    other error propagates.
     """
     checked: list[int] = []
     skipped: dict[int, str] = {}
@@ -173,9 +146,12 @@ def check_conjecture(
     for D in range(dmin, dmax + 1):
         if admissible(D, "disc") is not None:
             continue
+        if err := admissible(D, "theorem"):
+            skipped[D] = str(err)
+            continue
         try:
             results = sv_constants(D, table)
-        except PrymsvError as exc:  # outside the hypotheses, or no table row
+        except MissingTableEntry as exc:
             skipped[D] = str(exc)
             continue
         checked.append(D)

@@ -265,6 +265,54 @@ def test_verify_modular_rejects_bad_nmax(nmax):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "identity", "--dmax", "-1"),
+        ("verify", "eigen", "--dmax", "-5"),
+        ("chi", "--dmin", "-1", "--dmax", "5"),
+        ("chi", "--dmin", "10", "--dmax", "5"),
+        ("conjecture", "--dmax", "-1"),
+        ("conjecture", "--dmax", "1.5"),
+    ],
+)
+def test_bad_range_bounds_are_usage_errors(capsys, argv):
+    # A negative or reversed range is a usage error, not a vacuous success.
+    try:
+        code = dispatch(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "identity", "--dmax", "0"), ("conjecture", "--dmax", "0")]
+)
+def test_dmax_zero_is_valid(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["failures"] == []
+
+
+def test_verify_eigen_streams_rows(capsys, monkeypatch):
+    # Each row is on stdout before the next one is checked: a failure after
+    # three rows leaves the header and those three rows printed.
+    def rows(dmax):
+        yield from list(eigencheck.verification_rows(dmax))[:3]
+        raise RuntimeError("row generator failed")
+
+    monkeypatch.setattr(cli, "verification_rows", rows)
+    with pytest.raises(RuntimeError):
+        dispatch(["verify", "eigen", "--dmax", "30"])
+    assert capsys.readouterr().out.splitlines() == [
+        "D,kind,a,b,d,e,check,pass",
+        "5,split,1,0,1,-1,w1,pass",
+        "5,split,1,0,1,-1,w2,pass",
+        "5,split,1,0,1,-1,w3,pass",
+    ]
+
+
 def test_verify_modular_accepts_nmax_zero(capsys):
     code, out, _ = run(capsys, "verify", "modular", "--nmax", "0")
     assert code == 0

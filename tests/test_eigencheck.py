@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -259,8 +261,9 @@ class TestBatch:
         )
 
     def test_csv_shape(self):
-        text = verification_csv(verification_rows(20))
-        lines = text.splitlines()
+        out = io.StringIO()
+        assert verification_csv(verification_rows(20), out)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "D,kind,a,b,d,e,check,pass"
         assert all(line.endswith(",pass") for line in lines[1:])
         assert "8,cyl,1,0,1,0,IA,pass" in lines

@@ -17,7 +17,6 @@ from prymsv.euler import (
     c_index,
     chi_report,
     chi_W03,
-    chi_W03_pm,
     factorize,
     is_12_primitive,
     load_table,
@@ -245,13 +244,6 @@ TABLE_W03 = {
 def test_chi_W03_reproduces_table():
     for D, chi in TABLE_W03.items():
         assert chi_W03(D) == chi
-
-
-def test_chi_W03_pm():
-    assert chi_W03_pm(17) == F(-2, 3)
-    assert chi_W03_pm(41) == F(-8, 3)
-    with pytest.raises(UnsupportedResidue):
-        chi_W03_pm(12)
 
 
 def test_chi_W03_errors():

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 
 from prymsv import svconst
 from prymsv.errors import (
+    InvalidPrototype,
     MissingTableEntry,
     NotDivisibleBy4,
     OutsideTheoremHypotheses,
-    UnsupportedResidue,
 )
 from prymsv.euler import BUILTIN_TABLE, EulerTable
 from prymsv.svconst import (
@@ -17,8 +17,6 @@ from prymsv.svconst import (
     b_D,
     check_conjecture,
     sv_constants,
-    volume,
-    volume_pm,
 )
 
 F = Fraction
@@ -39,25 +37,29 @@ def test_b_D_needs_divisibility():
 
 @pytest.mark.parametrize("D,coeff", [(12, F(-1, 8)), (20, F(-3, 8))])
 def test_volume(D, coeff):
-    assert volume(D) == coeff
+    (r,) = sv_constants(D)
+    assert r.volume_pi2_coeff == coeff
 
 
 def test_volume_pm_17():
-    assert volume_pm(17) == F(-1, 4)
+    assert [r.volume_pi2_coeff for r in sv_constants(17)] == [F(-1, 4), F(-1, 4)]
 
 
 def test_volume_routing():
-    with pytest.raises(NotDivisibleBy4):
-        volume(17)
-    with pytest.raises(UnsupportedResidue):
-        volume_pm(12)
-    with pytest.raises(UnsupportedResidue):
-        volume(13)
+    # 4 | D: one component, Delta / 36 with Delta = T + 9 chi(W_D(0^3)).
+    (r,) = sv_constants(12)
+    assert r.component == "whole"
+    assert r.volume_pi2_coeff == (F(-3, 2) + 9 * F(-1, 3)) / 36
+    # D ≡ 1 (mod 8): two components, each Delta / 72 with T = 2 chi(W_D(2)).
+    assert [r.component for r in sv_constants(17)] == ["plus", "minus"]
+    assert sv_constants(17)[0].volume_pi2_coeff == (2 * F(-3) + 9 * F(-4, 3)) / 72
+    with pytest.raises(OutsideTheoremHypotheses):
+        sv_constants(13)
 
 
 def test_volume_needs_table_entry():
     with pytest.raises(MissingTableEntry):
-        volume(52)  # not in the built-in table
+        sv_constants(52)  # not in the built-in table
 
 
 TABLE_DS = [12, 17, 20, 24, 28, 32, 33, 40, 41, 44, 48]
@@ -134,6 +136,17 @@ def test_missing_row_fails_before_chi_W03(monkeypatch):
     monkeypatch.setattr(svconst, "chi_W03", boom)
     with pytest.raises(MissingTableEntry):
         sv_constants(52)
+
+
+def test_check_conjecture_propagates_package_errors(monkeypatch):
+    # Only the hypotheses and a missing table row are reasons to skip: any
+    # other package error raised inside sv_constants is a bug and propagates.
+    def bad(D):
+        raise InvalidPrototype(f"bug at D = {D}")
+
+    monkeypatch.setattr(svconst, "chi_W03", bad)
+    with pytest.raises(InvalidPrototype):
+        check_conjecture(5, 20)
 
 
 def test_check_conjecture_propagates_bugs():
