@@ -29,8 +29,9 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     if args.dmin > args.dmax:
         print(f"error: --dmin {args.dmin} exceeds --dmax {args.dmax}", file=sys.stderr)
         return 2
-    print(euler.chi_report(args.dmin, args.dmax, _table(args)))
-    return 0
+    report, ok = euler.chi_report(args.dmin, args.dmax, _table(args))
+    print(report)
+    return 0 if ok else 1
 
 
 def _cmd_sv(args: argparse.Namespace) -> int:

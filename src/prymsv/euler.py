@@ -269,11 +269,11 @@ _BUILTIN_ROWS: dict[int, tuple[Fraction | None, Fraction, Fraction | None]] = {
     29: (None, Fraction(-9, 2), None),
     32: (Fraction(-5), Fraction(-6), Fraction(-2)),
     33: (Fraction(-10), Fraction(-9), Fraction(-4)),
-    37: (None, Fraction(-15, 6), None),
+    37: (None, Fraction(-15, 2), None),
     40: (Fraction(-35, 6), Fraction(-21, 2), Fraction(-7, 3)),
     41: (Fraction(-40, 3), Fraction(-12), Fraction(-16, 3)),
     44: (Fraction(-35, 6), Fraction(-21, 2), Fraction(-7, 3)),
-    45: (None, Fraction(-6), None),
+    45: (None, Fraction(-9), None),
     48: (Fraction(-10), Fraction(-12), Fraction(-4)),
 }
 
@@ -350,18 +350,23 @@ def load_table(path: str) -> EulerTable:
     return EulerTable(rows=rows)
 
 
-def chi_report(dmin: int, dmax: int, table: EulerTable = BUILTIN_TABLE) -> str:
-    """CSV report ``D,chi_w03_computed,chi_w03_table,match`` over a D range."""
+def chi_report(dmin: int, dmax: int, table: EulerTable = BUILTIN_TABLE) -> tuple[str, bool]:
+    """CSV report ``D,chi_w03_computed,chi_w03_table,match`` over a D range.
+
+    Also returns whether no row reads ``NO``.
+    """
     lines = ["D,chi_w03_computed,chi_w03_table,match"]
+    ok = True
     for D in range(dmin, dmax + 1):
         if admissible(D, "W03") is not None:
             continue
         computed = chi_W03(D)
         try:
             expected = table.chi_w03_expected(D)
+            ok &= computed == expected
             match = "yes" if computed == expected else "NO"
             expected_str = str(expected)
         except MissingTableEntry:
             expected_str, match = "-", "-"
         lines.append(f"{D},{computed},{expected_str},{match}")
-    return "\n".join(lines)
+    return "\n".join(lines), ok

@@ -67,7 +67,7 @@ class FlatSurface:
 
     triangles: list[tuple[complex, complex, complex]]
     glue: dict[Edge, Edge]
-    area_exact: float = 0.0
+    area_exact: float
     vertex_class: dict[Edge, int] = field(default_factory=dict)
     cone_angles: dict[int, float] = field(default_factory=dict)
 
@@ -130,7 +130,7 @@ class FlatSurface:
 
         Every triangle closes up and is counter-clockwise, the gluing is an
         involution pairing edges with opposite vectors, every cone angle is a
-        multiple of 2*pi, and the area matches ``area_exact`` when it is set.
+        multiple of 2*pi, and the area matches ``area_exact``.
         """
 
         def require(ok: bool, what: str) -> None:
@@ -163,11 +163,10 @@ class FlatSurface:
             abs(excess - 2 * math.pi * (genus_term - 2)) <= 1e-9,
             f"angle excess {excess} is not a multiple of 2*pi",
         )
-        if self.area_exact:
-            require(
-                abs(self.area - self.area_exact) <= _CHECK_RTOL * self.area_exact,
-                f"area {self.area} differs from {self.area_exact}",
-            )
+        require(
+            abs(self.area - self.area_exact) <= _CHECK_RTOL * self.area_exact,
+            f"area {self.area} differs from {self.area_exact}",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +175,8 @@ class FlatSurface:
 
 
 def _adjust_basis(u: complex, v: complex, t: complex) -> tuple[complex, complex]:
-    """Replace (u, v) by an oriented basis of the same lattice with ``t`` in its open cone."""
+    """Rotate the positively oriented lattice basis (u, v) until ``t`` is in its open cone."""
     det = _cross(u, v)
-    if det < 0:
-        u, v = v, u
-        det = -det
     alpha = _cross(t, v) / det
     beta = _cross(u, t) / det
     if abs(alpha) <= _BASIS_EPS or abs(beta) <= _BASIS_EPS:
@@ -329,12 +325,13 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
             # The wedge's low boundary is the directed edge (t, i) itself.
             if abs(lo) <= R and vclass[(t, (i + 1) % 3)] == z2:
                 found.append(SaddleConnection(z1, z2, lo))
-            # Develop the wedge interior, starting at the opposite edge.
+            # Develop the wedge interior from the opposite edge.  Only the root can
+            # be empty: a sub-sector is its parent or is clipped strictly inside it.
+            if _cross(lo, hi) <= 0.0:
+                continue
             stack = [(3 * t + (i + 1) % 3, -apex, lo, hi)]
             while stack:
                 e, offset, slo, shi = stack.pop()
-                if _cross(slo, shi) <= 0.0:
-                    continue
                 x, y, base, far, at_z2, left, right = edges[e]
                 x += offset
                 y += offset

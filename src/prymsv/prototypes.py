@@ -9,8 +9,8 @@ eigenform loci; everything here is pure integer arithmetic.
 One loop walks the ``(e, a, d)`` groups of a family.  The ``enumerate_*``
 functions build validated prototype objects from it; :func:`protos_csv`
 streams the CSV rows one group at a time, so its memory is bounded by the
-largest group (at most ``D/8`` rows), and every row passes the family's
-validator before it is emitted.
+largest group (at most ``D/8`` rows).  Every row of that loop meets the
+family's constraints by construction, so the rows need no validator.
 """
 
 from __future__ import annotations
@@ -62,24 +62,19 @@ class _Proto:
     b_bound = staticmethod(math.gcd)
 
     def __post_init__(self) -> None:
-        self._check(self.a, self.b, self.d, self.e)
-
-    @classmethod
-    def _check(cls, a: int, b: int, d: int, e: int) -> None:
-        """Raise :class:`InvalidPrototype` unless ``(a, b, d, e)`` is in the family."""
+        """Raise :class:`InvalidPrototype` unless the prototype is in its family."""
+        a, b, d, e = self.a, self.b, self.d, self.e
         if a <= 0 or d <= 0:
             need = "a > 0 and d > 0"
-        elif not 0 <= b < cls.b_bound(a, d):
-            need = f"0 <= b < {cls.b_bound(a, d)}"
+        elif not 0 <= b < self.b_bound(a, d):
+            need = f"0 <= b < {self.b_bound(a, d)}"
         elif math.gcd(a, b, d, e) != 1:
             need = "gcd(a, b, d, e) = 1"
-        elif cls.a_exceeds_d_plus_e and a <= d + e:
+        elif self.a_exceeds_d_plus_e and a <= d + e:
             need = "a > d + e"
         else:
             return
-        # The message names the prototype as the dataclass repr would.
-        proto = f"{cls.__qualname__}(a={a!r}, b={b!r}, d={d!r}, e={e!r})"
-        raise InvalidPrototype(f"{proto} needs {need}")
+        raise InvalidPrototype(f"{self!r} needs {need}")
 
     @property
     def D(self) -> int:
@@ -240,17 +235,16 @@ def protos_csv(cls: type[_Proto], D: int) -> Iterator[str]:
     """CSV of family ``cls`` at ``D``: the header ``D,kind,a,b,d,e``, then one
     string of rows per ``(e, a, d)`` group, in :func:`_enumerate`'s order.
 
-    Every line ends in a newline.  Each row passes the family's validator
-    (:meth:`_Proto._check`) before it is emitted, but no prototype object is
-    built.  An inadmissible ``D`` raises before the header is yielded.
+    Every line ends in a newline.  No prototype object is built: every row of
+    :func:`_groups` meets the family's constraints by construction (``a`` is
+    a divisor of ``n`` and ``d`` its cofactor, ``b`` runs below the bound and
+    is prime to ``gcd(a, d, e)``, and the loop filters on ``a > d + e``);
+    ``test_protos_csv_matches_the_objects`` checks the rows against the
+    validated objects.  An inadmissible ``D`` raises before the header is
+    yielded.
     """
     groups = _groups(cls, D)
-    check = cls._check
     yield "D,kind,a,b,d,e\n"
     for e, a, d, bs in groups:
         head, tail = f"{D},{cls.kind},{a},", f",{d},{e}\n"
-        rows = []
-        for b in bs:
-            check(a, b, d, e)
-            rows.append(f"{head}{b}{tail}")
-        yield "".join(rows)
+        yield "".join([f"{head}{b}{tail}" for b in bs])

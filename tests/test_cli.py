@@ -328,6 +328,22 @@ def test_conjecture(capsys):
     assert "16" in report["skipped"]
 
 
+def test_table_override(capsys, tmp_path):
+    # D = 12's row with chi(W_D(4)) = -1 and a wrong chi(W_D(0^3)) = -1/2.
+    table = tmp_path / "chi.csv"
+    table.write_text("D,chi_w4,chi_w2,chi_w03\n12,-1,-3/2,-1/2\n")
+    code, out, err = run(capsys, "conjecture", "--dmax", "48", "--table", str(table))
+    assert code == 1
+    assert '"failures": [12]' in out
+    assert "warning: table row D=12 overrides built-in" in err
+    code, out, _ = run(capsys, "sv", "--d", "12", "--table", str(table))
+    assert code == 0
+    assert "c1=10/3" in out
+    code, out, _ = run(capsys, "chi", "--dmin", "12", "--dmax", "12", "--table", str(table))
+    assert code == 1
+    assert out.splitlines()[1:] == ["12,-1/3,-1/2,NO"]
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "verify", "eigen", "--dmax", "40")
     _, out2, _ = run(capsys, "verify", "eigen", "--dmax", "40")

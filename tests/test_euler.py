@@ -276,6 +276,47 @@ def test_all_builtin_values_negative():
                 assert value < 0, (D, value)
 
 
+def _is_fundamental(D0):
+    if D0 % 4 == 1:
+        return squarefree_decompose(D0)[0] == 1
+    return D0 % 16 in (8, 12) and squarefree_decompose(D0 // 4)[0] == 1
+
+
+def _kronecker(D0, p):
+    """The Kronecker symbol ``(D0/p)`` at a prime ``p``."""
+    if p == 2:
+        return 0 if D0 % 2 == 0 else (1 if D0 % 8 in (1, 7) else -1)
+    r = pow(D0, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def _chi_W2_closed_form(D):
+    """Bainbridge's ``chi(W_D(2)) = -9/2 chi(X_D)``, with ``chi(X_D) = 2 zeta_{O_D}(-1)``.
+
+    For ``D = f**2 D0`` with ``D0`` fundamental, ``zeta_{O_D}(-1) = f**3
+    zeta_K(-1)`` times ``1 - (D0/p) / p**2`` over the primes ``p | f``, and
+    Siegel's formula gives ``zeta_K(-1) = (1/60) sum sigma1((D0 - e**2) / 4)``
+    over ``e**2 < D0``, ``e = D0 (mod 2)``.
+    """
+    f = next(
+        f for f in range(math.isqrt(D), 0, -1)
+        if D % (f * f) == 0 and _is_fundamental(D // (f * f))
+    )
+    D0 = D // (f * f)
+    bound = math.isqrt(D0 - 1)
+    es = [e for e in range(-bound, bound + 1) if (D0 - e) % 2 == 0]
+    zeta = f**3 * F(sum(sigma1((D0 - e * e) // 4) for e in es), 60)
+    for p in factorize(f):
+        zeta *= 1 - F(_kronecker(D0, p), p * p)
+    return F(-9, 2) * 2 * zeta
+
+
+def test_builtin_chi_w2_matches_closed_form():
+    assert len(BUILTIN_TABLE.rows) == 18
+    for D in BUILTIN_TABLE.rows:
+        assert BUILTIN_TABLE.chi_w2(D) == _chi_W2_closed_form(D), D
+
+
 def test_load_table_merge_and_override(tmp_path, capsys):
     path = tmp_path / "chi.csv"
     path.write_text(
@@ -297,10 +338,18 @@ def test_load_table_parse_errors(tmp_path):
     path.write_text("52,-,-21/2\n")
     with pytest.raises(ParseError):
         load_table(str(path))
+    path.write_text("52.5,-,-21/2,-\n")
+    with pytest.raises(ParseError, match="bad discriminant"):
+        load_table(str(path))
+    path.write_text("52,-,-,-\n")
+    with pytest.raises(ParseError, match="chi_w2 may not be absent"):
+        load_table(str(path))
 
 
 def test_chi_report_format():
-    lines = chi_report(8, 17).splitlines()
+    report, ok = chi_report(8, 17)
+    assert ok
+    lines = report.splitlines()
     assert lines[0] == "D,chi_w03_computed,chi_w03_table,match"
     assert "8,-1/6,-1/6,yes" in lines
     assert "17,-4/3,-4/3,yes" in lines

@@ -180,6 +180,21 @@ class TestEnumeration:
         s = build_slit_triple(p, default_slit(p, frac))
         assert _holonomies(s, 3.0) == _holonomies(swap_zeros(s), 3.0, sign=-1)
 
+    @pytest.mark.parametrize(
+        "proto,expected",
+        [((1, 0, 1, 0), {3: 21, 2: 151, 1: 120}), ((2, 1, 1, -1), {3: 9, 2: 91, 1: 79})],
+    )
+    def test_slit_in_every_quadrant(self, proto, expected):
+        # -t is t turned by pi, and both tori are symmetric under conjugation,
+        # so the slits t, -t, conj(t) and -conj(t) give equal counts; each puts
+        # the slit in another cone of the lattice bases.
+        p = TripleProto(*proto)
+        t = default_slit(p, 0.3)
+        for slit in (t, -t, t.conjugate(), -t.conjugate()):
+            s = build_slit_triple(p, slit)
+            s.check()
+            assert family_counts(s, 8.0) == expected, slit
+
     def test_prefix_monotonicity(self, surface8):
         small = enumerate_sc(surface8, 1.5)
         large = enumerate_sc(surface8, 2.5)
