@@ -2,9 +2,11 @@
 
 The central quantity is ``m_D(e)``, the degree of the projection of the
 ``e``-slice of the triple-of-tori locus to the modular curve; summing it over
-admissible ``e`` gives the Euler characteristic of W_D(0^3).  The chapter-one
-table of known Euler characteristics for W_D(2) and W_D(4) is carried as
-built-in data, since those values come from external computations.
+admissible ``e`` gives the Euler characteristic of W_D(0^3).  One kernel,
+:func:`degree`, walks a smallest-prime-factor sieve for ``m_D``, ``sigma1`` and
+``c_index``, with no factorization dict per term.  The chapter-one table of
+known Euler characteristics for W_D(2) and W_D(4) is carried as built-in data,
+since those values come from external computations.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .exactq import admissible, check_discriminant
 #: division, so its memory (4 bytes per entry, at most 40 MB) stays bounded.
 SIEVE_CAP = 10**7
 
-_spf: Sequence[int] = array("i", [0, 1])
+#: The smallest prime factor of each ``n``, 0 for a prime (and 0, 1): read ``spf[n] or n``.
+_spf: Sequence[int] = array("i", [0, 0])
 
 #: ``(bound, primes)``: the primes below ``bound``.  Trial division lists them
 #: from the sieve once per sieve length; factorizations that only read the
@@ -41,12 +44,17 @@ def _ensure_sieve(n: int) -> None:
     if n < len(_spf):
         return
     size = min(max(2 * len(_spf), n + 1), SIEVE_CAP + 1)
-    spf = array("i", range(size))
+    _spf = array("i", [0, 0])  # release the old sieve before its successor is built
+    # Multiples of 2 and 3 repeat with period 6; a prime p >= 5 writes p * m, m >= p prime to 6.
+    spf = array("i", [2, 0, 2, 3, 2, 0]) * (size // 6 + 1)
+    del spf[size:]
+    spf[:4] = array("i", [0, 0, 0, 0])
     root = math.isqrt(size - 1)
-    primes = [p for p in range(2, root + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    primes = [p for p in range(5, root + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     # Largest prime first, so each entry ends with its smallest prime factor.
     for p in reversed(primes):
-        spf[p * p :: p] = array("i", [p]) * len(range(p * p, size, p))
+        for start in (p * p, p * (p + 2 if p % 6 == 5 else p + 4)):
+            spf[start :: 6 * p] = array("i", [p]) * len(range(start, size, 6 * p))
     _spf = spf
 
 
@@ -63,10 +71,9 @@ def _trial_divide(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     done = 0  # the first `done` primes of the sieve are divided out
     while True:
-        spf = _spf
-        bound = len(spf)
+        bound = len(_spf)
         if _primes[0] != bound:
-            _primes = (bound, array("i", [p for p in range(2, bound) if spf[p] == p]))
+            _primes = (bound, array("i", (p for p in range(2, bound) if not _spf[p])))  # no list of ints
         primes = _primes[1]
         candidates = itertools.islice(primes, done, None)
         if bound > SIEVE_CAP:
@@ -101,34 +108,49 @@ def factorize(n: int) -> dict[int, int]:
     _ensure_sieve(n)
     out: dict[int, int] = {}
     while n > 1:
-        p = _spf[n]
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        out[p] = k
+        p = _spf[n] or n
+        out[p] = out.get(p, 0) + 1
+        n //= p
     return out
 
 
-def sigma1(n: int) -> int:
-    """Sum of the positive divisors of ``n``."""
+def degree(n: int, e: int) -> int:
+    """The product over ``p**k || n`` of ``c(p**k) = p**k + p**(k-1)`` if ``p | e``, else of ``sigma1(p**k)``.
+
+    The one kernel of :func:`sigma1` (``e = 1``), :func:`c_index` (``e = 0``) and :func:`m_D`.  It
+    walks the sieve, grown only when ``n`` is past its end, or trial-divides ``n >``
+    :data:`SIEVE_CAP`.  Raises ``ValueError`` unless ``n >= 1``.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n >= len(_spf):  # the sieve never reaches past SIEVE_CAP
+        if n > SIEVE_CAP:
+            pqs = ((p, p**k) for p, k in _trial_divide(n).items())
+            return math.prod(q + q // p if e % p == 0 else (q * p - 1) // (p - 1) for p, q in pqs)
+        _ensure_sieve(n)
+    spf = _spf
     total = 1
-    for p, k in factorize(n).items():
-        total *= (p ** (k + 1) - 1) // (p - 1)
+    while n > 1:
+        p = q = spf[n] or n
+        n //= p
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+                q *= p
+            total *= q + q // p if e % p == 0 else (q * p - 1) // (p - 1)
+        else:  # k = 1: both factors are p + 1
+            total *= p + 1
     return total
 
 
-def _c_prime_power(p: int, k: int) -> int:
-    """``c(p**k)``: ``p**k + p**(k - 1)`` for ``k >= 1``, and ``c(1) = 1``."""
-    return p ** (k - 1) * (p + 1) if k else 1
+def sigma1(n: int) -> int:
+    """Sum of the positive divisors of ``n``: :func:`degree` at ``e = 1``."""
+    return degree(n, 1)
 
 
 def c_index(m: int) -> int:
-    """The index of Gamma_0(m) in SL(2,Z): ``m * prod_{p | m} (1 + 1/p)``."""
-    total = 1
-    for p, k in factorize(m).items():
-        total *= _c_prime_power(p, k)
-    return total
+    """The index of Gamma_0(m) in SL(2,Z), ``m * prod_{p | m} (1 + 1/p)``: :func:`degree` at ``e = 0``."""
+    return degree(m, 0)
 
 
 def p1_count(m: int) -> int:
@@ -164,12 +186,8 @@ def p1_count(m: int) -> int:
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = f**2 * q`` with ``q`` squarefree; returns ``(f, q)``."""
-    f = q = 1
-    for p, k in factorize(n).items():
-        f *= p ** (k // 2)
-        if k % 2:
-            q *= p
-    return f, q
+    f = math.prod(p ** (k // 2) for p, k in factorize(n).items())
+    return f, n // (f * f)
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +209,18 @@ def m_D(D: int, e: int) -> int:
     With ``(D - e^2)/8 = f^2 * q`` (``q`` squarefree), this is
     ``sum of c((D - e^2) / (8 r^2))`` over ``r | f`` with ``gcd(r, e) = 1``.
     The convention ``gcd(r, 0) = r`` means ``e = 0`` only admits ``r = 1``.
-    As ``c`` is multiplicative, this is a product over ``p**k || n``: of
+    As ``c`` is multiplicative, it is a product over ``p**k || n = (D - e^2)/8``: of
     ``c(p**k)`` if ``p | e``, else of ``c(p**(k - 2j))`` summed over ``j <= k/2``.
 
-    That sum is ``sigma1(p**k)``, so ``m_D(e)`` is ``c(p**k)`` over ``p | e``
-    times ``sigma1(p**k)`` over ``p ∤ e`` (both are ``p + 1`` at ``k = 1``).
-    Proof: ``c(1) = 1`` and ``c(p**m) = p**(m - 1) * (p + 1)`` for ``m >= 1``,
-    so the sum is ``(p + 1)(1 + p^2 + ... + p^(k-1)) = 1 + p + ... + p^k`` for
-    odd ``k``, and ``1 + p(p + 1)(1 + p^2 + ... + p^(k-2)) = 1 + p + ... + p^k``
-    for even ``k``.
+    That sum is ``sigma1(p**k)``, so ``m_D(e)`` is :func:`degree` at ``(n, e)``:
+    ``c(p**k)`` over ``p | e`` times ``sigma1(p**k)`` over ``p ∤ e`` (both
+    ``p + 1`` at ``k = 1``).  Proof: ``c(1) = 1`` and ``c(p**m) = p**(m - 1) *
+    (p + 1)`` for ``m >= 1``, so the sum is ``(p + 1)(1 + p^2 + ... + p^(k-1))
+    = 1 + p + ... + p^k`` for odd ``k``, and ``1 + p(p + 1)(1 + p^2 + ... +
+    p^(k-2)) = 1 + p + ... + p^k`` for even ``k``.
     """
     _check_e(D, e)
-    total = 1
-    for p, k in factorize((D - e * e) // 8).items():
-        if e % p == 0:
-            total *= _c_prime_power(p, k)
-        else:
-            total *= (p ** (k + 1) - 1) // (p - 1)
-    return total
+    return degree((D - e * e) // 8, e)
 
 
 def m_D_bruteforce(D: int, e: int) -> int:
@@ -241,14 +253,17 @@ def is_12_primitive(D: int) -> bool:
 
 
 def chi_W03(D: int) -> Fraction:
-    """Euler characteristic of W_D(0^3): ``(-1/6) * sum of m_D(e)``."""
+    """Euler characteristic of W_D(0^3): ``(-1/6) * sum of m_D(e)``, gated once for ``D``.
+
+    The terms skip ``_check_e``, which holds by construction: ``|e| <= isqrt(D - 1)``
+    gives ``e^2 < D``, and the loop keeps only ``e`` with ``8 | D - e^2``.
+    """
     if err := admissible(D, "W03"):
         raise err
     bound = math.isqrt(D - 1)
-    total = sum(
-        m_D(D, e) for e in range(-bound, bound + 1) if (D - e * e) % 8 == 0
-    )
-    return Fraction(-total, 6)
+    _ensure_sieve(D // 8)
+    es = (e for e in range(-bound, bound + 1) if (D - e * e) % 8 == 0)
+    return Fraction(-sum(degree((D - e * e) // 8, e) for e in es), 6)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .euler import m_D, sigma1, squarefree_decompose
+from .euler import degree, sigma1, squarefree_decompose
 from .exactq import admissible
 
 
@@ -149,14 +149,23 @@ def verify_vanishing(N: int) -> VanishingReport:
     return VanishingReport(N=N, violations=violations)
 
 
+def _alternating_sum(D: int, twisted: bool) -> int:
+    """``sum over odd 0 < e < sqrt(D)`` of ``psi(e) e degree((D - e^2)/8, e if twisted else 1)``.
+
+    At ``D ≡ 1 (mod 8)`` odd ``e <= isqrt(D - 1)`` has ``8 | D - e^2`` and ``e^2 < D``: no check.
+    """
+    es = range(1, math.isqrt(D - 1) + 1, 2)  # n falls as e rises: the first term sizes the sieve
+    return sum((e if e % 4 == 1 else -e) * degree((D - e * e) // 8, e if twisted else 1) for e in es)
+
+
 def S_D(D: int) -> int:
     """The alternating degree sum ``sum over odd 0 < e < sqrt(D)`` of ``(-1)^((e-1)/2) e m_D(e)``.
 
-    Vanishes for every non-square ``D ≡ 1 (mod 8)``.
+    Vanishes for every non-square ``D ≡ 1 (mod 8)``.  The gate runs once per ``D``.
     """
     if err := admissible(D, "S_D"):
         raise err
-    return sum(psi(e) * e * m_D(D, e) for e in range(1, math.isqrt(D) + 1, 2))
+    return _alternating_sum(D, True)
 
 
 def S_D_sigma(D: int) -> int:
@@ -166,12 +175,7 @@ def S_D_sigma(D: int) -> int:
     Agrees with :func:`S_D` exactly when ``D`` admits no square divisor
     (the degrees then reduce to plain divisor sums).
     """
-    if D % 8 != 1:
-        return 0
-    return sum(
-        psi(e) * e * sigma1((D - e * e) // 8)
-        for e in range(1, math.isqrt(D - 1) + 1, 2)
-    )
+    return _alternating_sum(D, False) if D % 8 == 1 else 0
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prymsv import euler
+from prymsv import euler, modforms
 from prymsv.errors import (
     MissingTableEntry,
     ParseError,
@@ -114,13 +114,64 @@ def test_smooth_numbers_past_the_cap_keep_the_sieve_small(monkeypatch):
 
 
 def test_sieve_holds_smallest_prime_factor(monkeypatch):
-    monkeypatch.setattr(euler, "_spf", [0, 1])
+    # A prime's entry is 0, so every reader takes `spf[n] or n`.
+    monkeypatch.setattr(euler, "_spf", [0, 0])
     for n in (2, 3, 50, 1000, 5000):  # grows the sieve in several steps
         factorize(n)
     spf = euler._spf
     assert len(spf) >= 5001
     for n in range(2, len(spf)):
-        assert spf[n] == next(p for p in range(2, n + 1) if n % p == 0), n
+        assert (spf[n] or n) == next(p for p in range(2, n + 1) if n % p == 0), n
+
+
+@pytest.mark.parametrize("f", [factorize, sigma1, c_index])
+@pytest.mark.parametrize("n", [0, -1])
+def test_multiplicative_functions_reject_n_below_1(f, n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        f(n)
+
+
+def test_sums_past_the_sieve_match_the_default_cap(monkeypatch):
+    # With a cap of 100, most n = (D - e^2)/8 for D <= 2000 take the
+    # trial-division branch of the degree kernel, inside S_D and chi_W03 too.
+    Ds = range(5, 2001)
+    W03 = [D for D in Ds if admissible(D, "W03") is None]
+    SD = [D for D in Ds if admissible(D, "S_D") is None]
+    pairs = [
+        (D, e)
+        for D in W03
+        for e in range(-math.isqrt(D - 1), math.isqrt(D - 1) + 1)
+        if (D - e * e) % 8 == 0
+    ]
+
+    def values():
+        return (
+            [modforms.S_D(D) for D in SD],
+            [modforms.S_D_sigma(D) for D in Ds],
+            [chi_W03(D) for D in W03],
+            [m_D(D, e) for D, e in pairs],
+            [sigma1(n) for n in range(1, 251)],
+            [c_index(n) for n in range(1, 251)],
+        )
+
+    default = values()
+    monkeypatch.setattr(euler, "SIEVE_CAP", 100)
+    monkeypatch.setattr(euler, "_spf", [0, 0])
+    small = values()
+    assert len(euler._spf) <= 101
+    assert small == default
+    S, S_sigma, chis, degrees, sigmas, cs = small
+    assert set(S) == {0}
+    m = dict(zip(pairs, degrees))
+    for D, e in pairs:
+        if e >= 0 and (D - e * e) // 8 > 100:
+            assert m[D, e] == m_D_bruteforce(D, e), (D, e)
+    totals = dict.fromkeys(W03, 0)
+    for (D, _), value in m.items():
+        totals[D] += value
+    assert chis == [F(-totals[D], 6) for D in W03]
+    assert sigmas == [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, 251)]
+    assert cs == [p1_count(n) for n in range(1, 251)]
 
 
 @pytest.mark.parametrize("n,s", [(1, 1), (2, 3), (4, 7), (6, 12), (12, 28), (100, 217)])
@@ -187,10 +238,12 @@ def test_m_D_against_bruteforce(D):
 
 def test_sigma1_is_the_sum_over_squares_at_a_prime():
     # The lemma behind m_D: for p not dividing e, the factor at p**k is
-    # sum_j c(p**(k - 2j)), and that equals sigma1(p**k).
+    # sum_j c(p**(k - 2j)), and that equals sigma1(p**k).  Both sides come
+    # from the degree kernel, c by its p | e branch and sigma1 by the other.
     for p in (p for p in range(2, 50) if all(p % q for q in range(2, p))):
         for k in range(11):
-            over_squares = sum(euler._c_prime_power(p, k - 2 * j) for j in range(k // 2 + 1))
+            assert c_index(p**k) == (p ** (k - 1) * (p + 1) if k else 1), (p, k)
+            over_squares = sum(c_index(p ** (k - 2 * j)) for j in range(k // 2 + 1))
             assert over_squares == sigma1(p**k), (p, k)
 
 
