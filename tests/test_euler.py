@@ -160,11 +160,11 @@ def test_sums_past_the_sieve_match_the_default_cap(monkeypatch):
     small = values()
     assert len(euler._spf) <= 101
     assert small == default
-    S, S_sigma, chis, degrees, sigmas, cs = small
+    S, _, chis, degrees, sigmas, cs = small
     assert set(S) == {0}
     m = dict(zip(pairs, degrees))
     for D, e in pairs:
-        if e >= 0 and (D - e * e) // 8 > 100:
+        if (D - e * e) // 8 > 100:
             assert m[D, e] == m_D_bruteforce(D, e), (D, e)
     totals = dict.fromkeys(W03, 0)
     for (D, _), value in m.items():
