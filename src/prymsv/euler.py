@@ -255,15 +255,18 @@ def is_12_primitive(D: int) -> bool:
 def chi_W03(D: int) -> Fraction:
     """Euler characteristic of W_D(0^3): ``(-1/6) * sum of m_D(e)``, gated once for ``D``.
 
-    The terms skip ``_check_e``, which holds by construction: ``|e| <= isqrt(D - 1)``
-    gives ``e^2 < D``, and the loop keeps only ``e`` with ``8 | D - e^2``.
+    The sum runs over ``|e| <= isqrt(D - 1)`` with ``8 | D - e^2``; the terms
+    skip ``_check_e``, which holds by construction (``e^2 < D``).  Each ``|e|``
+    is evaluated once, with weight 2 for ``e > 0``: ``m_D(-e) = m_D(e)``,
+    since ``(D - e^2)/8`` is the same and :func:`degree` depends on ``e``
+    only through ``e % p == 0``, which ``-e`` passes exactly when ``e`` does.
+    ``e = 0`` (possible only when ``8 | D``) is its own negative and counts once.
     """
     if err := admissible(D, "W03"):
         raise err
-    bound = math.isqrt(D - 1)
     _ensure_sieve(D // 8)
-    es = (e for e in range(-bound, bound + 1) if (D - e * e) % 8 == 0)
-    return Fraction(-sum(degree((D - e * e) // 8, e) for e in es), 6)
+    es = (e for e in range(math.isqrt(D - 1) + 1) if (D - e * e) % 8 == 0)
+    return Fraction(-sum((2 if e else 1) * degree((D - e * e) // 8, e) for e in es), 6)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,20 @@ torus-projection degrees (``S_D = 0``).  Everything here is integer
 arithmetic: the series are stored scaled by 24, as ``24 f = -E2(8z) theta(z)
 + theta'(z)/(2 pi i)``, whose coefficients are integers, so neither a
 fraction nor a transcendental constant materializes.
+
+:func:`verify_vanishing` checks both sides from one table of ``sigma1(k)``,
+``k <= N // 8``, built per call: the series multiplies it out (a product of
+two series adds into a dense list of its ``N + 1`` coefficients), and the
+closed forms read it instead of calling the kernel once per term.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .euler import degree, sigma1, squarefree_decompose
 from .exactq import admissible
@@ -48,20 +55,19 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         N = min(self.N, other.N)
-        coeffs: dict[int, int] = {}
+        right = sorted(other.coeffs.items())
+        # No product lies past the two largest exponents: sparse operands get a short list.
+        top = min(N, max(self.coeffs, default=0) + max(other.coeffs, default=0))
+        dense = [0] * (top + 1)
         for n1, c1 in self.coeffs.items():
             if n1 > N:
                 continue
-            for n2, c2 in other.coeffs.items():
+            for n2, c2 in right:
                 n = n1 + n2
-                if n > N:
-                    continue
-                total = coeffs.get(n, 0) + c1 * c2
-                if total:
-                    coeffs[n] = total
-                else:
-                    coeffs.pop(n, None)
-        return QSeries(N, coeffs)
+                if n > N:  # the exponents only grow from here
+                    break
+                dense[n] += c1 * c2
+        return QSeries(N, {n: c for n, c in enumerate(dense) if c})
 
     def support(self) -> list[int]:
         return sorted(n for n, c in self.coeffs.items() if c)
@@ -96,20 +102,61 @@ def theta_prime_scaled(N: int) -> QSeries:
     return QSeries(N, {n: n * c for n, c in theta_psi(N).coeffs.items()})
 
 
+def _sigma1_table(K: int) -> Sequence[int]:
+    """``0, sigma1(1), ..., sigma1(K)``: one kernel call per argument, then read by index.
+
+    A machine-integer array, not a list of ``int`` objects, so the table adds
+    little to the peak of :func:`verify_vanishing` (``sigma1(k) < 2**63`` for
+    any ``k`` a table can hold).
+    """
+    sig = array("q", [0])
+    sig.extend(map(sigma1, range(1, K + 1)))
+    return sig
+
+
+def _g2_8(N: int, sig: Sequence[int]) -> QSeries:
+    """:func:`g2_8` from the table ``sig`` of ``sigma1(k)``, ``k <= N // 8``."""
+    coeffs: dict[int, int] = {0: -1}
+    for k in range(1, N // 8 + 1):
+        coeffs[8 * k] = 24 * sig[k]
+    return QSeries(N, coeffs)
+
+
 def g2_8(N: int) -> QSeries:
     """24 times the weight-2 Eisenstein series at ``8z``: ``-1`` at 0, ``24 sigma1(k)`` at ``8k``.
 
     That is ``-E2(8z)``, with integer coefficients.
     """
-    coeffs: dict[int, int] = {0: -1}
-    for k in range(1, N // 8 + 1):
-        coeffs[8 * k] = 24 * sigma1(k)
-    return QSeries(N, coeffs)
+    return _g2_8(N, _sigma1_table(N // 8))
+
+
+def _f_coeffs(N: int, sig: Sequence[int]) -> QSeries:
+    """:func:`f_coeffs` from the table ``sig`` of :func:`_g2_8`."""
+    return _g2_8(N, sig) * theta_psi(N) + theta_prime_scaled(N)
 
 
 def f_coeffs(N: int) -> QSeries:
     """The series ``24 f = g2_8 * theta_psi + theta_prime_scaled`` up to exponent ``N``."""
-    return g2_8(N) * theta_psi(N) + theta_prime_scaled(N)
+    return _f_coeffs(N, _sigma1_table(N // 8))
+
+
+def _sigma_sum(D: int, sig: Callable[[int], int]) -> int:
+    """``sum over odd 0 < e < sqrt(D)`` of ``psi(e) e sig((D - e^2)/8)``, for ``D ≡ 1 (mod 8)``.
+
+    ``sig`` returns ``sigma1``: the kernel itself, or a table's lookup.  Odd
+    ``e <= isqrt(D - 1)`` has ``8 | D - e^2`` and ``e^2 < D``: no check.
+    """
+    es = range(1, math.isqrt(D - 1) + 1, 2)
+    return sum((e if e % 4 == 1 else -e) * sig((D - e * e) // 8) for e in es)
+
+
+def _closed_form(n: int, sig: Callable[[int], int]) -> int:
+    """``24 c_n`` of :func:`c_n_closed`, with ``sigma1`` read through ``sig``."""
+    total = 24 * _sigma_sum(n, sig) if n % 8 == 1 else 0
+    root = math.isqrt(n)
+    if root * root == n:
+        total += psi(root) * (root ** 3 - root)
+    return total
 
 
 def c_n_closed(n: int) -> int:
@@ -119,11 +166,7 @@ def c_n_closed(n: int) -> int:
     sqrt(n)`` (zero unless ``n ≡ 1 (mod 8)``), plus ``psi(r) (r**3 - r)`` when
     ``n = r**2`` (zero for even ``r``; an odd square is ``≡ 1 (mod 8)``).
     """
-    total = 24 * S_D_sigma(n)
-    root = math.isqrt(n)
-    if root * root == n:
-        total += psi(root) * (root ** 3 - root)
-    return total
+    return _closed_form(n, sigma1)
 
 
 @dataclass(frozen=True)
@@ -140,32 +183,34 @@ class VanishingReport:
 
 
 def verify_vanishing(N: int) -> VanishingReport:
-    """Check that every coefficient of ``f`` up to ``N`` is zero and matches the closed form."""
-    series = f_coeffs(N)
+    """Check that every coefficient of ``f`` up to ``N`` is zero and matches the closed form.
+
+    Both sides read one table of ``sigma1(k)`` for ``k <= N // 8``, built once
+    per call: the coefficients of :func:`g2_8`, and every term of the
+    closed forms (``(n - e^2)/8 <= N // 8``), which would otherwise call the
+    kernel again for the same few arguments.  Violations are the exponents
+    where the series is nonzero or differs from the closed form.
+    """
+    sig = _sigma1_table(N // 8)
+    series = _f_coeffs(N, sig)
     violations = sorted(
         set(series.support())
-        | {n for n in range(1, N + 1, 8) if c_n_closed(n) != series[n]}
+        | {n for n in range(1, N + 1, 8) if _closed_form(n, sig.__getitem__) != series[n]}
     )
     return VanishingReport(N=N, violations=violations)
-
-
-def _alternating_sum(D: int, twisted: bool) -> int:
-    """``sum over odd 0 < e < sqrt(D)`` of ``psi(e) e degree((D - e^2)/8, e if twisted else 1)``.
-
-    At ``D ≡ 1 (mod 8)`` odd ``e <= isqrt(D - 1)`` has ``8 | D - e^2`` and ``e^2 < D``: no check.
-    """
-    es = range(1, math.isqrt(D - 1) + 1, 2)  # n falls as e rises: the first term sizes the sieve
-    return sum((e if e % 4 == 1 else -e) * degree((D - e * e) // 8, e if twisted else 1) for e in es)
 
 
 def S_D(D: int) -> int:
     """The alternating degree sum ``sum over odd 0 < e < sqrt(D)`` of ``(-1)^((e-1)/2) e m_D(e)``.
 
-    Vanishes for every non-square ``D ≡ 1 (mod 8)``.  The gate runs once per ``D``.
+    Vanishes for every non-square ``D ≡ 1 (mod 8)``.  The gate runs once per
+    ``D``; odd ``e <= isqrt(D - 1)`` then has ``8 | D - e^2`` and ``e^2 < D``,
+    so the terms call :func:`degree` with no check.
     """
     if err := admissible(D, "S_D"):
         raise err
-    return _alternating_sum(D, True)
+    es = range(1, math.isqrt(D - 1) + 1, 2)  # n falls as e rises: the first term sizes the sieve
+    return sum((e if e % 4 == 1 else -e) * degree((D - e * e) // 8, e) for e in es)
 
 
 def S_D_sigma(D: int) -> int:
@@ -175,7 +220,7 @@ def S_D_sigma(D: int) -> int:
     Agrees with :func:`S_D` exactly when ``D`` admits no square divisor
     (the degrees then reduce to plain divisor sums).
     """
-    return _alternating_sum(D, False) if D % 8 == 1 else 0
+    return _sigma_sum(D, sigma1) if D % 8 == 1 else 0
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,17 @@ def test_chi_W03_reproduces_table():
         assert chi_W03(D) == chi
 
 
+def test_chi_W03_sums_both_signs_of_e():
+    # Oracle over both signs of e with the public m_D; 8 | D puts e = 0 in
+    # range, where chi_W03's weight-2 fold must count the term once.
+    Ds = [D for D in range(5, 3001) if admissible(D, "W03") is None]
+    assert any(D % 8 == 0 for D in Ds)
+    for D in Ds:
+        bound = math.isqrt(D - 1)
+        es = [e for e in range(-bound, bound + 1) if (D - e * e) % 8 == 0]
+        assert chi_W03(D) == Fraction(-sum(m_D(D, e) for e in es), 6), D
+
+
 def test_chi_W03_errors():
     with pytest.raises(UnsupportedResidue):
         chi_W03(13)

@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prymsv import modforms
+from prymsv.cli import dispatch
 from prymsv.errors import SquareDiscriminant, UnsupportedResidue
 from prymsv.modforms import (
     QSeries,
@@ -38,6 +41,36 @@ class TestQSeries:
         a = QSeries(6, {0: 1, 1: 1})
         assert (a * a).coeffs == {0: 1, 1: 2, 2: 1}
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mul_matches_naive_double_loop(self, seed):
+        rng = random.Random(seed)
+        Na, Nb = rng.randint(0, 60), rng.randint(0, 60)
+        N = min(Na, Nb)
+
+        def sparse(top):
+            # Descending key order, and exponents above the smaller N.
+            keys = sorted(rng.sample(range(top + 1), rng.randint(0, min(top + 1, 12))), reverse=True)
+            return {n: rng.choice([-3, -2, -1, 1, 2, 3]) for n in keys}
+
+        a, b = QSeries(Na, sparse(Na)), QSeries(Nb, sparse(Nb))
+        expected: dict[int, int] = {}
+        for n1, c1 in a.coeffs.items():
+            for n2, c2 in b.coeffs.items():
+                if n1 + n2 <= N:
+                    expected[n1 + n2] = expected.get(n1 + n2, 0) + c1 * c2
+        product = a * b
+        assert product.N == N
+        assert product.coeffs == {n: c for n, c in expected.items() if c}
+        assert all(type(c) is int for c in product.coeffs.values())
+
+    def test_mul_drops_cancelled_products_and_truncates(self):
+        # (1 + q)(1 - q) = 1 - q^2; terms above the smaller N = 3 are cut.
+        a = QSeries(9, {9: 7, 1: 1, 0: 1})
+        b = QSeries(3, {1: -1, 0: 1})
+        product = a * b
+        assert product.coeffs == {0: 1, 2: -1}
+        assert 1 not in product.coeffs
+
     def test_getitem_default(self):
         assert QSeries(3)[2] == 0
 
@@ -64,6 +97,18 @@ def test_g2_8():
     # -E2(8z) = 24 * G2(8z): -1 at 0, 24 * sigma1(k) at 8k.
     g = g2_8(30)
     assert g.coeffs == {0: -1, 8: 24, 16: 72, 24: 96}
+
+
+@pytest.mark.parametrize("N", range(8))
+def test_g2_8_below_eight(N):
+    assert g2_8(N).coeffs == {0: -1}
+
+
+@pytest.mark.parametrize("N", [0, 1, 7, 8, 9, 17])
+def test_verify_vanishing_edge_sizes(N):
+    # N // 8 is 0 or 1 (2 at N = 17): the sigma1 table has one or two entries past 0.
+    report = verify_vanishing(N)
+    assert report.ok and report.violations == []
 
 
 def test_f_coeffs_small_vanishes():
@@ -107,6 +152,29 @@ def test_vanishing_catches_violations():
     # Deliberately wrong series: support shows up as violations.
     broken = f_coeffs(100) + QSeries(100, {33: 1})
     assert broken.support() == [33]
+
+
+def test_verify_vanishing_reports_planted_coefficients(monkeypatch, capsys):
+    # One wrong coefficient on each side of the comparison.  The series side
+    # is planted at 50 (seen by the support check only, as 50 !≡ 1 mod 8) and
+    # at 57; the closed-form side at 33, where the series stays zero, so only
+    # the closed-form comparison sees it.
+    real_theta_prime, real_closed = modforms.theta_prime_scaled, modforms._closed_form
+
+    def theta_prime_planted(N):
+        series = real_theta_prime(N)
+        return QSeries(N, {**series.coeffs, 50: 5, 57: -1})
+
+    def closed_planted(n, sig):
+        return real_closed(n, sig) + (24 if n == 33 else 0)
+
+    monkeypatch.setattr(modforms, "theta_prime_scaled", theta_prime_planted)
+    monkeypatch.setattr(modforms, "_closed_form", closed_planted)
+    report = verify_vanishing(200)
+    assert report.violations == [33, 50, 57]
+    assert not report.ok
+    assert dispatch(["verify", "modular", "--nmax", "200"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"N": 200, "violations": [33, 50, 57]}
 
 
 @pytest.mark.parametrize("D", [17, 33, 41, 57, 65, 73, 89, 97, 105, 113, 153, 425])
