@@ -106,7 +106,7 @@ def test_g2_8_below_eight(N):
 
 @pytest.mark.parametrize("N", [0, 1, 7, 8, 9, 17])
 def test_verify_vanishing_edge_sizes(N):
-    # N // 8 is 0 or 1 (2 at N = 17): the sigma1 table has one or two entries past 0.
+    # N // 8 is 0, 1 or 2: the sigma1 table holds at most two entries past index 0.
     report = verify_vanishing(N)
     assert report.ok and report.violations == []
 
