@@ -55,7 +55,3 @@ class SlitTooLong(PrymsvError):
 
 class DegenerateDirection(PrymsvError):
     """A slit direction parallel to a short lattice vector."""
-
-
-class AmbiguousGrouping(PrymsvError):
-    """Two distinct holonomy vectors too close to separate at the given tolerance."""

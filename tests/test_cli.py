@@ -189,11 +189,21 @@ def test_protos_pinned(capsys, argv, digest):
             ("count", "--d", "17", "--proto", "2,1,1,-1", "--radius", "15"),
             "779cab2dd44877c150be2377a281c0adf3979667d0452a09e9f1df78aa81e35d",
         ),
+        (
+            ("count", "--d", "9", "--proto", "1,0,1,1", "--radius", "8",
+             "--slit=0.25,0.125"),
+            "068d411c286796188ee1eafbd93bea47baf92f23c41536e0c40e0476c27ffba9",
+        ),
+        (
+            ("count", "--d", "16", "--proto", "1,0,2,0", "--radius", "8"),
+            "d90e2da38212bcb208a9143b7dc7180501a08186c4e684624163b250836516ca",
+        ),
     ],
 )
 def test_count_pinned(capsys, argv, digest):
     # SHA-256 of the whole stdout, recorded while enumerate_sc developed
-    # wedges from both zeros and family_counts kept only the z1 -> z2 hits.
+    # wedges from both zeros and family_counts kept only the z1 -> z2 hits;
+    # the square-D cases while families were float holonomies within 1e-9 * R.
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -239,6 +249,19 @@ def test_count_bad_slit(capsys):
         "--slit", "0.9,0.1", "--radius", "2.0",
     )
     assert code == 2
+    assert err.startswith("error:")
+
+
+def test_count_slit_outside_parallelogram(capsys):
+    # The half-systole gate lets this slit through (the estimate is 14.65, the
+    # systole 3.16), but it leaves the fundamental parallelogram.
+    code, out, err = run(
+        capsys,
+        "count", "--d", "801", "--proto", "100,33,1,1",
+        "--radius", "5", "--slit=2.5,1.0",
+    )
+    assert code == 2
+    assert out == ""
     assert err.startswith("error:")
 
 

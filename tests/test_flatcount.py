@@ -7,8 +7,9 @@ import textwrap
 
 import pytest
 
-from prymsv.errors import AmbiguousGrouping, DegenerateDirection, SlitTooLong
+from prymsv.errors import DegenerateDirection, SlitTooLong
 from prymsv.flatcount import (
+    _KEY,
     FlatSurface,
     SaddleConnection,
     build_slit_triple,
@@ -42,10 +43,17 @@ SQUARE_TORUS_GLUE = {
 }
 
 
+# The same vertices as packed exact positions: 1 is (A, B, C, E) = (2, 0, 0, 0)
+# and i is (0, 0, 2, 0).
+SQUARE_TORUS_EXACT = [(0, 2, 2 + 2 * _KEY**2), (0, 2 + 2 * _KEY**2, 2 * _KEY**2)]
+
+
 def square_torus(glue=SQUARE_TORUS_GLUE) -> FlatSurface:
     """A plain unit torus split into two triangles along its diagonal."""
     tris = [(0j, 1 + 0j, 1 + 1j), (0j, 1 + 1j, 1j)]
-    return FlatSurface(triangles=tris, glue=dict(glue), area_exact=1.0)
+    return FlatSurface(
+        triangles=tris, glue=dict(glue), area_exact=1.0, exact=SQUARE_TORUS_EXACT
+    )
 
 
 # The torus gluing with (1, 1) sent on to (0, 1): not an involution.
@@ -91,7 +99,10 @@ class TestConstruction:
             f"""
             from prymsv.flatcount import FlatSurface
             tris = [(0j, 1 + 0j, 1 + 1j), (0j, 1 + 1j, 1j)]
-            s = FlatSurface(triangles=tris, glue={BROKEN_GLUE!r}, area_exact=1.0)
+            s = FlatSurface(
+                triangles=tris, glue={BROKEN_GLUE!r}, area_exact=1.0,
+                exact={SQUARE_TORUS_EXACT!r},
+            )
             try:
                 s.check()
             except ValueError as exc:
@@ -112,6 +123,16 @@ class TestConstruction:
     def test_slit_too_long(self):
         with pytest.raises(SlitTooLong):
             build_slit_triple(P8, 0.9 + 0.1j)
+
+    def test_slit_outside_parallelogram(self):
+        # systole_estimate overestimates the systole 3.16 of this skewed lattice
+        # as 14.65, so both slits pass the half-systole gate; each leaves the
+        # fundamental parallelogram, where a fan triangle would be clockwise.
+        p = TripleProto(100, 33, 1, 1)  # D = 801
+        assert systole_estimate(p) > 14
+        for t in (2.5 + 1j, default_slit(p, 0.3)):
+            with pytest.raises(SlitTooLong, match="parallelogram"):
+                build_slit_triple(p, t)
 
     def test_degenerate_direction(self):
         # Slit parallel to the horizontal generator.
@@ -212,25 +233,28 @@ class TestEnumeration:
 
 
 class TestGrouping:
-    def test_tolerant_grouping(self):
+    def test_exact_keys_group(self):
         sc = [
-            SaddleConnection(0, 1, 1 + 1j),
-            SaddleConnection(0, 1, 1 + 1.0000000001j),
-            SaddleConnection(1, 0, 1 + 1j),  # different endpoints: never grouped
+            SaddleConnection(0, 1, 1 + 1j, 7),
+            SaddleConnection(0, 1, 1 + 1.0000000001j, 7),  # same key: grouped
+            SaddleConnection(0, 1, 1 + 1j, 8),  # another key: never grouped
+            SaddleConnection(1, 0, 1 + 1j, 7),  # other endpoints: never grouped
         ]
         fams = group_families(sc, 1e-6)
-        assert sorted((f.start, f.end, f.multiplicity) for f in fams) == [
-            (0, 1, 2),
-            (1, 0, 1),
+        assert [(f.start, f.end, f.holonomy, f.multiplicity) for f in fams] == [
+            (0, 1, 1 + 1j, 2),
+            (0, 1, 1 + 1j, 1),
+            (1, 0, 1 + 1j, 1),
         ]
 
-    def test_ambiguous(self):
+    def test_float_spread_above_tol_raises(self):
         sc = [
-            SaddleConnection(0, 1, 1 + 0j),
-            SaddleConnection(0, 1, 1.0000015 + 0j),  # between tol and 2*tol
+            SaddleConnection(0, 1, 1 + 0j, 7),
+            SaddleConnection(0, 1, 1.0000015 + 0j, 7),  # one key, spread > tol
         ]
-        with pytest.raises(AmbiguousGrouping):
+        with pytest.raises(ValueError, match="exact key"):
             group_families(sc, 1e-6)
+        assert group_families(sc, 1e-5)[0].multiplicity == 2
 
     def test_negative_tol(self):
         for tol in (-1.0, 0.0):
@@ -278,3 +302,84 @@ class TestEstimates:
             family_counts(square_torus(), 1.0)
         with pytest.raises(ValueError, match="two cone points"):
             enumerate_sc(square_torus(), 1.0)
+
+
+def _decode(key):
+    """The signed digits (A, B, C, E) of a packed exact position."""
+    digits = []
+    for _ in range(4):
+        digit = (key + _KEY // 2) % _KEY - _KEY // 2
+        digits.append(digit)
+        key = (key - digit) // _KEY
+    assert key == 0
+    return digits
+
+
+def _naive_family_counts(connections, tol):
+    """Float grouping by pairwise comparison: a connection joins the first
+    family with its endpoints whose holonomy lies within ``tol``."""
+    reps = []  # [start, end, holonomy, count]
+    for sc in connections:
+        for rep in reps:
+            if rep[:2] == [sc.start, sc.end] and abs(rep[2] - sc.holonomy) <= tol:
+                rep[3] += 1
+                break
+        else:
+            reps.append([sc.start, sc.end, sc.holonomy, 1])
+    counts = {}
+    for rep in reps:
+        counts[rep[3]] = counts.get(rep[3], 0) + 1
+    return counts
+
+
+class TestExactHolonomy:
+    @pytest.mark.parametrize(
+        "proto,slit",
+        [((1, 0, 1, 0), None), ((2, 1, 1, -1), None), ((1, 0, 1, 1), 0.25 + 0.125j)],
+    )
+    def test_key_evaluates_to_holonomy(self, swap_zeros, proto, slit):
+        # From z1 (the lattice corners) a connection ends at a copy of the slit
+        # endpoint t; on the relabelled copy it starts there and ends at a corner.
+        p = TripleProto(*proto)
+        t = default_slit(p) if slit is None else slit
+        s = build_slit_triple(p, t)
+        R = 12.0
+        root = math.sqrt(p.D)
+        for surface, sign in ((s, 1), (swap_zeros(s), -1)):
+            connections = enumerate_sc(surface, R)
+            assert connections
+            for c in connections:
+                A, B, C, E = _decode(c.exact)
+                if p.D == 9:
+                    assert B == E == 0  # sqrt(9) is folded in
+                value = complex(A + B * root, C + E * root) / 2 + sign * t
+                assert abs(value - c.holonomy) <= 1e-12 * R, c
+
+    @pytest.mark.parametrize(
+        "proto,slit",
+        [
+            ((1, 0, 1, 0), 0.05),
+            ((1, 0, 1, 0), 0.3),
+            ((2, 1, 1, -1), 0.05),
+            ((2, 1, 1, -1), 0.3),
+            ((2, 1, 1, -2), 0.05),
+            ((2, 1, 1, -2), 0.3),
+            ((1, 0, 1, 1), 0.25 + 0.125j),
+            ((1, 0, 1, 1), 0.05),
+            ((1, 0, 1, 1), 0.3),
+            ((1, 0, 2, 0), 0.05),
+            ((1, 0, 2, 0), 0.3),
+        ],
+    )
+    def test_grouping_matches_pairwise_float_oracle(self, proto, slit):
+        # D = 8, 17, 20 and the square D = 9 and 16; a float slit is a
+        # fraction of the systole estimate.
+        p = TripleProto(*proto)
+        t = slit if isinstance(slit, complex) else default_slit(p, slit)
+        R = 8.0
+        connections = enumerate_sc(build_slit_triple(p, t), R)
+        counts = {}
+        for fam in group_families(connections, 1e-9 * R):
+            counts[fam.multiplicity] = counts.get(fam.multiplicity, 0) + 1
+        assert counts == _naive_family_counts(connections, 1e-9 * R)
+        assert 3 in counts
