@@ -276,20 +276,6 @@ def build_slit_triple(p: TripleProto, t: complex) -> FlatSurface:
 # ---------------------------------------------------------------------------
 
 
-def _segment_distance(a: complex, b: complex) -> float:
-    """Distance from the origin to the segment [a, b]."""
-    ab = b - a
-    denom = (ab * ab.conjugate()).real
-    if denom == 0.0:
-        return abs(a)
-    s = -(a.real * ab.real + a.imag * ab.imag) / denom
-    if s <= 0.0:
-        return abs(a)
-    if s >= 1.0:
-        return abs(b)
-    return abs(a + s * ab)
-
-
 def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     """The z1 -> z2 saddle connections of length <= R, one record per connection.
 
@@ -302,9 +288,13 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     connection is the reversal of one of these, so developing from z2 too
     would find nothing new.  Beside each float offset the search carries the
     packed exact one (``s.exact``); every offset maps a vertex to a copy of
-    itself, so it has no multiple of the slit.  Deterministic: results are
-    sorted by (length, angle, endpoints).  A non-finite ``R`` never stops the
-    search, so it raises ``ValueError``.
+    itself, so it has no multiple of the slit.  An edge is pruned when its
+    squared distance exceeds ``R*R*(1 + 1e-12)``: the 1e-12 relative slack
+    covers the rounding of the squares, so no edge within R is pruned.  A
+    vertex is found when the ``hypot`` of its holonomy (``abs``, which is its
+    ``length``) is at most R, so no length exceeds R.  Deterministic: results
+    are sorted by (length, angle, endpoints).  A non-finite ``R`` never stops
+    the search, so it raises ``ValueError``.
     """
     if not math.isfinite(R):
         raise ValueError(f"radius must be finite, got {R}")
@@ -314,23 +304,26 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     if R <= 0:
         return []
     z1, z2 = zeros
+    R2 = R * R * (1 + 1e-12)
+    hypot = math.hypot
     triangles = s.triangles
     exact = s.exact
     vclass = s.vertex_class
     # One row per directed edge 3*t + i: its endpoints in triangle t's chart,
-    # then, across the glue, the glued triangle's base vertex, its far vertex,
-    # whether that vertex is z2, the rows of the two sub-edges past it, and
-    # the exact offset step and the exact far vertex.
+    # then, across the glue, the glued triangle's base vertex, its far vertex
+    # (each point as two floats), whether that vertex is z2, the rows of the
+    # two sub-edges past it, and the exact offset step and exact far vertex.
     edges = []
     for t, tri in enumerate(triangles):
         for i in range(3):
             nt, ne = s.glue[(t, i)]
             k = (ne + 2) % 3
+            a, b, base, far = tri[i], tri[(i + 1) % 3], triangles[nt][ne], triangles[nt][k]
             edges.append((
-                tri[i], tri[(i + 1) % 3], triangles[nt][ne], triangles[nt][k],
+                a.real, a.imag, b.real, b.imag, base.real, base.imag, far.real, far.imag,
                 vclass[(nt, k)] == z2, 3 * nt + (ne + 1) % 3, 3 * nt + k,
                 exact[t][(i + 1) % 3] - exact[nt][ne], exact[nt][k],
-            ))
+            ))  # fmt: skip
     found: list[SaddleConnection] = []
     for t, tri in enumerate(triangles):
         ktri = exact[t]
@@ -347,33 +340,52 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
             # be empty: a sub-sector is its parent or is clipped strictly inside it.
             if _cross(lo, hi) <= 0.0:
                 continue
-            stack = [(3 * t + (i + 1) % 3, -apex, -ktri[i], lo, hi)]
+            # Entry: edge row, float and exact offsets, sector rays with lengths.
+            stack = [(3 * t + (i + 1) % 3, -apex.real, -apex.imag, -ktri[i],
+                      lo.real, lo.imag, abs(lo), hi.real, hi.imag, abs(hi))]
             while stack:
-                e, offset, koffset, slo, shi = stack.pop()
-                x, y, base, far, at_z2, left, right, kstep, kfar = edges[e]
-                x += offset
-                y += offset
-                if _segment_distance(x, y) > R:
+                e, ox, oy, koffset, lx, ly, nlo, hx, hy, nhi = stack.pop()
+                ax, ay, bx, by, cx, cy, fx, fy, at_z2, left, right, kstep, kfar = edges[e]
+                ax, ay = ax + ox, ay + oy
+                bx, by = bx + ox, by + oy
+                # Squared distance from the origin to the edge [a, b].
+                dx, dy = bx - ax, by - ay
+                denom = dx * dx + dy * dy
+                u = -(ax * dx + ay * dy) / denom if denom else 0.0
+                if u <= 0.0:
+                    d2 = ax * ax + ay * ay
+                elif u >= 1.0:
+                    d2 = bx * bx + by * by
+                else:
+                    px, py = ax + u * dx, ay + u * dy
+                    d2 = px * px + py * py
+                if d2 > R2:
                     continue
-                noffset = y - base
+                ox, oy = bx - cx, by - cy
                 koffset += kstep
-                w = far + noffset
+                wx, wy = fx + ox, fy + oy
                 # A sector boundary ray always passes through an already-found
                 # vertex (a cone point), so a vertex collinear with it is not
                 # the endpoint of a new saddle connection; exclude the boundary
                 # with a relative band so round-off cannot admit it when
                 # developing from one end and drop it from the other.
-                aw = abs(w)
-                inside_lo = _cross(slo, w) > 1e-12 * abs(slo) * aw
-                inside_hi = _cross(w, shi) > 1e-12 * abs(shi) * aw
-                if inside_lo and inside_hi and at_z2 and aw <= R:
-                    found.append(SaddleConnection(z1, z2, w, kfar + koffset))
-                # Left sub-edge x -> w, sector clipped above by w.
-                if inside_lo:
-                    stack.append((left, noffset, koffset, slo, w if inside_hi else shi))
-                # Right sub-edge w -> y, sector clipped below by w.
-                if inside_hi:
-                    stack.append((right, noffset, koffset, w if inside_lo else slo, shi))
+                aw = hypot(wx, wy)
+                inside_lo = lx * wy - ly * wx > 1e-12 * nlo * aw
+                inside_hi = wx * hy - wy * hx > 1e-12 * nhi * aw
+                if inside_lo and inside_hi:
+                    if at_z2:
+                        # Kept on abs(), which is SaddleConnection.length:
+                        # math.hypot may differ from it in the last bit.
+                        w = complex(wx, wy)
+                        if abs(w) <= R:
+                            found.append(SaddleConnection(z1, z2, w, kfar + koffset))
+                    # Sub-edges a -> w and w -> b, the sector split at w.
+                    stack.append((left, ox, oy, koffset, lx, ly, nlo, wx, wy, aw))
+                    stack.append((right, ox, oy, koffset, wx, wy, aw, hx, hy, nhi))
+                elif inside_lo or inside_hi:
+                    # w is past one ray: the whole sector crosses the other sub-edge.
+                    e = left if inside_lo else right
+                    stack.append((e, ox, oy, koffset, lx, ly, nlo, hx, hy, nhi))
     found.sort(key=SaddleConnection.sort_key)
     return found
 

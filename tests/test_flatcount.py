@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import os
 import subprocess
@@ -228,8 +229,59 @@ class TestEnumeration:
         assert sc == enumerate_sc(surface8, 2.0)
 
     def test_lengths_bounded(self, surface8):
+        # A vertex is kept on its hypot length, which is ``c.length``.
         for c in enumerate_sc(surface8, 1.8):
-            assert c.length <= 1.8 + 1e-12
+            assert c.length <= 1.8
+
+    @pytest.mark.parametrize("proto", [(1, 0, 1, 0), (2, 1, 1, -1)])
+    @pytest.mark.parametrize("frac", [0.05, 0.3])
+    def test_radius_on_a_connection(self, proto, frac):
+        # At R equal to a connection's length, the prune must not drop the
+        # search before it reaches that connection.
+        p = TripleProto(*proto)
+        t = default_slit(p, frac)
+        s = build_slit_triple(p, t)
+        slit_family = enumerate_sc(s, abs(t))
+        assert len(slit_family) == 3
+        assert all(c.holonomy == t for c in slit_family)
+        sample = enumerate_sc(s, 6.0)[::97]
+        assert sample
+        for c in sample:
+            assert c in enumerate_sc(s, c.length), c
+
+
+def _digest(connections):
+    """SHA-256 of every record, with its holonomy bit for bit."""
+    h = hashlib.sha256()
+    for c in connections:
+        x, y = c.holonomy.real.hex(), c.holonomy.imag.hex()
+        h.update(f"{c.start} {c.end} {x} {y} {c.exact}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "proto,slit,R,digest",
+    [
+        ((1, 0, 1, 0), 0.05, 25.0,
+         "dd4c447c39c6c3ed4d118b80442e4a07f9524731880d4df95fdbab20fd31a20e"),
+        ((1, 0, 1, 0), 0.3, 25.0,
+         "b6aece0f18d893c9e880207bfd76fce6121f9713476701c06d4f17ec7de85398"),
+        ((2, 1, 1, -1), 0.05, 25.0,
+         "3b693c32717f4903613c9960f3cef22dae96ffc330e808b3f7ccb091f543891f"),
+        ((2, 1, 1, -1), 0.3, 25.0,
+         "8f99f0b8393243e958ef5f45d62fa8de15d0c1056d843d80638fd0ab7994dbc3"),
+        ((1, 0, 1, 0), 0.03 + 0.02j, 25.0,
+         "dcd75152bcd36afd4ac997fa7ba75adf45c344c403ee6e52f690fde47123bcf7"),
+        ((1, 0, 1, 1), 0.25 + 0.125j, 8.0,
+         "5a8396ad9567064a7fad8480ada4f5cd3c6cdb0a5ee360520e50c337c321baee"),
+    ],
+)  # fmt: skip
+def test_connection_list_pinned(proto, slit, R, digest):
+    # Recorded while the wedge loop pruned on abs() of complex offsets; a
+    # count can hide a changed holonomy bit, this cannot.
+    p = TripleProto(*proto)
+    t = slit if isinstance(slit, complex) else default_slit(p, slit)
+    assert _digest(enumerate_sc(build_slit_triple(p, t), R)) == digest
 
 
 class TestGrouping:
