@@ -229,7 +229,7 @@ class TestEnumeration:
         assert sc == enumerate_sc(surface8, 2.0)
 
     def test_lengths_bounded(self, surface8):
-        # A vertex is kept on its hypot length, which is ``c.length``.
+        # A vertex is kept on abs() of its holonomy, which is ``c.length``.
         for c in enumerate_sc(surface8, 1.8):
             assert c.length <= 1.8
 
