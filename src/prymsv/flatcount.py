@@ -288,13 +288,22 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     connection is the reversal of one of these, so developing from z2 too
     would find nothing new.  Beside each float offset the search carries the
     packed exact one (``s.exact``); every offset maps a vertex to a copy of
-    itself, so it has no multiple of the slit.  An edge is pruned when its
-    squared distance exceeds ``R*R*(1 + 1e-12)``: the 1e-12 relative slack
-    covers the rounding of the squares, so no edge within R is pruned.  A
-    vertex is found when the ``hypot`` of its holonomy (``abs``, which is its
-    ``length``) is at most R, so no length exceeds R.  Deterministic: results
-    are sorted by (length, angle, endpoints).  A non-finite ``R`` never stops
-    the search, so it raises ``ValueError``.
+    itself, so it has no multiple of the slit.  Depth first, a sector is
+    followed through every edge it crosses whole; where a vertex splits it,
+    the right part is followed on and the left part stacked, so the stack
+    holds only the parts left at a split.  An edge is pruned when its squared
+    distance exceeds ``R*R*(1 + 1e-12)``.  It is computed from the edge
+    vector and ``1/|b - a|^2`` of the edge's own chart, which round otherwise
+    than the offset endpoints would; but an edge of length L within R has
+    its endpoints within R + L, so the square is off by a few ulps of
+    ``R*(R + L)``.  Unless R is thousands of times shorter than the edge,
+    that is inside the slack, and no edge within R is pruned.  A vertex is
+    found when the ``hypot`` of its holonomy (``abs``, which is its
+    ``length``) is at most R, so no length exceeds R.  Results are sorted
+    stably by (length, angle, endpoints); tied records share an exact key,
+    but their holonomies may differ in the last bit, so a tie keeps the
+    order of the search.  A non-finite ``R`` never stops the search, so it
+    raises ``ValueError``.
     """
     if not math.isfinite(R):
         raise ValueError(f"radius must be finite, got {R}")
@@ -309,18 +318,22 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     triangles = s.triangles
     exact = s.exact
     vclass = s.vertex_class
-    # One row per directed edge 3*t + i: its endpoints in triangle t's chart,
-    # then, across the glue, the glued triangle's base vertex, its far vertex
-    # (each point as two floats), whether that vertex is z2, the rows of the
-    # two sub-edges past it, and the exact offset step and exact far vertex.
+    # One row per directed edge 3*t + i: its endpoints a and b in triangle
+    # t's chart, b - a and 1/|b - a|^2, then, across the glue, the glued
+    # triangle's base vertex, its far vertex (each point as two floats),
+    # whether that vertex is z2, the rows of the two sub-edges past it, and
+    # the exact offset step and exact far vertex.
     edges = []
     for t, tri in enumerate(triangles):
         for i in range(3):
             nt, ne = s.glue[(t, i)]
             k = (ne + 2) % 3
             a, b, base, far = tri[i], tri[(i + 1) % 3], triangles[nt][ne], triangles[nt][k]
+            dx, dy = b.real - a.real, b.imag - a.imag
+            denom = dx * dx + dy * dy
             edges.append((
-                a.real, a.imag, b.real, b.imag, base.real, base.imag, far.real, far.imag,
+                a.real, a.imag, b.real, b.imag, dx, dy, 1 / denom if denom else 0.0,
+                base.real, base.imag, far.real, far.imag,
                 vclass[(nt, k)] == z2, 3 * nt + (ne + 1) % 3, 3 * nt + k,
                 exact[t][(i + 1) % 3] - exact[nt][ne], exact[nt][k],
             ))  # fmt: skip
@@ -340,52 +353,56 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
             # be empty: a sub-sector is its parent or is clipped strictly inside it.
             if _cross(lo, hi) <= 0.0:
                 continue
-            # Entry: edge row, float and exact offsets, sector rays with lengths.
+            # The stack holds only the parts left at a split.  Entry: edge
+            # row, float and exact offsets, and each sector ray with 1e-12
+            # times its length, the scale of its boundary band.
             stack = [(3 * t + (i + 1) % 3, -apex.real, -apex.imag, -ktri[i],
-                      lo.real, lo.imag, abs(lo), hi.real, hi.imag, abs(hi))]
+                      lo.real, lo.imag, 1e-12 * abs(lo), hi.real, hi.imag, 1e-12 * abs(hi))]
             while stack:
-                e, ox, oy, koffset, lx, ly, nlo, hx, hy, nhi = stack.pop()
-                ax, ay, bx, by, cx, cy, fx, fy, at_z2, left, right, kstep, kfar = edges[e]
-                ax, ay = ax + ox, ay + oy
-                bx, by = bx + ox, by + oy
-                # Squared distance from the origin to the edge [a, b].
-                dx, dy = bx - ax, by - ay
-                denom = dx * dx + dy * dy
-                u = -(ax * dx + ay * dy) / denom if denom else 0.0
-                if u <= 0.0:
-                    d2 = ax * ax + ay * ay
-                elif u >= 1.0:
-                    d2 = bx * bx + by * by
-                else:
-                    px, py = ax + u * dx, ay + u * dy
-                    d2 = px * px + py * py
-                if d2 > R2:
-                    continue
-                ox, oy = bx - cx, by - cy
-                koffset += kstep
-                wx, wy = fx + ox, fy + oy
-                # A sector boundary ray always passes through an already-found
-                # vertex (a cone point), so a vertex collinear with it is not
-                # the endpoint of a new saddle connection; exclude the boundary
-                # with a relative band so round-off cannot admit it when
-                # developing from one end and drop it from the other.
-                aw = hypot(wx, wy)
-                inside_lo = lx * wy - ly * wx > 1e-12 * nlo * aw
-                inside_hi = wx * hy - wy * hx > 1e-12 * nhi * aw
-                if inside_lo and inside_hi:
-                    if at_z2:
-                        # Kept on abs(), which is SaddleConnection.length:
-                        # math.hypot may differ from it in the last bit.
-                        w = complex(wx, wy)
-                        if abs(w) <= R:
-                            found.append(SaddleConnection(z1, z2, w, kfar + koffset))
-                    # Sub-edges a -> w and w -> b, the sector split at w.
-                    stack.append((left, ox, oy, koffset, lx, ly, nlo, wx, wy, aw))
-                    stack.append((right, ox, oy, koffset, wx, wy, aw, hx, hy, nhi))
-                elif inside_lo or inside_hi:
-                    # w is past one ray: the whole sector crosses the other sub-edge.
-                    e = left if inside_lo else right
-                    stack.append((e, ox, oy, koffset, lx, ly, nlo, hx, hy, nhi))
+                e, ox, oy, koffset, lx, ly, blo, hx, hy, bhi = stack.pop()
+                while True:
+                    ax, ay, bx, by, dx, dy, inv, cx, cy, fx, fy, at_z2, left, right, kstep, kfar = edges[e]
+                    ax, ay = ax + ox, ay + oy
+                    bx, by = bx + ox, by + oy
+                    # Squared distance from the origin to the edge [a, b].
+                    u = -(ax * dx + ay * dy) * inv
+                    if u <= 0.0:
+                        d2 = ax * ax + ay * ay
+                    elif u >= 1.0:
+                        d2 = bx * bx + by * by
+                    else:
+                        px, py = ax + u * dx, ay + u * dy
+                        d2 = px * px + py * py
+                    if d2 > R2:
+                        break
+                    ox, oy = bx - cx, by - cy
+                    koffset += kstep
+                    wx, wy = fx + ox, fy + oy
+                    # A sector boundary ray always passes through an already-found
+                    # vertex (a cone point), so a vertex collinear with it is not
+                    # the endpoint of a new saddle connection; exclude the boundary
+                    # with a relative band so round-off cannot admit it when
+                    # developing from one end and drop it from the other.
+                    aw = hypot(wx, wy)
+                    inside_lo = lx * wy - ly * wx > blo * aw
+                    inside_hi = wx * hy - wy * hx > bhi * aw
+                    if inside_lo and inside_hi:
+                        if at_z2:
+                            # Kept on abs(), which is SaddleConnection.length:
+                            # math.hypot may differ from it in the last bit.
+                            w = complex(wx, wy)
+                            if abs(w) <= R:
+                                found.append(SaddleConnection(z1, z2, w, kfar + koffset))
+                        # The sector splits at w: stack the part across the
+                        # sub-edge a -> w, follow the part across w -> b.
+                        bw = 1e-12 * aw
+                        stack.append((left, ox, oy, koffset, lx, ly, blo, wx, wy, bw))
+                        e, lx, ly, blo = right, wx, wy, bw
+                    elif inside_lo or inside_hi:
+                        # w is past one ray: the whole sector crosses the other sub-edge.
+                        e = left if inside_lo else right
+                    else:
+                        break
     found.sort(key=SaddleConnection.sort_key)
     return found
 

@@ -20,7 +20,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .euler import degree, sigma1, squarefree_decompose
 from .exactq import admissible
@@ -140,18 +140,28 @@ def f_coeffs(N: int) -> QSeries:
     return _f_coeffs(N, _sigma1_table(N // 8))
 
 
-def _sigma_sum(D: int, sig: Callable[[int], int]) -> int:
-    """``sum over odd 0 < e < sqrt(D)`` of ``psi(e) e sig((D - e^2)/8)``, for ``D ≡ 1 (mod 8)``.
+class _Sigma1:
+    """The kernel :func:`sigma1` read by subscript, as a table of it is read."""
 
-    ``sig`` returns ``sigma1``: the kernel itself, or a table's lookup.  Odd
-    ``e <= isqrt(D - 1)`` has ``8 | D - e^2`` and ``e^2 < D``: no check.
+    __getitem__ = staticmethod(sigma1)
+
+
+def _sigma_sum(D: int, sig: Sequence[int] | _Sigma1) -> int:
+    """``sum over odd 0 < e < sqrt(D)`` of ``psi(e) e sig[(D - e^2)/8]``, for ``D ≡ 1 (mod 8)``.
+
+    ``sig[k]`` is ``sigma1(k)``: a table, or :class:`_Sigma1`, the kernel.  Odd
+    ``e <= isqrt(D - 1)`` has ``8 | D - e^2`` and ``e^2 < D``: no check.  From
+    ``e`` to ``e + 2``, ``(D - e^2)/8`` falls by ``(e + 1)/2``.
     """
-    es = range(1, math.isqrt(D - 1) + 1, 2)
-    return sum((e if e % 4 == 1 else -e) * sig((D - e * e) // 8) for e in es)
+    total, k = 0, (D - 1) // 8
+    for e in range(1, math.isqrt(D - 1) + 1, 2):
+        total += (e if e % 4 == 1 else -e) * sig[k]
+        k -= (e + 1) // 2
+    return total
 
 
-def _closed_form(n: int, sig: Callable[[int], int]) -> int:
-    """``24 c_n`` of :func:`c_n_closed`, with ``sigma1`` read through ``sig``."""
+def _closed_form(n: int, sig: Sequence[int] | _Sigma1) -> int:
+    """``24 c_n`` of :func:`c_n_closed`, with ``sigma1(k)`` read as ``sig[k]``."""
     total = 24 * _sigma_sum(n, sig) if n % 8 == 1 else 0
     root = math.isqrt(n)
     if root * root == n:
@@ -166,7 +176,7 @@ def c_n_closed(n: int) -> int:
     sqrt(n)`` (zero unless ``n ≡ 1 (mod 8)``), plus ``psi(r) (r**3 - r)`` when
     ``n = r**2`` (zero for even ``r``; an odd square is ``≡ 1 (mod 8)``).
     """
-    return _closed_form(n, sigma1)
+    return _closed_form(n, _Sigma1())
 
 
 @dataclass(frozen=True)
@@ -195,7 +205,7 @@ def verify_vanishing(N: int) -> VanishingReport:
     series = _f_coeffs(N, sig)
     violations = sorted(
         set(series.support())
-        | {n for n in range(1, N + 1, 8) if _closed_form(n, sig.__getitem__) != series[n]}
+        | {n for n in range(1, N + 1, 8) if _closed_form(n, sig) != series[n]}
     )
     return VanishingReport(N=N, violations=violations)
 
@@ -220,7 +230,7 @@ def S_D_sigma(D: int) -> int:
     Agrees with :func:`S_D` exactly when ``D`` admits no square divisor
     (the degrees then reduce to plain divisor sums).
     """
-    return _sigma_sum(D, sigma1) if D % 8 == 1 else 0
+    return _sigma_sum(D, _Sigma1()) if D % 8 == 1 else 0
 
 
 @dataclass(frozen=True)

@@ -233,7 +233,7 @@ class TestEnumeration:
         for c in enumerate_sc(surface8, 1.8):
             assert c.length <= 1.8
 
-    @pytest.mark.parametrize("proto", [(1, 0, 1, 0), (2, 1, 1, -1)])
+    @pytest.mark.parametrize("proto", [(1, 0, 1, 0), (2, 1, 1, -1), (1, 0, 1, 2), (2, 1, 1, -2)])
     @pytest.mark.parametrize("frac", [0.05, 0.3])
     def test_radius_on_a_connection(self, proto, frac):
         # At R equal to a connection's length, the prune must not drop the
@@ -274,11 +274,22 @@ def _digest(connections):
          "dcd75152bcd36afd4ac997fa7ba75adf45c344c403ee6e52f690fde47123bcf7"),
         ((1, 0, 1, 1), 0.25 + 0.125j, 8.0,
          "5a8396ad9567064a7fad8480ada4f5cd3c6cdb0a5ee360520e50c337c321baee"),
+        ((1, 0, 1, 2), 0.05, 25.0,
+         "79ebfb1c9bf11bf1ec511ce192d3eb5a29e7f844a89115e7ee07aa4ad3103493"),
+        ((2, 1, 1, -2), 0.05, 25.0,
+         "d2b703514d4b15924f706c6cf70ab438d51e3c6190b76b7456e40d1520494a9f"),
+        ((1, 0, 2, 0), 0.3, 8.0,
+         "8a39e0bb2afe0794c0b4f8075f45cc1aa4994aa713ed0e8694fe4e87a4cb4bfd"),
+        ((1, 0, 1, 0), 0.3, 30.0,
+         "165a6be03e926cde35961ec70bdee6ac33a634fff6c7be2c846ff6fd449fa23c"),
     ],
 )  # fmt: skip
 def test_connection_list_pinned(proto, slit, R, digest):
-    # Recorded while the wedge loop pruned on abs() of complex offsets; a
-    # count can hide a changed holonomy bit, this cannot.
+    # The first six were recorded while the wedge loop pruned on abs() of
+    # complex offsets, the last four while it stacked every sector it
+    # developed (D = 12, 20, the square D = 16 with sqrt(D) folded in, and
+    # the benchmark's radius).  A count can hide a changed holonomy bit, this
+    # cannot.
     p = TripleProto(*proto)
     t = slit if isinstance(slit, complex) else default_slit(p, slit)
     assert _digest(enumerate_sc(build_slit_triple(p, t), R)) == digest
