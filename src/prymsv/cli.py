@@ -20,7 +20,7 @@ from .exactq import admissible
 
 
 def _table(args: argparse.Namespace) -> euler.EulerTable:
-    if getattr(args, "table", None):
+    if args.table:
         return euler.load_table(args.table)
     return euler.BUILTIN_TABLE
 
@@ -36,15 +36,8 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 
 def _cmd_sv(args: argparse.Namespace) -> int:
     results = svconst.sv_constants(args.d, _table(args))
-    if args.json:
-        for r in results:
-            print(r.to_json())
-    else:
-        for r in results:
-            print(
-                f"D={r.D} component={r.component} c1={r.c1} c2={r.c2} c3={r.c3} "
-                f"volume_pi2={r.volume_pi2_coeff} b_D={r.b_D}"
-            )
+    for r in results:
+        print(r.to_json() if args.json else " ".join(f"{k}={v}" for k, v in r.to_dict().items()))
     return 0
 
 

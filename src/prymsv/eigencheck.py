@@ -9,6 +9,11 @@ check is an integer identity: a period vector, scaled into Z[mu] + i*Z[mu],
 is a real row and an imaginary row, each a pair ``(X, Y)`` of integer
 4-vectors standing for ``X + Y*mu``.
 
+Each check is a polynomial identity in ``(a, b, d, e)``, true for every
+integer quadruple, prototype or not, so a ``FAIL`` row of ``verify eigen`` can
+only mean a mistyped generator or period vector; the tests' perturbation
+controls are what show that each check can fail.
+
 The kernels :func:`row_times_matrix`, :func:`mat_mul` and
 :func:`mat_scale_plus` are straight-line 4x4 integer code over unpacked
 entries, with no index loops; an input that is not 4x4 (or a row that is not

@@ -261,10 +261,10 @@ def chi_W03(D: int) -> Fraction:
     since ``(D - e^2)/8`` is the same and :func:`degree` depends on ``e``
     only through ``e % p == 0``, which ``-e`` passes exactly when ``e`` does.
     ``e = 0`` (possible only when ``8 | D``) is its own negative and counts once.
+    The first term's ``n`` is ``D // 8``, so :func:`degree` sizes the sieve.
     """
     if err := admissible(D, "W03"):
         raise err
-    _ensure_sieve(D // 8)
     es = (e for e in range(math.isqrt(D - 1) + 1) if (D - e * e) % 8 == 0)
     return Fraction(-sum((2 if e else 1) * degree((D - e * e) // 8, e) for e in es), 6)
 

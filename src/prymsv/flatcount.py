@@ -67,19 +67,19 @@ class FlatSurface:
     ``glue`` is the orientation-reversing involution on directed edges (glued
     edges carry opposite vectors), and every identification is a translation.
     ``exact[t]`` are the same three vertices exactly, each minus its multiple
-    of the slit ``t``, packed as described at ``_KEY``.
+    of the slit ``t``, packed as described at ``_KEY``.  ``vertex_class`` and
+    ``cone_angles`` are always derived from the triangles and the gluing.
     """
 
     triangles: list[tuple[complex, complex, complex]]
     glue: dict[Edge, Edge]
     area_exact: float
     exact: list[tuple[int, int, int]]
-    vertex_class: dict[Edge, int] = field(default_factory=dict)
-    cone_angles: dict[int, float] = field(default_factory=dict)
+    vertex_class: dict[Edge, int] = field(init=False)
+    cone_angles: dict[int, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.vertex_class:
-            self._classify_vertices()
+        self._classify_vertices()
 
     # -- structure -----------------------------------------------------------
 
@@ -134,9 +134,10 @@ class FlatSurface:
     def check(self) -> None:
         """Check the structural invariants; raises ValueError on the first failure.
 
-        Every triangle closes up and is counter-clockwise, the gluing is an
-        involution pairing edges with opposite vectors, every cone angle is a
-        multiple of 2*pi, and the area matches ``area_exact``.
+        Every edge is finite and every triangle counter-clockwise, the gluing
+        is an involution pairing edges with opposite vectors, every cone angle
+        is a multiple of 2*pi, and the area matches ``area_exact``.  A
+        triangle's edges sum to zero within the slack unless one is non-finite.
         """
 
         def require(ok: bool, what: str) -> None:
@@ -147,7 +148,7 @@ class FlatSurface:
         for t, tri in enumerate(self.triangles):
             require(
                 abs(sum(self.edge_vector((t, i)) for i in range(3))) <= slack,
-                f"triangle {t} does not close up",
+                f"triangle {t} has a non-finite edge",
             )
             require(_cross(tri[1] - tri[0], tri[2] - tri[0]) > 0, f"triangle {t} not ccw")
         for edge, other in self.glue.items():
@@ -244,6 +245,10 @@ def build_slit_triple(p: TripleProto, t: complex) -> FlatSurface:
     triangles: list[tuple[complex, complex, complex]] = []
     exact: list[tuple[int, int, int]] = []
     glue: dict[Edge, Edge] = {}
+
+    def pair(e1: Edge, e2: Edge) -> None:  # one gluing, written in both directions
+        glue[e1], glue[e2] = e2, e1
+
     for j, (u, v, ku, kv) in enumerate(lattices):
         for _ in range(_quarter_turns(u, v, t)):
             u, v, ku, kv = v, -u, kv, -ku
@@ -255,18 +260,13 @@ def build_slit_triple(p: TripleProto, t: complex) -> FlatSurface:
             exact.append((kcorners[k], kcorners[(k + 1) % 4], 0))
         # Fan edges between consecutive triangles (corner -> t vs t -> corner).
         for k in range(3):
-            glue[(base + k, 1)] = (base + k + 1, 2)
-            glue[(base + k + 1, 2)] = (base + k, 1)
+            pair((base + k, 1), (base + k + 1, 2))
         # Torus side identifications: bottom with top, right with left.
-        glue[(base + 0, 0)] = (base + 2, 0)
-        glue[(base + 2, 0)] = (base + 0, 0)
-        glue[(base + 1, 0)] = (base + 3, 0)
-        glue[(base + 3, 0)] = (base + 1, 0)
+        pair((base + 0, 0), (base + 2, 0))
+        pair((base + 1, 0), (base + 3, 0))
     # Slit regluing: side (t -> 0) of torus j with side (0 -> t) of torus j+1.
     for j in range(3):
-        jn = (j + 1) % 3
-        glue[(4 * j + 0, 2)] = (4 * jn + 3, 1)
-        glue[(4 * jn + 3, 1)] = (4 * j + 0, 2)
+        pair((4 * j + 0, 2), (4 * ((j + 1) % 3) + 3, 1))
     area = lam * lam + 2 * p.a * p.d
     return FlatSurface(triangles=triangles, glue=glue, area_exact=area, exact=exact)
 

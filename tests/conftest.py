@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 
 import pytest
 
@@ -12,11 +12,10 @@ def _swap_zeros(s):
     """
     z1, z2 = s.zeros()
     swap = {z1: z2, z2: z1}
-    return dataclasses.replace(
-        s,
-        vertex_class={e: swap.get(c, c) for e, c in s.vertex_class.items()},
-        cone_angles={swap.get(c, c): a for c, a in s.cone_angles.items()},
-    )
+    out = copy.copy(s)
+    out.vertex_class = {e: swap.get(c, c) for e, c in s.vertex_class.items()}
+    out.cone_angles = {swap.get(c, c): a for c, a in s.cone_angles.items()}
+    return out
 
 
 @pytest.fixture(scope="session")

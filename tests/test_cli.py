@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from prymsv import cli, eigencheck
+from prymsv import cli, eigencheck, modforms
 from prymsv.cli import build_parser, dispatch
 
 
@@ -143,6 +143,15 @@ def test_verify_eigen_failure_exit_code(capsys, monkeypatch):
     assert [line for line in lines if not line.endswith(",pass")] == [
         "8,triple,1,0,1,0,triple,FAIL"
     ]
+
+
+def test_verify_identity_failure_exit_code(capsys, monkeypatch):
+    # A planted S_D fault at D = 33 must set exit code 1 and list that D.
+    real = modforms.S_D
+    monkeypatch.setattr(modforms, "S_D", lambda D: real(D) + (D == 33))
+    code, out, _ = run(capsys, "verify", "identity", "--dmax", "50")
+    assert code == 1
+    assert json.loads(out) == {"dmax": 50, "checked": 3, "failures": [33]}
 
 
 def test_protos(capsys):
@@ -381,6 +390,15 @@ def test_usage_errors():
         dispatch(["verify", "nonsense"])
     with pytest.raises(SystemExit):
         dispatch(["count", "--d", "8", "--proto", "1,0,1", "--radius", "2"])
+
+
+@pytest.mark.parametrize(
+    "proto,slit", [("1,x,1,0", "0.1,0.1"), ("1,0,1,0", "x,0.1"), ("1,0,1,0", "0.1")]
+)
+def test_count_rejects_malformed_values(proto, slit):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["count", "--d", "8", "--proto", proto, "--slit", slit, "--radius", "2"])
+    assert exc.value.code == 2
 
 
 def _fresh_stdout(*argv):

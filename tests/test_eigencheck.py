@@ -1,4 +1,5 @@
 import io
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from prymsv.errors import BRequired
 from prymsv.eigencheck import (
     SPLIT_CASES,
+    _verify_endo,
     build_T,
     cyl_period_vector,
     eigen_residual,
@@ -207,6 +209,38 @@ class TestSplit:
                         T2, 2 * p.e, 4 * p.a * p.d
                     )
                     assert not (sa and quad)
+
+
+@given(st.integers(), st.integers(), st.integers(), st.integers())
+def test_checks_are_identities_in_any_integers(a, b, d, e):
+    # Every check is a polynomial identity in (a, b, d, e), so it holds for
+    # integers that make no prototype: a FAIL row can only mean a mistyped
+    # generator or period vector.
+    assert verify_cyl_IA(SimpleNamespace(a=a, b=b, d=d, e=e))
+    assert verify_triple(SimpleNamespace(a=a, b=b, d=d, e=e))
+    for case in SPLIT_CASES:
+        assert verify_split_endo(SimpleNamespace(a=a, b=0, d=d, e=e), case)
+
+
+class TestVerifyEndoBranches:
+    # CylProto(2, 0, 1, 1): t = e = 1, n = 2ad = 4; verify_cyl_IA passes it.
+    P = CylProto(2, 0, 1, 1)
+
+    def test_not_selfadjoint(self):
+        T = build_T(2, 0, 1, 1)
+        T[0][2] += 1
+        assert not _verify_endo(T, pairing_form(1, 2), 1, 4)
+
+    def test_wrong_quadratic_relation(self):
+        T = build_T(2, 0, 1, 1)
+        assert verify_selfadjoint(T, pairing_form(1, 2))
+        assert not _verify_endo(T, pairing_form(1, 2), 1, 5)
+
+    def test_wrong_period_row(self):
+        T = build_T(2, 0, 1, 1)
+        (X, Y), imag = cyl_period_vector(self.P)
+        rows = [([X[0] + 1, *X[1:]], Y), imag]
+        assert not _verify_endo(T, pairing_form(1, 2), 1, 4, rows)
 
 
 def _perturbations(rows):

@@ -94,6 +94,41 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not an involution"):
             square_torus(BROKEN_GLUE).check()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_check_rejects_non_finite_vertex(self, bad):
+        s = square_torus()
+        s.triangles[1] = (0j, 1 + 1j, complex(0, bad))
+        with pytest.raises(ValueError, match="triangle 1 has a non-finite edge"):
+            s.check()
+
+    def test_check_rejects_clockwise_triangle(self):
+        s = square_torus()
+        s.triangles[0] = (0j, 1 + 1j, 1 + 0j)
+        with pytest.raises(ValueError, match="triangle 0 not ccw"):
+            s.check()
+
+    def test_check_rejects_glued_edges_with_unequal_vectors(self):
+        # (0, 0) carries 1 and (1, 2) carries -i: an involution, but not a translation.
+        glue = {**SQUARE_TORUS_GLUE, (0, 0): (1, 2), (1, 2): (0, 0),
+                (0, 1): (1, 1), (1, 1): (0, 1)}  # fmt: skip
+        with pytest.raises(ValueError, match="must carry opposite vectors"):
+            square_torus(glue).check()
+
+    def test_check_rejects_wrong_area(self):
+        s = square_torus()
+        s.area_exact = 2.0
+        with pytest.raises(ValueError, match="area 1.0 differs from 2.0"):
+            s.check()
+
+    def test_vertex_classes_are_not_an_input(self, surface8):
+        # FlatSurface derives them, so no surface can carry classes that its
+        # triangles and gluing contradict.
+        with pytest.raises(TypeError):
+            FlatSurface(
+                triangles=surface8.triangles, glue=surface8.glue, area_exact=4.0,
+                exact=surface8.exact, vertex_class=surface8.vertex_class,
+            )
+
     def test_check_rejects_under_optimize(self):
         # The checks must not be asserts, which ``python -O`` strips.
         code = textwrap.dedent(
