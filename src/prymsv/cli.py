@@ -37,15 +37,16 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 def _cmd_sv(args: argparse.Namespace) -> int:
     results = svconst.sv_constants(args.d, _table(args))
     for r in results:
-        print(r.to_json() if args.json else " ".join(f"{k}={v}" for k, v in r.to_dict().items()))
+        fields = r.to_dict()
+        print(json.dumps(fields) if args.json else " ".join(f"{k}={v}" for k, v in fields.items()))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.what == "modular":
-        report = modforms.verify_vanishing(args.nmax)
-        print(report.to_json())
-        return 0 if report.ok else 1
+        violations = modforms.verify_vanishing(args.nmax)
+        print(json.dumps({"N": args.nmax, "violations": violations}))
+        return 0 if not violations else 1
     if args.what == "identity":
         failures: list[int] = []
         checked = 0
@@ -145,7 +146,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
             }
         )
     )
-    return 0 if report.all_match else 1
+    return 0 if not report.failures else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -258,8 +258,8 @@ def split_matrices(p: SplitProto, case: str) -> tuple[list[list[int]], list[list
     raise ValueError(f"unknown split case {case!r}; expected one of {SPLIT_CASES}")
 
 
-def split_period_vector(p: SplitProto, case: str) -> list[Row] | None:
-    """The exact eigen period vector for ``w1``/``w3`` (none is available for ``w2``).
+def split_period_vector(p: SplitProto, case: str) -> list[Row]:
+    """The exact eigen period vector for ``w1``/``w3``; ``w2`` has none, so no rows.
 
     Returned doubled, as real row and imaginary row in Z[mu] with
     ``mu = 2 lambda' = e + sqrt(D')``: ``w1`` is ``2v = (2mu, i mu, 2a,
@@ -282,7 +282,7 @@ def split_period_vector(p: SplitProto, case: str) -> list[Row] | None:
             ([0, 0, 0, 2 * d], [0, 1, 0, 0]),
         ]
     if case == "w2":
-        return None
+        return []
     raise ValueError(f"unknown split case {case!r}; expected one of {SPLIT_CASES}")
 
 
@@ -304,8 +304,7 @@ def verify_split_endo(p: SplitProto, case: str) -> bool:
     if p.b != 0:
         raise BRequired(f"endomorphism matrices are printed for b = 0 only, got {p}")
     T, J = split_matrices(p, case)
-    rows = split_period_vector(p, case) or ()
-    return _verify_endo(T, J, 2 * p.e, 4 * p.a * p.d, rows)
+    return _verify_endo(T, J, 2 * p.e, 4 * p.a * p.d, split_period_vector(p, case))
 
 
 # ---------------------------------------------------------------------------

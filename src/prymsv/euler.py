@@ -33,10 +33,11 @@ SIEVE_CAP = 10**7
 #: The smallest prime factor of each ``n``, 0 for a prime (and 0, 1): read ``spf[n] or n``.
 _spf: Sequence[int] = array("i", [0, 0])
 
-#: ``(bound, primes)``: the primes below ``bound``.  Trial division lists them
-#: from the sieve once per sieve length; factorizations that only read the
-#: sieve never pay that scan.
-_primes: tuple[int, Sequence[int]] = (0, array("i"))
+#: ``(length, primes)``: the first primes of the sieve of that length.  Trial
+#: division lists them as far as it needs, up to the square root of the number
+#: it divides, and extends the list while the sieve keeps its length;
+#: factorizations that only read the sieve never pay that scan.
+_primes: tuple[int, array[int]] = (0, array("i"))
 
 
 def _ensure_sieve(n: int) -> None:
@@ -61,11 +62,11 @@ def _ensure_sieve(n: int) -> None:
 def _trial_divide(n: int) -> dict[int, int]:
     """Factor ``n > SIEVE_CAP`` by trial division; the sieve grows only as far as the cofactor needs.
 
-    The candidates are the sieve's primes.  When they run out while the
-    sieve's length squared is still at most the cofactor, the sieve doubles
-    (up to :data:`SIEVE_CAP`) and division goes on with its new primes only;
-    past the cap it goes on with every integer.  Division stops once ``p**2``
-    exceeds the cofactor, which is then 1 or a prime.
+    The candidates are the sieve's primes up to ``sqrt(n)``.  When they run
+    out while the sieve's length squared is still at most the cofactor, the
+    sieve doubles (up to :data:`SIEVE_CAP`) and division goes on with its new
+    primes only; past the cap it goes on with every integer.  Division stops
+    once ``p**2`` exceeds the cofactor, which is then 1 or a prime.
     """
     global _primes
     out: dict[int, int] = {}
@@ -73,8 +74,10 @@ def _trial_divide(n: int) -> dict[int, int]:
     while True:
         bound = len(_spf)
         if _primes[0] != bound:
-            _primes = (bound, array("i", (p for p in range(2, bound) if not _spf[p])))  # no list of ints
+            _primes = (bound, array("i"))  # no list of ints
         primes = _primes[1]
+        start = primes[-1] + 1 if primes else 2
+        primes.extend(p for p in range(start, min(bound, math.isqrt(n) + 1)) if not _spf[p])
         candidates = itertools.islice(primes, done, None)
         if bound > SIEVE_CAP:
             candidates = itertools.chain(candidates, itertools.count(bound))

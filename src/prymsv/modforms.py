@@ -16,7 +16,6 @@ closed forms read it instead of calling the kernel once per term.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -179,35 +178,21 @@ def c_n_closed(n: int) -> int:
     return _closed_form(n, _Sigma1())
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    N: int
-    violations: list[int]
+def verify_vanishing(N: int) -> list[int]:
+    """The sorted exponents up to ``N`` where ``f`` is nonzero or differs from its closed form.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> str:
-        return json.dumps({"N": self.N, "violations": self.violations})
-
-
-def verify_vanishing(N: int) -> VanishingReport:
-    """Check that every coefficient of ``f`` up to ``N`` is zero and matches the closed form.
-
-    Both sides read one table of ``sigma1(k)`` for ``k <= N // 8``, built once
-    per call: the coefficients of :func:`g2_8`, and every term of the
-    closed forms (``(n - e^2)/8 <= N // 8``), which would otherwise call the
-    kernel again for the same few arguments.  Violations are the exponents
-    where the series is nonzero or differs from the closed form.
+    The identity holds up to ``N`` exactly when the list is empty.  Both sides
+    read one table of ``sigma1(k)`` for ``k <= N // 8``, built once per call:
+    the coefficients of :func:`g2_8`, and every term of the closed forms
+    (``(n - e^2)/8 <= N // 8``), which would otherwise call the kernel again
+    for the same few arguments.
     """
     sig = _sigma1_table(N // 8)
     series = _f_coeffs(N, sig)
-    violations = sorted(
+    return sorted(
         set(series.support())
         | {n for n in range(1, N + 1, 8) if _closed_form(n, sig) != series[n]}
     )
-    return VanishingReport(N=N, violations=violations)
 
 
 def S_D(D: int) -> int:
@@ -233,27 +218,16 @@ def S_D_sigma(D: int) -> int:
     return _sigma_sum(D, _Sigma1()) if D % 8 == 1 else 0
 
 
-@dataclass(frozen=True)
-class RecursionReport:
-    D: int
-    f: int
-    lhs: int
-    rhs: int
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def verify_S_recursion(D: int) -> RecursionReport:
-    """Verify the divisor recursion tying the sigma1 sum to the ``S`` values.
+def verify_S_recursion(D: int) -> tuple[int, int]:
+    """Both sides ``(lhs, rhs)`` of the divisor recursion tying the sigma1 sum to the ``S`` values.
 
     With ``D = f**2 * D0`` (``D0`` squarefree, necessarily ``≡ 1 (mod 8)``):
-    ``sum over odd e of psi(e) e sigma1((D - e^2)/8)`` equals
-    ``sum over r | f of psi(r) r S_{D/r^2}``.
+    ``lhs``, the sum over odd ``e`` of ``psi(e) e sigma1((D - e^2)/8)``, equals
+    ``rhs``, the sum over ``r | f`` of ``psi(r) r S_{D/r^2}``.  The recursion
+    holds at ``D`` exactly when ``lhs == rhs``.
     """
     if err := admissible(D, "S_D"):
         raise err
     f, _ = squarefree_decompose(D)
     rhs = sum(psi(r) * r * S_D(D // (r * r)) for r in range(1, f + 1) if f % r == 0)
-    return RecursionReport(D=D, f=f, lhs=S_D_sigma(D), rhs=rhs)
+    return S_D_sigma(D), rhs

@@ -11,7 +11,6 @@ table's negative chi inputs it is *negative*; it is returned verbatim.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,9 +69,6 @@ class SVResult:
             "b_D": self.b_D,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _chi2_term(D: int, b: int | None, table: EulerTable) -> Fraction:
     """The table's part ``T`` of the volume numerator ``Delta = T + 9 chi(W_D(0^3))``.
@@ -125,10 +121,6 @@ class ConjectureReport:
     checked: list[int]
     skipped: dict[int, str]
     failures: list[int]
-
-    @property
-    def all_match(self) -> bool:
-        return not self.failures
 
 
 def check_conjecture(

@@ -170,7 +170,11 @@ class TestSplit:
             split_matrices(p, "w4")
 
     def test_w2_has_no_period_vector(self):
-        assert split_period_vector(SplitProto(2, 0, 1, 0), "w2") is None
+        assert split_period_vector(SplitProto(2, 0, 1, 0), "w2") == []
+
+    def test_unknown_case_has_no_period_vector(self):
+        with pytest.raises(ValueError):
+            split_period_vector(SplitProto(2, 0, 1, 0), "w4")
 
     def test_uncorrected_w1_vector_fails(self):
         # The printed v = (2l', 2il', a, id) misses v T = 2l' v by -2ad*i in

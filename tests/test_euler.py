@@ -1,4 +1,5 @@
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,18 @@ def test_trial_division_after_sieve_growth(monkeypatch):
         sizes.append(len(euler._spf))
     assert sizes[:4] == sorted(set(sizes[:4]))  # grew before each of the first four
     assert sizes[-1] == 1001
+
+
+def test_trial_division_lists_only_primes_below_sqrt(monkeypatch):
+    # A sieve grown to the cap holds the primes to 997, yet 3 * 1009 needs
+    # none past isqrt(3027) = 55: trial division lists no more than that.
+    monkeypatch.setattr(euler, "SIEVE_CAP", 1000)
+    monkeypatch.setattr(euler, "_spf", [0, 1])
+    monkeypatch.setattr(euler, "_primes", (0, array("i")))
+    factorize(1000)
+    assert len(euler._spf) == 1001
+    assert factorize(3 * 1009) == {3: 1, 1009: 1}
+    assert max(euler._primes[1]) <= math.isqrt(3 * 1009) == 55
 
 
 def test_smooth_numbers_past_the_cap_keep_the_sieve_small(monkeypatch):

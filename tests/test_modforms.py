@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from prymsv import modforms
 from prymsv.cli import dispatch
 from prymsv.errors import SquareDiscriminant, UnsupportedResidue
+from prymsv.euler import squarefree_decompose
 from prymsv.modforms import (
     QSeries,
     S_D,
@@ -107,8 +108,7 @@ def test_g2_8_below_eight(N):
 @pytest.mark.parametrize("N", [0, 1, 7, 8, 9, 17])
 def test_verify_vanishing_edge_sizes(N):
     # N // 8 is 0, 1 or 2: the sigma1 table holds at most two entries past index 0.
-    report = verify_vanishing(N)
-    assert report.ok and report.violations == []
+    assert verify_vanishing(N) == []
 
 
 def test_f_coeffs_small_vanishes():
@@ -135,17 +135,16 @@ def test_closed_form_terms():
 
 def test_everything_is_an_int():
     values = [S_D(153), S_D_sigma(153), c_n_closed(153), c_n_closed(12)]
-    report = verify_S_recursion(153)
-    values += [report.lhs, report.rhs]
+    values += verify_S_recursion(153)
     for series in (f_coeffs(200), g2_8(200) * theta_psi(200), theta_prime_scaled(200)):
         values += series.coeffs.values()
     assert values and all(type(v) is int for v in values)
 
 
-def test_verify_vanishing_report():
-    report = verify_vanishing(1000)
-    assert report.ok
-    assert json.loads(report.to_json()) == {"N": 1000, "violations": []}
+def test_verify_vanishing_report(capsys):
+    assert verify_vanishing(1000) == []
+    assert dispatch(["verify", "modular", "--nmax", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"N": 1000, "violations": []}
 
 
 def test_vanishing_catches_violations():
@@ -170,9 +169,7 @@ def test_verify_vanishing_reports_planted_coefficients(monkeypatch, capsys):
 
     monkeypatch.setattr(modforms, "theta_prime_scaled", theta_prime_planted)
     monkeypatch.setattr(modforms, "_closed_form", closed_planted)
-    report = verify_vanishing(200)
-    assert report.violations == [33, 50, 57]
-    assert not report.ok
+    assert verify_vanishing(200) == [33, 50, 57]
     assert dispatch(["verify", "modular", "--nmax", "200"]) == 1
     assert json.loads(capsys.readouterr().out) == {"N": 200, "violations": [33, 50, 57]}
 
@@ -204,16 +201,15 @@ def test_sigma_sum_agrees_on_squarefree(D):
 
 @pytest.mark.parametrize("D", [17, 41, 153, 425, 1377])
 def test_recursion(D):
-    report = verify_S_recursion(D)
-    assert report.ok
-    assert report.lhs == 0
+    lhs, rhs = verify_S_recursion(D)
+    assert lhs == rhs == 0
 
 
 def test_recursion_nontrivial_conductor():
     # D = 153 = 9 * 17: lhs is the plain sigma1 sum, rhs folds in S_17.
-    report = verify_S_recursion(153)
-    assert report.f == 3
-    assert report.lhs == report.rhs
+    lhs, rhs = verify_S_recursion(153)
+    assert squarefree_decompose(153) == (3, 17)
+    assert lhs == rhs
     assert S_D_sigma(153) == S_D(153) + psi(3) * 3 * S_D(17)
 
 

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -97,8 +96,7 @@ def test_sv_hypotheses(D, err):
 
 def test_result_json():
     plus = sv_constants(17)[0]
-    data = json.loads(plus.to_json())
-    assert data == {
+    assert plus.to_dict() == {
         "D": 17,
         "component": "plus",
         "c1": "25/9",
@@ -111,7 +109,7 @@ def test_result_json():
 
 def test_check_conjecture_report():
     report = check_conjecture(5, 48)
-    assert report.all_match
+    assert report.failures == []
     assert set(report.checked) == set(TABLE_DS)
     assert 8 in report.skipped  # too small
     assert 16 in report.skipped  # square
