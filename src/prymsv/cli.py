@@ -136,7 +136,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
-    report = svconst.check_conjecture(5, args.dmax, _table(args))
+    report = svconst.check_conjecture(args.dmax, _table(args))
     print(
         json.dumps(
             {

@@ -279,7 +279,7 @@ def chi_W03(D: int) -> Fraction:
 # chi values for W_D(4), W_D(2), W_D(0^3); None marks a nonexistent locus.
 _BUILTIN_ROWS: dict[int, tuple[Fraction | None, Fraction, Fraction | None]] = {
     5: (None, Fraction(-3, 10), None),
-    8: (Fraction(-12, 5), Fraction(-3, 4), Fraction(-1, 6)),
+    8: (Fraction(-5, 12), Fraction(-3, 4), Fraction(-1, 6)),
     12: (Fraction(-5, 6), Fraction(-3, 2), Fraction(-1, 3)),
     13: (None, Fraction(-3, 2), None),
     17: (Fraction(-10, 3), Fraction(-3), Fraction(-4, 3)),

@@ -55,7 +55,9 @@ class SaddleConnection(NamedTuple):
         return abs(self.holonomy)
 
     def sort_key(self) -> tuple:
-        return (self.length, cmath.phase(self.holonomy), self.start, self.end)
+        """(length, angle, holonomy, exact key): only equal records of one list tie."""
+        h = self.holonomy
+        return (abs(h), cmath.phase(h), h.real, h.imag, self.exact)
 
 
 @dataclass
@@ -300,10 +302,9 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     that is inside the slack, and no edge within R is pruned.  A vertex is
     found when the ``hypot`` of its holonomy (``abs``, which is its
     ``length``) is at most R, so no length exceeds R.  Results are sorted
-    stably by (length, angle, endpoints); tied records share an exact key,
-    but their holonomies may differ in the last bit, so a tie keeps the
-    order of the search.  A non-finite ``R`` never stops the search, so it
-    raises ``ValueError``.
+    by :meth:`SaddleConnection.sort_key`, a total order on records, so the
+    list depends only on the surface and R, not on the order of the search.
+    A non-finite ``R`` never stops the search, so it raises ``ValueError``.
     """
     if not math.isfinite(R):
         raise ValueError(f"radius must be finite, got {R}")
@@ -426,10 +427,11 @@ def group_families(
     """Group connections by their ordered endpoints and exact holonomy.
 
     A family is one key ``(start, end, exact)``, so the decision compares only
-    ints; its holonomy is its first connection's.  ``tol`` bounds the float
-    spread inside a family: a holonomy farther than ``tol`` from the first
-    means the float and exact developments disagree, and raises
-    ``ValueError``, as does ``tol <= 0``.
+    ints; its holonomy is its first connection's, which in a list from
+    :func:`enumerate_sc` is its least by the total order ``sort_key``.
+    ``tol`` bounds the float spread inside a family: a holonomy farther than
+    ``tol`` from the first means the float and exact developments disagree,
+    and raises ``ValueError``, as does ``tol <= 0``.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")

@@ -36,7 +36,7 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class _Proto:
     """A prototype ``(a, b, d, e)`` of one family, validated on construction.
 

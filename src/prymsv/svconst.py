@@ -4,14 +4,14 @@ All quantities are exact rationals built from the Euler characteristics: the
 external table supplies chi(W_D(2)) and chi(W_D(4)), while chi(W_D(0^3)) is
 always recomputed from :func:`prymsv.euler.chi_W03` (the table's column is a
 cross-check only).  The constants and the volume share one numerator, stated
-once in :func:`sv_constants`; the volume is ``SVResult.volume_pi2_coeff``
-(``volume_pi2`` in the CLI output), the coefficient of pi^2.  With the
-table's negative chi inputs it is *negative*; it is returned verbatim.
+once in :func:`sv_constants`; the volume is ``SVResult.volume_pi2``, the
+coefficient of pi^2.  With the table's negative chi inputs it is *negative*;
+it is returned verbatim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import MissingTableEntry, NotDivisibleBy4
@@ -45,28 +45,21 @@ class SVResult:
 
     D: int
     component: str  # "whole", "plus" or "minus"
-    b_D: int | None
-    volume_pi2_coeff: Fraction
     c1: Fraction
     c2: Fraction
     c3: Fraction
+    volume_pi2: Fraction
+    b_D: int | None
 
     @property
     def constants(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.c1, self.c2, self.c3)
 
-    def matches_conjecture(self) -> bool:
-        return self.constants == CONJECTURED
-
     def to_dict(self) -> dict:
+        """The fields in order, each ``Fraction`` as its string."""
         return {
-            "D": self.D,
-            "component": self.component,
-            "c1": str(self.c1),
-            "c2": str(self.c2),
-            "c3": str(self.c3),
-            "volume_pi2": str(self.volume_pi2_coeff),
-            "b_D": self.b_D,
+            k: str(v) if isinstance(v, Fraction) else v
+            for k, v in asdict(self).items()
         }
 
 
@@ -106,11 +99,11 @@ def sv_constants(D: int, table: EulerTable = BUILTIN_TABLE) -> list[SVResult]:
         SVResult(
             D=D,
             component=component,
-            b_D=b,
-            volume_pi2_coeff=delta / 36 if b is not None else delta / 72,
             c1=15 * chi4 / delta,
             c2=9 * T / delta,
             c3=3 * chi03 / delta,
+            volume_pi2=delta / 36 if b is not None else delta / 72,
+            b_D=b,
         )
         for component in components
     ]
@@ -123,10 +116,8 @@ class ConjectureReport:
     failures: list[int]
 
 
-def check_conjecture(
-    dmin: int, dmax: int, table: EulerTable = BUILTIN_TABLE
-) -> ConjectureReport:
-    """Check ``sv_constants(D) == (25/9, 3, 2/9)`` over a discriminant range.
+def check_conjecture(dmax: int, table: EulerTable = BUILTIN_TABLE) -> ConjectureReport:
+    """Check ``sv_constants(D) == (25/9, 3, 2/9)`` for ``5 <= D <= dmax``.
 
     Discriminants outside the hypotheses (see :func:`prymsv.exactq.admissible`),
     or missing from the table, are recorded as skipped with the reason; any
@@ -135,7 +126,7 @@ def check_conjecture(
     checked: list[int] = []
     skipped: dict[int, str] = {}
     failures: list[int] = []
-    for D in range(dmin, dmax + 1):
+    for D in range(5, dmax + 1):
         if admissible(D, "disc") is not None:
             continue
         if err := admissible(D, "theorem"):
@@ -147,6 +138,6 @@ def check_conjecture(
             skipped[D] = str(exc)
             continue
         checked.append(D)
-        if not all(r.matches_conjecture() for r in results):
+        if any(r.constants != CONJECTURED for r in results):
             failures.append(D)
     return ConjectureReport(checked=checked, skipped=skipped, failures=failures)

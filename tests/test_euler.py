@@ -339,6 +339,13 @@ def test_builtin_lookups():
     assert BUILTIN_TABLE.chi_w03_expected(33) == F(-4)
 
 
+def test_builtin_chi_w4_of_8():
+    # c1 = 25/9 needs chi(W_D(4)) = 5/2 chi(W_D(0^3)) = 5/2 (-1/6) at D = 8,
+    # and -5/2 chi(X_8) agrees, with chi(X_8) = -2/9 chi(W_8(2)) = 1/6.
+    assert BUILTIN_TABLE.chi_w4(8) == F(-5, 12)
+    assert BUILTIN_TABLE.chi_w4(8) == F(5, 2) * BUILTIN_TABLE.chi_w03_expected(8)
+
+
 def test_missing_entries():
     with pytest.raises(MissingTableEntry):
         BUILTIN_TABLE.chi_w4(21)

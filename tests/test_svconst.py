@@ -37,21 +37,21 @@ def test_b_D_needs_divisibility():
 @pytest.mark.parametrize("D,coeff", [(12, F(-1, 8)), (20, F(-3, 8))])
 def test_volume(D, coeff):
     (r,) = sv_constants(D)
-    assert r.volume_pi2_coeff == coeff
+    assert r.volume_pi2 == coeff
 
 
 def test_volume_pm_17():
-    assert [r.volume_pi2_coeff for r in sv_constants(17)] == [F(-1, 4), F(-1, 4)]
+    assert [r.volume_pi2 for r in sv_constants(17)] == [F(-1, 4), F(-1, 4)]
 
 
 def test_volume_routing():
     # 4 | D: one component, Delta / 36 with Delta = T + 9 chi(W_D(0^3)).
     (r,) = sv_constants(12)
     assert r.component == "whole"
-    assert r.volume_pi2_coeff == (F(-3, 2) + 9 * F(-1, 3)) / 36
+    assert r.volume_pi2 == (F(-3, 2) + 9 * F(-1, 3)) / 36
     # D ≡ 1 (mod 8): two components, each Delta / 72 with T = 2 chi(W_D(2)).
     assert [r.component for r in sv_constants(17)] == ["plus", "minus"]
-    assert sv_constants(17)[0].volume_pi2_coeff == (2 * F(-3) + 9 * F(-4, 3)) / 72
+    assert sv_constants(17)[0].volume_pi2 == (2 * F(-3) + 9 * F(-4, 3)) / 72
     with pytest.raises(OutsideTheoremHypotheses):
         sv_constants(13)
 
@@ -78,14 +78,14 @@ def test_sv_D48_pieces():
     (r,) = sv_constants(48)
     assert r.b_D == 4
     # Delta = chi2 + 4*chi2(12) + 9*chi03 = -12 - 6 - 36 = -54
-    assert r.volume_pi2_coeff == F(-54, 36)
+    assert r.volume_pi2 == F(-54, 36)
     assert r.c1 == 15 * F(-10) / F(-54)
 
 
 def test_sv_plus_minus_equal():
     plus, minus = sv_constants(17)
     assert plus.constants == minus.constants
-    assert plus.volume_pi2_coeff == minus.volume_pi2_coeff
+    assert plus.volume_pi2 == minus.volume_pi2
 
 
 @pytest.mark.parametrize("D,err", [(8, OutsideTheoremHypotheses), (5, OutsideTheoremHypotheses), (16, OutsideTheoremHypotheses), (13, OutsideTheoremHypotheses)])
@@ -108,7 +108,7 @@ def test_result_json():
 
 
 def test_check_conjecture_report():
-    report = check_conjecture(5, 48)
+    report = check_conjecture(48)
     assert report.failures == []
     assert set(report.checked) == set(TABLE_DS)
     assert 8 in report.skipped  # too small
@@ -117,9 +117,9 @@ def test_check_conjecture_report():
 
 
 def test_check_conjecture_skips_missing_rows():
-    report = check_conjecture(49, 53)
-    assert report.checked == []
-    assert report.skipped == {
+    report = check_conjecture(53)
+    assert report.checked == TABLE_DS
+    assert {D: report.skipped[D] for D in (49, 52, 53)} == {
         49: "D = 49 is a square",
         52: "no table row for D = 52",
         53: "D = 53 ≡ 5 (mod 8): the theorem locus needs D ≡ 0, 1, 4 (mod 8)",
@@ -144,15 +144,15 @@ def test_check_conjecture_propagates_package_errors(monkeypatch):
 
     monkeypatch.setattr(svconst, "chi_W03", bad)
     with pytest.raises(InvalidPrototype):
-        check_conjecture(5, 20)
+        check_conjecture(20)
 
 
 def test_check_conjecture_propagates_bugs():
     # A table row holding an unparsed string is a bug, not a reason to skip.
     rows = dict(BUILTIN_TABLE.rows)
     rows[17] = ("-10/3", F(-3), F(-4, 3))
-    with pytest.raises(TypeError):
-        check_conjecture(5, 20, EulerTable(rows=rows))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        check_conjecture(20, EulerTable(rows=rows))
 
 
 positive_scalars = st.fractions(min_value=F(1, 20), max_value=50, max_denominator=20)
