@@ -105,6 +105,8 @@ def _parse_radius(text: str) -> float:
     R = _parse_finite(text)
     if R <= 0:
         raise argparse.ArgumentTypeError(f"radius {text!r} is not > 0")
+    if not math.isfinite(R * R * (1 + 1e-12)):  # enumerate_sc's pruning bound
+        raise argparse.ArgumentTypeError(f"radius {text!r} is too large: its square overflows")
     return R
 
 

@@ -267,8 +267,8 @@ def split_period_vector(p: SplitProto, case: str) -> list[Row]:
     the printed vector ``(2l', 2il', a, id)`` does *not* satisfy the
     eigen-relation: it misses by ``-2ad*i`` in component 2 and by
     ``+2d*l'*i`` in component 4.  The corrected ``(2l', il', a, id)``
-    satisfies it exactly and is the one returned here.  See
-    :func:`split_period_vector_uncorrected` for the failing variant.
+    satisfies it exactly and is the one returned here; the tests keep the
+    printed one as a negative control.
     """
     a, d = p.a, p.d
     if case == "w1":
@@ -284,14 +284,6 @@ def split_period_vector(p: SplitProto, case: str) -> list[Row]:
     if case == "w2":
         return []
     raise ValueError(f"unknown split case {case!r}; expected one of {SPLIT_CASES}")
-
-
-def split_period_vector_uncorrected(p: SplitProto) -> list[Row]:
-    """The ``w1`` period vector as printed, ``2v = (2mu, 2i mu, 2a, 2di)`` — a negative control."""
-    return [
-        ([0, 0, 2 * p.a, 0], [2, 0, 0, 0]),
-        ([0, 0, 0, 2 * p.d], [0, 2, 0, 0]),
-    ]
 
 
 def verify_split_endo(p: SplitProto, case: str) -> bool:

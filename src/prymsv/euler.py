@@ -156,43 +156,6 @@ def c_index(m: int) -> int:
     return degree(m, 0)
 
 
-def p1_count(m: int) -> int:
-    """Number of points of the projective line over Z/m, by enumeration.
-
-    Counts pairs ``(c, d)`` with ``gcd(c, d, m) = 1`` and divides by the
-    number of units: the scaling action of (Z/m)* on such pairs is free, so
-    every projective class contains exactly phi(m) pairs.  The pair count is
-    tallied through the enumerated distribution of ``gcd(c, m)`` over one
-    period (``gcd(c, d, m) = 1`` iff ``gcd(gcd(c, m), gcd(d, m)) = 1``).
-    Independent of the multiplicative formula behind :func:`c_index`.
-    """
-    if m == 1:
-        return 1
-    gcd = math.gcd
-    units = 0
-    gcd_counts: dict[int, int] = {}
-    for c in range(m):
-        g = gcd(c, m)
-        gcd_counts[g] = gcd_counts.get(g, 0) + 1
-        if g == 1:
-            units += 1
-    pairs = sum(
-        n1 * n2
-        for g1, n1 in gcd_counts.items()
-        for g2, n2 in gcd_counts.items()
-        if gcd(g1, g2) == 1
-    )
-    if pairs % units:
-        raise ValueError(f"{pairs} pairs do not split into orbits of {units} units")
-    return pairs // units
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write ``n = f**2 * q`` with ``q`` squarefree; returns ``(f, q)``."""
-    f = math.prod(p ** (k // 2) for p, k in factorize(n).items())
-    return f, n // (f * f)
-
-
 # ---------------------------------------------------------------------------
 # Degrees of the torus projection and the Euler characteristic of W_D(0^3).
 # ---------------------------------------------------------------------------
@@ -224,35 +187,6 @@ def m_D(D: int, e: int) -> int:
     """
     _check_e(D, e)
     return degree((D - e * e) // 8, e)
-
-
-def m_D_bruteforce(D: int, e: int) -> int:
-    """Oracle for :func:`m_D`: the number of triple prototypes with this ``e``.
-
-    Counts ``(a, b, d)`` with ``a * d = (D - e^2)/8``, ``0 <= b < a`` and
-    ``gcd(a, b, d, e) = 1`` in its own loop, so it shares no code with
-    :func:`m_D`'s factorization or with prototype enumeration.
-    """
-    _check_e(D, e)
-    n = (D - e * e) // 8
-    gcd = math.gcd
-    count = 0
-    for a in range(1, n + 1):
-        if n % a == 0:
-            d = n // a
-            count += sum(1 for b in range(a) if gcd(a, b, d, e) == 1)
-    return count
-
-
-def is_12_primitive(D: int) -> bool:
-    """True when no ``f > 1`` has ``f**2 | D`` with ``D / f**2 ≡ 0, 1, 4 (mod 8)``."""
-    check_discriminant(D)
-    f = 2
-    while f * f <= D:
-        if D % (f * f) == 0 and (D // (f * f)) % 8 in (0, 1, 4):
-            return False
-        f += 1
-    return True
 
 
 def chi_W03(D: int) -> Fraction:

@@ -304,17 +304,18 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     ``length``) is at most R, so no length exceeds R.  Results are sorted
     by :meth:`SaddleConnection.sort_key`, a total order on records, so the
     list depends only on the surface and R, not on the order of the search.
-    A non-finite ``R`` never stops the search, so it raises ``ValueError``.
+    A pruning bound that is not finite (a non-finite ``R``, or one whose
+    square overflows) never stops the search, so it raises ``ValueError``.
     """
-    if not math.isfinite(R):
-        raise ValueError(f"radius must be finite, got {R}")
+    R2 = R * R * (1 + 1e-12)
+    if not math.isfinite(R2):
+        raise ValueError(f"radius must have a finite pruning bound R*R*(1 + 1e-12), got {R}")
     zeros = s.zeros()
     if len(zeros) != 2:
         raise ValueError(f"expected exactly two cone points, found {zeros}")
     if R <= 0:
         return []
     z1, z2 = zeros
-    R2 = R * R * (1 + 1e-12)
     hypot = math.hypot
     triangles = s.triangles
     exact = s.exact

@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .euler import degree, sigma1, squarefree_decompose
+from .euler import degree, sigma1
 from .exactq import admissible
 
 
@@ -216,18 +216,3 @@ def S_D_sigma(D: int) -> int:
     (the degrees then reduce to plain divisor sums).
     """
     return _sigma_sum(D, _Sigma1()) if D % 8 == 1 else 0
-
-
-def verify_S_recursion(D: int) -> tuple[int, int]:
-    """Both sides ``(lhs, rhs)`` of the divisor recursion tying the sigma1 sum to the ``S`` values.
-
-    With ``D = f**2 * D0`` (``D0`` squarefree, necessarily ``≡ 1 (mod 8)``):
-    ``lhs``, the sum over odd ``e`` of ``psi(e) e sigma1((D - e^2)/8)``, equals
-    ``rhs``, the sum over ``r | f`` of ``psi(r) r S_{D/r^2}``.  The recursion
-    holds at ``D`` exactly when ``lhs == rhs``.
-    """
-    if err := admissible(D, "S_D"):
-        raise err
-    f, _ = squarefree_decompose(D)
-    rhs = sum(psi(r) * r * S_D(D // (r * r)) for r in range(1, f + 1) if f % r == 0)
-    return S_D_sigma(D), rhs

@@ -1,4 +1,4 @@
-"""Enumeration and classification of the three prototype families.
+"""Enumeration of the three prototype families.
 
 A prototype is an integer quadruple ``(a, b, d, e)`` subject to a discriminant
 relation (``D = e**2 + 8ad`` for the cylinder and triple-of-tori families,
@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import ClassVar, Iterable, Iterator, TypeVar
 
-from .errors import BRequired, InvalidPrototype
+from .errors import InvalidPrototype
 from .exactq import admissible
 
 
@@ -120,26 +119,21 @@ P = TypeVar("P", bound=_Proto)
 _Group = tuple[int, int, int, Iterable[int]]
 
 
-def _groups(cls: type[_Proto], D: int, only_e: int | None = None) -> Iterator[_Group]:
+def _groups(cls: type[_Proto], D: int) -> Iterator[_Group]:
     """The ``(e, a, d, bs)`` groups of family ``cls`` at discriminant ``D``.
 
     Raises at once if ``D`` is outside the family's locus.  The groups come
-    in ``(e, a, d)`` order, over every ``e`` or only ``only_e``; ``bs``
-    lists the admissible ``b`` in ascending order.  ``gcd(a, b, d, e) =
-    gcd(b, G)`` with ``G = gcd(a, d, e)``, so when ``G = 1`` every ``b`` below
-    the bound is admissible.
+    in ``(e, a, d)`` order; ``bs`` lists the admissible ``b`` in ascending
+    order.  ``gcd(a, b, d, e) = gcd(b, G)`` with ``G = gcd(a, d, e)``, so
+    when ``G = 1`` every ``b`` below the bound is admissible.
     """
     if err := admissible(D, cls.locus):
         raise err
     bound = math.isqrt(D - 1)
-    if only_e is None:
-        es: Iterable[int] = range(-bound, bound + 1)
-    else:
-        es = [only_e] if abs(only_e) <= bound else []
 
     def walk() -> Iterator[_Group]:
         k, b_bound, a_exceeds_d_plus_e = cls.k, cls.b_bound, cls.a_exceeds_d_plus_e
-        for e in es:
+        for e in range(-bound, bound + 1):
             if (D - e * e) % k:
                 continue
             n = (D - e * e) // k
@@ -154,9 +148,9 @@ def _groups(cls: type[_Proto], D: int, only_e: int | None = None) -> Iterator[_G
     return walk()
 
 
-def _enumerate(cls: type[P], D: int, only_e: int | None = None) -> list[P]:
+def _enumerate(cls: type[P], D: int) -> list[P]:
     """The prototypes of :func:`_groups`, built and validated, by ``(e, a, d, b)``."""
-    return [cls(a, b, d, e) for e, a, d, bs in _groups(cls, D, only_e) for b in bs]
+    return [cls(a, b, d, e) for e, a, d, bs in _groups(cls, D) for b in bs]
 
 
 def enumerate_cyl(D: int) -> list[CylProto]:
@@ -170,65 +164,17 @@ def enumerate_triple(D: int) -> list[TripleProto]:
 
 
 def enumerate_triple_e(D: int, e: int) -> list[TripleProto]:
-    """The triple prototypes of discriminant ``D`` with the given ``e``."""
-    return _enumerate(TripleProto, D, e)
+    """The triple prototypes of discriminant ``D`` with the given ``e``, by ``(a, d, b)``.
+
+    The groups of :func:`enumerate_triple` filtered on ``e``: only the slice is built.
+    """
+    groups = _groups(TripleProto, D)
+    return [TripleProto(a, b, d, e) for g, a, d, bs in groups if g == e for b in bs]
 
 
 def enumerate_split(D: int) -> list[SplitProto]:
     """Splitting prototypes of discriminant ``D`` (the paper's ``D'``), by ``(e, a, d, b)``."""
     return _enumerate(SplitProto, D)
-
-
-class SplitClass(Enum):
-    SAME_D = "SameD"
-    FOUR_D = "FourD"
-
-
-def classify_split(p: SplitProto, i: int) -> SplitClass:
-    """Classify the splitting of ``p`` along curve system ``w_i`` (i = 1..5).
-
-    Returns ``SAME_D`` when the parity condition of case ``i`` holds, in which
-    case the resulting eigenform keeps discriminant ``D'``; otherwise the
-    discriminant quadruples.  Only stated (and implemented) for ``b = 0``.
-    """
-    if p.b != 0:
-        raise BRequired(f"classification is only defined for b = 0, got {p}")
-    if i not in (1, 2, 3, 4, 5):
-        raise ValueError(f"curve system index must be 1..5, got {i}")
-    a, d, e = p.a, p.d, p.e
-    conds = {
-        1: a % 2 == 0,
-        2: a % 2 == 0 and d % 2 == 0,
-        3: d % 2 == 0 and e % 2 == 0,
-        4: (a - e) % 2 == 0 and d % 2 == 0,
-        5: (a - d - e) % 2 == 0,
-    }
-    return SplitClass.SAME_D if conds[i] else SplitClass.FOUR_D
-
-
-def split_degree_counts(D: int) -> int:
-    """Degree (divided by 4!) of the splitting map at discriminant ``D``.
-
-    If ``D/4`` is a discriminant, counts the curve systems 1..5 of each
-    ``b = 0`` splitting prototype of ``D/4`` that land in ``FOUR_D``, and
-    otherwise those of each ``b = 0`` prototype of ``D`` that stay in
-    ``SAME_D``.  Every prototype must give the same count; it is the
-    independent oracle of :func:`prymsv.svconst.b_D`.
-    """
-    if err := admissible(D, "triple"):
-        raise err
-    if D % 4 == 0 and admissible(D // 4, "disc") is None:
-        source, target = D // 4, SplitClass.FOUR_D
-    else:
-        source, target = D, SplitClass.SAME_D
-    counts = {
-        sum(classify_split(SplitProto(a, 0, d, e), i) is target for i in range(1, 6))
-        for e, a, d, _ in _groups(SplitProto, source)
-        if math.gcd(a, d, e) == 1
-    }
-    if len(counts) != 1:
-        raise InvalidPrototype(f"b = 0 prototypes for D = {D} give counts {counts}")
-    return counts.pop()
 
 
 def protos_csv(cls: type[_Proto], D: int) -> Iterator[str]:

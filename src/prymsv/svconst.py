@@ -26,8 +26,8 @@ def b_D(D: int) -> int:
 
     ``0`` if ``D/4 ≡ 2, 3 (mod 4)``; ``4`` if ``D/4 ≡ 0 (mod 4)``;
     ``3`` if ``D/4 ≡ 1 (mod 8)``; ``5`` if ``D/4 ≡ 5 (mod 8)``.  This is the
-    one statement of the rule; :func:`prymsv.prototypes.split_degree_counts`
-    is its oracle, counting over every ``b = 0`` splitting prototype.
+    one statement of the rule; the tests' oracle counts it over every ``b =
+    0`` splitting prototype, by the parity of each curve system.
     """
     if D % 4 != 0:
         raise NotDivisibleBy4(f"b_D needs 4 | D, got {D}")

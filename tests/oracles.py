@@ -1,0 +1,231 @@
+"""Independent oracles and negative controls that the tests check the package against.
+
+Each oracle recomputes a closed form of :mod:`prymsv` another way: by
+enumeration (``p1_count``, ``m_D_bruteforce``, ``split_degree_counts``), by a
+recursion (``verify_S_recursion``) or by an external closed form (``chi_X``,
+Bainbridge's Euler characteristic of the Hilbert modular surface).
+``split_period_vector_uncorrected`` is a negative control: the printed
+``w1`` period vector, which fails the eigen-relation.  No command or module
+of the package reaches this code; only tests import it.
+"""
+
+from __future__ import annotations
+
+import math
+from enum import Enum
+from fractions import Fraction
+
+from prymsv.eigencheck import Row
+from prymsv.errors import BRequired, InvalidPrototype
+from prymsv.euler import _check_e, factorize, sigma1
+from prymsv.exactq import admissible, check_discriminant
+from prymsv.modforms import S_D, S_D_sigma, psi
+from prymsv.prototypes import SplitProto, enumerate_split
+
+# ---------------------------------------------------------------------------
+# Divisor sums and degrees (oracles of prymsv.euler).
+# ---------------------------------------------------------------------------
+
+
+def p1_count(m: int) -> int:
+    """Number of points of the projective line over Z/m, by enumeration.
+
+    Counts pairs ``(c, d)`` with ``gcd(c, d, m) = 1`` and divides by the
+    number of units: the scaling action of (Z/m)* on such pairs is free, so
+    every projective class contains exactly phi(m) pairs.  The pair count is
+    tallied through the enumerated distribution of ``gcd(c, m)`` over one
+    period (``gcd(c, d, m) = 1`` iff ``gcd(gcd(c, m), gcd(d, m)) = 1``).
+    Independent of the multiplicative formula behind ``euler.c_index``.
+    """
+    if m == 1:
+        return 1
+    gcd = math.gcd
+    units = 0
+    gcd_counts: dict[int, int] = {}
+    for c in range(m):
+        g = gcd(c, m)
+        gcd_counts[g] = gcd_counts.get(g, 0) + 1
+        if g == 1:
+            units += 1
+    pairs = sum(
+        n1 * n2
+        for g1, n1 in gcd_counts.items()
+        for g2, n2 in gcd_counts.items()
+        if gcd(g1, g2) == 1
+    )
+    if pairs % units:
+        raise ValueError(f"{pairs} pairs do not split into orbits of {units} units")
+    return pairs // units
+
+
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """Write ``n = f**2 * q`` with ``q`` squarefree; returns ``(f, q)``."""
+    f = math.prod(p ** (k // 2) for p, k in factorize(n).items())
+    return f, n // (f * f)
+
+
+def m_D_bruteforce(D: int, e: int) -> int:
+    """Oracle for ``euler.m_D``: the number of triple prototypes with this ``e``.
+
+    Counts ``(a, b, d)`` with ``a * d = (D - e^2)/8``, ``0 <= b < a`` and
+    ``gcd(a, b, d, e) = 1`` in its own loop, so it shares no code with
+    ``m_D``'s factorization or with prototype enumeration.  It rejects
+    ``(D, e)`` as ``m_D`` does.
+    """
+    _check_e(D, e)
+    n = (D - e * e) // 8
+    gcd = math.gcd
+    count = 0
+    for a in range(1, n + 1):
+        if n % a == 0:
+            d = n // a
+            count += sum(1 for b in range(a) if gcd(a, b, d, e) == 1)
+    return count
+
+
+def is_12_primitive(D: int) -> bool:
+    """True when no ``f > 1`` has ``f**2 | D`` with ``D / f**2 ≡ 0, 1, 4 (mod 8)``.
+
+    On such ``D`` every ``m_D(e)`` is ``sigma1((D - e^2)/8)``.
+    """
+    check_discriminant(D)
+    f = 2
+    while f * f <= D:
+        if D % (f * f) == 0 and (D // (f * f)) % 8 in (0, 1, 4):
+            return False
+        f += 1
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Euler characteristics of Hilbert modular surfaces (Bainbridge, Geom. Topol. 2007).
+# ---------------------------------------------------------------------------
+
+
+def is_fundamental(D0: int) -> bool:
+    """Whether ``D0`` is a fundamental discriminant."""
+    if D0 % 4 == 1:
+        return squarefree_decompose(D0)[0] == 1
+    return D0 % 16 in (8, 12) and squarefree_decompose(D0 // 4)[0] == 1
+
+
+def kronecker(D0: int, p: int) -> int:
+    """The Kronecker symbol ``(D0/p)`` at a prime ``p``."""
+    if p == 2:
+        return 0 if D0 % 2 == 0 else (1 if D0 % 8 in (1, 7) else -1)
+    r = pow(D0, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def chi_X(D: int) -> Fraction:
+    """``chi(X_D) = 2 zeta_{O_D}(-1)``, for a non-square discriminant ``D``.
+
+    For ``D = f**2 D0`` with ``D0`` fundamental, ``zeta_{O_D}(-1) = f**3
+    zeta_K(-1)`` times ``1 - (D0/p) / p**2`` over the primes ``p | f``, and
+    Siegel's formula gives ``zeta_K(-1) = (1/60) sum sigma1((D0 - e**2) / 4)``
+    over ``e**2 < D0``, ``e ≡ D0 (mod 2)``.
+    """
+    f = next(
+        f for f in range(math.isqrt(D), 0, -1)
+        if D % (f * f) == 0 and is_fundamental(D // (f * f))
+    )
+    D0 = D // (f * f)
+    bound = math.isqrt(D0 - 1)
+    es = [e for e in range(-bound, bound + 1) if (D0 - e) % 2 == 0]
+    zeta = f**3 * Fraction(sum(sigma1((D0 - e * e) // 4) for e in es), 60)
+    for p in factorize(f):
+        zeta *= 1 - Fraction(kronecker(D0, p), p * p)
+    return 2 * zeta
+
+
+# ---------------------------------------------------------------------------
+# The divisor recursion of the S values (oracle of prymsv.modforms).
+# ---------------------------------------------------------------------------
+
+
+def verify_S_recursion(D: int) -> tuple[int, int]:
+    """Both sides ``(lhs, rhs)`` of the divisor recursion tying the sigma1 sum to the ``S`` values.
+
+    With ``D = f**2 * D0`` (``D0`` squarefree, necessarily ``≡ 1 (mod 8)``):
+    ``lhs``, the sum over odd ``e`` of ``psi(e) e sigma1((D - e^2)/8)``, equals
+    ``rhs``, the sum over ``r | f`` of ``psi(r) r S_{D/r^2}``.  The recursion
+    holds at ``D`` exactly when ``lhs == rhs``.
+    """
+    if err := admissible(D, "S_D"):
+        raise err
+    f, _ = squarefree_decompose(D)
+    rhs = sum(psi(r) * r * S_D(D // (r * r)) for r in range(1, f + 1) if f % r == 0)
+    return S_D_sigma(D), rhs
+
+
+# ---------------------------------------------------------------------------
+# The splitting degree (oracle of prymsv.svconst.b_D).
+# ---------------------------------------------------------------------------
+
+
+class SplitClass(Enum):
+    SAME_D = "SameD"
+    FOUR_D = "FourD"
+
+
+def classify_split(p: SplitProto, i: int) -> SplitClass:
+    """Classify the splitting of ``p`` along curve system ``w_i`` (i = 1..5).
+
+    Returns ``SAME_D`` when the parity condition of case ``i`` holds, in which
+    case the resulting eigenform keeps discriminant ``D'``; otherwise the
+    discriminant quadruples.  Only stated (and implemented) for ``b = 0``.
+    """
+    if p.b != 0:
+        raise BRequired(f"classification is only defined for b = 0, got {p}")
+    if i not in (1, 2, 3, 4, 5):
+        raise ValueError(f"curve system index must be 1..5, got {i}")
+    a, d, e = p.a, p.d, p.e
+    conds = {
+        1: a % 2 == 0,
+        2: a % 2 == 0 and d % 2 == 0,
+        3: d % 2 == 0 and e % 2 == 0,
+        4: (a - e) % 2 == 0 and d % 2 == 0,
+        5: (a - d - e) % 2 == 0,
+    }
+    return SplitClass.SAME_D if conds[i] else SplitClass.FOUR_D
+
+
+def split_degree_counts(D: int) -> int:
+    """Degree (divided by 4!) of the splitting map at discriminant ``D``.
+
+    If ``D/4`` is a discriminant, counts the curve systems 1..5 of each
+    ``b = 0`` splitting prototype of ``D/4`` that land in ``FOUR_D``, and
+    otherwise those of each ``b = 0`` prototype of ``D`` that stay in
+    ``SAME_D``.  Every prototype must give the same count; it is the
+    independent oracle of ``svconst.b_D``.
+    """
+    if err := admissible(D, "triple"):
+        raise err
+    if D % 4 == 0 and admissible(D // 4, "disc") is None:
+        source, target = D // 4, SplitClass.FOUR_D
+    else:
+        source, target = D, SplitClass.SAME_D
+    counts = {
+        sum(classify_split(p, i) is target for i in range(1, 6))
+        for p in enumerate_split(source)
+        if p.b == 0
+    }
+    if len(counts) != 1:
+        raise InvalidPrototype(f"b = 0 prototypes for D = {D} give counts {counts}")
+    return counts.pop()
+
+
+# ---------------------------------------------------------------------------
+# A negative control (of prymsv.eigencheck).
+# ---------------------------------------------------------------------------
+
+
+def split_period_vector_uncorrected(p: SplitProto) -> list[Row]:
+    """The ``w1`` period vector as printed, ``2v = (2mu, 2i mu, 2a, 2di)``: a negative control.
+
+    ``eigencheck.split_period_vector`` returns the corrected one.
+    """
+    return [
+        ([0, 0, 2 * p.a, 0], [2, 0, 0, 0]),
+        ([0, 0, 0, 2 * p.d], [0, 2, 0, 0]),
+    ]

@@ -21,8 +21,10 @@ from prymsv.eigencheck import (
     verification_rows,
     verify_selfadjoint,
 )
-from prymsv.exactq import is_square
-from prymsv.prototypes import TripleProto, split_degree_counts
+from prymsv.exactq import admissible, is_square
+from prymsv.prototypes import TripleProto
+
+from oracles import chi_X, is_12_primitive, m_D_bruteforce, p1_count, split_degree_counts
 
 F = Fraction
 
@@ -82,20 +84,20 @@ def test_criterion_4_alternating_sum_vanishes():
 def test_criterion_5_degree_formulas_match_enumeration_oracles():
     start = time.perf_counter()
     for m in range(1, 501):
-        assert euler.c_index(m) == euler.p1_count(m), m
+        assert euler.c_index(m) == p1_count(m), m
     pairs = 0
     for D in range(5, 5001):
         if D % 4 not in (0, 1) or D % 8 == 5 or is_square(D):
             continue
         for e in range(math.isqrt(D - 1) + 1):
             if (D - e * e) % 8 == 0:
-                assert euler.m_D(D, e) == euler.m_D_bruteforce(D, e), (D, e)
+                assert euler.m_D(D, e) == m_D_bruteforce(D, e), (D, e)
                 pairs += 1
     shortcut = 0
     for D in range(5, 5001):
         if D % 4 not in (0, 1) or D % 8 == 5 or is_square(D):
             continue
-        if not euler.is_12_primitive(D):
+        if not is_12_primitive(D):
             continue
         for e in range(math.isqrt(D - 1) + 1):
             if (D - e * e) % 8 == 0:
@@ -229,3 +231,26 @@ class TestCriterion8Empirical:
               f"({c1:.3f}, {c2:.3f}, {c3:.3f}) within 25% of (25/9, 3, 2/9) "
               f"({elapsed:.1f}s)")
         assert elapsed < 300
+
+
+def test_criterion_9_chi_W03_matches_the_hilbert_modular_surfaces():
+    # chi(W_D(0^3)), the m_D sum, against Bainbridge's chi(X_D): for 4 | D it
+    # is -(chi(X_D) + b_D chi(X_{D/4})), for D ≡ 1 (mod 8) it is -2 chi(X_D).
+    # D/4 is a square only when D is, and b_D = 0 when D/4 is no discriminant.
+    start = time.perf_counter()
+    checked = 0
+    for D in range(10, 10_001):
+        if admissible(D, "theorem") is not None:
+            continue
+        if D % 4 == 0:
+            b = svconst.b_D(D)
+            expected = -(chi_X(D) + (b * chi_X(D // 4) if b else 0))
+        else:
+            expected = -2 * chi_X(D)
+        assert euler.chi_W03(D) == expected, D
+        checked += 1
+    assert checked == 3649
+    elapsed = time.perf_counter() - start
+    print(f"criterion 9: chi(W_D(0^3)) matches the closed form in chi(X_D) "
+          f"for all {checked} admissible D <= 10^4 ({elapsed:.2f}s)")
+    assert elapsed < 10

@@ -282,6 +282,8 @@ def test_count_slit_outside_parallelogram(capsys):
         ("--radius", "nan"),
         ("--radius", "inf"),
         ("--radius", "5", "--slit", "nan,0.1"),
+        ("--radius", "1e200"),  # finite, but its square overflows: the search would never stop
+        ("--radius", "1.3407807929942596e154"),  # its square is finite, but not times 1 + 1e-12
     ],
 )
 def test_count_rejects_bad_numbers(extra):

@@ -17,7 +17,6 @@ from prymsv.eigencheck import (
     row_times_matrix,
     split_matrices,
     split_period_vector,
-    split_period_vector_uncorrected,
     verification_csv,
     verification_rows,
     verify_cyl_IA,
@@ -32,6 +31,8 @@ from prymsv.prototypes import (
     enumerate_cyl,
     enumerate_split,
 )
+
+from oracles import split_period_vector_uncorrected
 
 
 def test_selfadjoint_basic():

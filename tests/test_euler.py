@@ -19,15 +19,19 @@ from prymsv.euler import (
     chi_report,
     chi_W03,
     factorize,
-    is_12_primitive,
     load_table,
     m_D,
-    m_D_bruteforce,
-    p1_count,
     sigma1,
-    squarefree_decompose,
 )
 from prymsv.exactq import admissible
+
+from oracles import (
+    chi_X,
+    is_12_primitive,
+    m_D_bruteforce,
+    p1_count,
+    squarefree_decompose,
+)
 
 F = Fraction
 
@@ -360,45 +364,11 @@ def test_all_builtin_values_negative():
                 assert value < 0, (D, value)
 
 
-def _is_fundamental(D0):
-    if D0 % 4 == 1:
-        return squarefree_decompose(D0)[0] == 1
-    return D0 % 16 in (8, 12) and squarefree_decompose(D0 // 4)[0] == 1
-
-
-def _kronecker(D0, p):
-    """The Kronecker symbol ``(D0/p)`` at a prime ``p``."""
-    if p == 2:
-        return 0 if D0 % 2 == 0 else (1 if D0 % 8 in (1, 7) else -1)
-    r = pow(D0, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
-def _chi_W2_closed_form(D):
-    """Bainbridge's ``chi(W_D(2)) = -9/2 chi(X_D)``, with ``chi(X_D) = 2 zeta_{O_D}(-1)``.
-
-    For ``D = f**2 D0`` with ``D0`` fundamental, ``zeta_{O_D}(-1) = f**3
-    zeta_K(-1)`` times ``1 - (D0/p) / p**2`` over the primes ``p | f``, and
-    Siegel's formula gives ``zeta_K(-1) = (1/60) sum sigma1((D0 - e**2) / 4)``
-    over ``e**2 < D0``, ``e = D0 (mod 2)``.
-    """
-    f = next(
-        f for f in range(math.isqrt(D), 0, -1)
-        if D % (f * f) == 0 and _is_fundamental(D // (f * f))
-    )
-    D0 = D // (f * f)
-    bound = math.isqrt(D0 - 1)
-    es = [e for e in range(-bound, bound + 1) if (D0 - e) % 2 == 0]
-    zeta = f**3 * F(sum(sigma1((D0 - e * e) // 4) for e in es), 60)
-    for p in factorize(f):
-        zeta *= 1 - F(_kronecker(D0, p), p * p)
-    return F(-9, 2) * 2 * zeta
-
-
 def test_builtin_chi_w2_matches_closed_form():
     assert len(BUILTIN_TABLE.rows) == 18
     for D in BUILTIN_TABLE.rows:
-        assert BUILTIN_TABLE.chi_w2(D) == _chi_W2_closed_form(D), D
+        # Bainbridge: chi(W_D(2)) = -9/2 chi(X_D).
+        assert BUILTIN_TABLE.chi_w2(D) == F(-9, 2) * chi_X(D), D
 
 
 def test_load_table_merge_and_override(tmp_path, capsys):

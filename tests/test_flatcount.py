@@ -216,10 +216,11 @@ class TestEnumeration:
     def test_zero_radius(self, surface8):
         assert enumerate_sc(surface8, 0.0) == []
 
-    @pytest.mark.parametrize("R", [math.nan, math.inf])
+    @pytest.mark.parametrize("R", [math.nan, math.inf, 1e200, math.sqrt(sys.float_info.max)])
     def test_non_finite_radius(self, surface8, R):
-        # Neither value ever prunes the search, so it would not terminate.
-        with pytest.raises(ValueError):
+        # None of these ever prunes the search, so it would not terminate:
+        # the last two are finite, but the pruning bound R*R*(1 + 1e-12) is inf.
+        with pytest.raises(ValueError, match="finite pruning bound"):
             enumerate_sc(surface8, R)
 
     def test_negation_symmetry(self, surface8, swap_zeros):
@@ -300,31 +301,38 @@ def _digest(connections):
     return h.hexdigest()
 
 
+#: (proto, slit, R, digest): the slit is a complex vector or a ``frac`` of the
+#: default slit.  Each test id names the case, not the digest, so that
+#: re-recording a digest keeps the id.
+_PINNED_LISTS = [
+    ((1, 0, 1, 0), 0.05, 25.0,
+     "1b815842a3484cdb12bb0465b877f7b75d1c5ed96e000c314a4d4db8d5eb3b57"),
+    ((1, 0, 1, 0), 0.3, 25.0,
+     "f52d3e4efdaffa0e2f38158bfa0e2357f2e5e5973d730b0d57ed42a12f33b20a"),
+    ((2, 1, 1, -1), 0.05, 25.0,
+     "0dafa20b530d41048eaf5056b29dbaadd1bb9b7d1c499f0e68c8d64a17185c7f"),
+    ((2, 1, 1, -1), 0.3, 25.0,
+     "3424005fd4a0aea17ffe296749535b561983aa5e4990ff525c45b72522d8c5a2"),
+    ((1, 0, 1, 0), 0.03 + 0.02j, 25.0,
+     "be38a04bf9053bf45b895e442cdc69cfaa7f274551e3cca6e736f3e99612c13d"),
+    ((1, 0, 1, 1), 0.25 + 0.125j, 8.0,
+     "5a8396ad9567064a7fad8480ada4f5cd3c6cdb0a5ee360520e50c337c321baee"),
+    ((1, 0, 1, 2), 0.05, 25.0,
+     "f7a739c17176c02b6623534d6b47c69bb828d1fe691900620c86ad367b9d7003"),
+    ((2, 1, 1, -2), 0.05, 25.0,
+     "d2b703514d4b15924f706c6cf70ab438d51e3c6190b76b7456e40d1520494a9f"),
+    ((1, 0, 2, 0), 0.3, 8.0,
+     "8a39e0bb2afe0794c0b4f8075f45cc1aa4994aa713ed0e8694fe4e87a4cb4bfd"),
+    ((1, 0, 1, 0), 0.3, 30.0,
+     "262739066c388fde208a377764676e8aee36c7a91357ae40e9ee7aeddc9fbb7a"),
+]  # fmt: skip
+
+
 @pytest.mark.parametrize(
     "proto,slit,R,digest",
-    [
-        ((1, 0, 1, 0), 0.05, 25.0,
-         "1b815842a3484cdb12bb0465b877f7b75d1c5ed96e000c314a4d4db8d5eb3b57"),
-        ((1, 0, 1, 0), 0.3, 25.0,
-         "f52d3e4efdaffa0e2f38158bfa0e2357f2e5e5973d730b0d57ed42a12f33b20a"),
-        ((2, 1, 1, -1), 0.05, 25.0,
-         "0dafa20b530d41048eaf5056b29dbaadd1bb9b7d1c499f0e68c8d64a17185c7f"),
-        ((2, 1, 1, -1), 0.3, 25.0,
-         "3424005fd4a0aea17ffe296749535b561983aa5e4990ff525c45b72522d8c5a2"),
-        ((1, 0, 1, 0), 0.03 + 0.02j, 25.0,
-         "be38a04bf9053bf45b895e442cdc69cfaa7f274551e3cca6e736f3e99612c13d"),
-        ((1, 0, 1, 1), 0.25 + 0.125j, 8.0,
-         "5a8396ad9567064a7fad8480ada4f5cd3c6cdb0a5ee360520e50c337c321baee"),
-        ((1, 0, 1, 2), 0.05, 25.0,
-         "f7a739c17176c02b6623534d6b47c69bb828d1fe691900620c86ad367b9d7003"),
-        ((2, 1, 1, -2), 0.05, 25.0,
-         "d2b703514d4b15924f706c6cf70ab438d51e3c6190b76b7456e40d1520494a9f"),
-        ((1, 0, 2, 0), 0.3, 8.0,
-         "8a39e0bb2afe0794c0b4f8075f45cc1aa4994aa713ed0e8694fe4e87a4cb4bfd"),
-        ((1, 0, 1, 0), 0.3, 30.0,
-         "262739066c388fde208a377764676e8aee36c7a91357ae40e9ee7aeddc9fbb7a"),
-    ],
-)  # fmt: skip
+    _PINNED_LISTS,
+    ids=[f"{a},{b},{d},{e}-{slit}-{R}" for (a, b, d, e), slit, R, _ in _PINNED_LISTS],
+)
 def test_connection_list_pinned(proto, slit, R, digest):
     # The first six were recorded while the wedge loop pruned on abs() of
     # complex offsets, the last four while it stacked every sector it

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from prymsv import modforms
 from prymsv.cli import dispatch
 from prymsv.errors import SquareDiscriminant, UnsupportedResidue
-from prymsv.euler import squarefree_decompose
 from prymsv.modforms import (
     QSeries,
     S_D,
@@ -18,9 +17,10 @@ from prymsv.modforms import (
     psi,
     theta_prime_scaled,
     theta_psi,
-    verify_S_recursion,
     verify_vanishing,
 )
+
+from oracles import squarefree_decompose, verify_S_recursion
 
 
 class TestQSeries:

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from prymsv import prototypes
 from prymsv.errors import (
     BRequired,
     InvalidDiscriminant,
@@ -10,22 +9,21 @@ from prymsv.errors import (
     OutsideTheoremHypotheses,
     UnsupportedResidue,
 )
-from prymsv.euler import m_D_bruteforce
 from prymsv.exactq import admissible
 from prymsv.prototypes import (
     CylProto,
-    SplitClass,
     SplitProto,
     TripleProto,
-    classify_split,
     enumerate_cyl,
     enumerate_split,
     enumerate_triple,
     enumerate_triple_e,
     protos_csv,
-    split_degree_counts,
 )
 from prymsv.svconst import b_D
+
+import oracles
+from oracles import SplitClass, classify_split, m_D_bruteforce, split_degree_counts
 
 
 def quads(protos):
@@ -260,7 +258,7 @@ def test_split_degree_counts_raise_on_disagreement(monkeypatch):
             same = not same
         return SplitClass.SAME_D if same else SplitClass.FOUR_D
 
-    monkeypatch.setattr(prototypes, "classify_split", classify)
+    monkeypatch.setattr(oracles, "classify_split", classify)
     with pytest.raises(InvalidPrototype):
         split_degree_counts(17)
 
