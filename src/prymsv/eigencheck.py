@@ -311,7 +311,7 @@ def verification_rows(dmax: int) -> Iterable[tuple[int, str, object, str, bool]]
             continue
         for p in enumerate_cyl(D):
             yield D, p.kind, p, "IA", verify_cyl_IA(p)
-        if admissible(D, "triple") is None:
+        if admissible(D, TripleProto.locus) is None:
             for p in enumerate_triple(D):
                 yield D, p.kind, p, "triple", verify_triple(p)
         for p in enumerate_split(D):

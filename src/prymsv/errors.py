@@ -49,6 +49,10 @@ class NotDivisibleBy4(OutsideTheoremHypotheses):
     """A discriminant that is not divisible by four where the formula needs D/4."""
 
 
+class InvalidRadius(PrymsvError, ValueError):
+    """A counting radius whose pruning bound, family tolerance or normalisation is unusable."""
+
+
 class SlitTooLong(PrymsvError):
     """A slit vector too long to fit inside the chosen fundamental domains."""
 

@@ -269,39 +269,47 @@ def _parse_cell(cell: str, where: str) -> Fraction | None:
     if cell == "-":
         return None
     try:
-        return Fraction(cell)
+        value = Fraction(cell)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {cell!r} in {where}") from exc
+    if value >= 0:
+        raise ParseError(f"{where}: value {cell!r} is not negative")
+    return value
 
 
 def load_table(path: str) -> EulerTable:
     """Read a CSV table ``D,chi_w4,chi_w2,chi_w03`` and merge over built-ins.
 
     File rows override built-in rows on key collision (with a warning to
-    stderr); ``-`` marks an absent entry.
+    stderr); ``-`` marks an absent entry and every other value is negative.
+    A file that cannot be opened or is not UTF-8 raises ``ParseError``.
     """
     rows = dict(_BUILTIN_ROWS)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("d,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-            where = f"{path}:{lineno}"
-            try:
-                D = int(parts[0])
-            except ValueError as exc:
-                raise ParseError(f"{where}: bad discriminant {parts[0]!r}") from exc
-            w4 = _parse_cell(parts[1], where)
-            w2 = _parse_cell(parts[2], where)
-            w03 = _parse_cell(parts[3], where)
-            if w2 is None:
-                raise ParseError(f"{where}: chi_w2 may not be absent")
-            if D in rows:
-                print(f"warning: table row D={D} overrides built-in", file=sys.stderr)
-            rows[D] = (w4, w2, w03)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read table {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.lower().startswith("d,"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
+        where = f"{path}:{lineno}"
+        try:
+            D = int(parts[0])
+        except ValueError as exc:
+            raise ParseError(f"{where}: bad discriminant {parts[0]!r}") from exc
+        w4 = _parse_cell(parts[1], where)
+        w2 = _parse_cell(parts[2], where)
+        w03 = _parse_cell(parts[3], where)
+        if w2 is None:
+            raise ParseError(f"{where}: chi_w2 may not be absent")
+        if D in rows:
+            print(f"warning: table row D={D} overrides built-in", file=sys.stderr)
+        rows[D] = (w4, w2, w03)
     return EulerTable(rows=rows)
 
 

@@ -1,8 +1,8 @@
 """Discriminant validation.
 
-:func:`check_discriminant` accepts a positive int ``D ≡ 0, 1 (mod 4)``, and
 :func:`admissible` decides, in one place, which discriminants each
-computation accepts.
+computation accepts, down to what a discriminant is (a positive int
+``D ≡ 0, 1 (mod 4)``); :func:`check_discriminant` raises its rejection.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import (
 
 def check_discriminant(D: int) -> int:
     """Validate that ``D`` is a positive int with ``D % 4 in (0, 1)``."""
-    if type(D) is not int or D <= 0 or D % 4 > 1:
-        raise InvalidDiscriminant(f"{D!r} is not a positive discriminant")
+    if err := admissible(D, "disc"):
+        raise err
     return D
 
 
@@ -57,10 +57,8 @@ def admissible(D: int, locus: str) -> PrymsvError | None:
     raise err`` to fail and ``admissible(D, locus) is None`` to filter.
     """
     residues, squares, bound = _LOCI[locus]
-    try:
-        check_discriminant(D)
-    except InvalidDiscriminant as exc:
-        return exc
+    if type(D) is not int or D <= 0 or D % 4 > 1:
+        return InvalidDiscriminant(f"{D!r} is not a positive discriminant")
     if D % 8 not in residues:
         allowed = ", ".join(map(str, residues))
         return UnsupportedResidue(

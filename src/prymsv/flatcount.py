@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import DegenerateDirection, SlitTooLong
+from .errors import DegenerateDirection, InvalidRadius, SlitTooLong
 from .prototypes import TripleProto
 
 Edge = tuple[int, int]  # (triangle index, edge index 0..2)
@@ -232,7 +232,8 @@ def build_slit_triple(p: TripleProto, t: complex) -> FlatSurface:
     Each torus is triangulated by a fan of four triangles from the slit
     endpoint ``R = t`` inside a fundamental parallelogram with the other slit
     endpoint ``L = 0`` at its corner; the doubled slit edge of torus ``j`` is
-    reglued to torus ``j + 1 (mod 3)``.  Area is ``lambda^2 + 2ad``.
+    reglued to torus ``j + 1 (mod 3)``.  Area is ``lambda^2 + 2ad``.  The
+    surface is returned only after :meth:`FlatSurface.check` has passed.
     """
     lam = lambda_float(p.D, p.e)
     # Packed lambda: (A, B) = (e, 1), or (e + r, 0) at a square D = r^2, where
@@ -270,7 +271,9 @@ def build_slit_triple(p: TripleProto, t: complex) -> FlatSurface:
     for j in range(3):
         pair((4 * j + 0, 2), (4 * ((j + 1) % 3) + 3, 1))
     area = lam * lam + 2 * p.a * p.d
-    return FlatSurface(triangles=triangles, glue=glue, area_exact=area, exact=exact)
+    surface = FlatSurface(triangles=triangles, glue=glue, area_exact=area, exact=exact)
+    surface.check()
+    return surface
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +308,11 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     by :meth:`SaddleConnection.sort_key`, a total order on records, so the
     list depends only on the surface and R, not on the order of the search.
     A pruning bound that is not finite (a non-finite ``R``, or one whose
-    square overflows) never stops the search, so it raises ``ValueError``.
+    square overflows) never stops the search, so it raises ``InvalidRadius``.
     """
     R2 = R * R * (1 + 1e-12)
     if not math.isfinite(R2):
-        raise ValueError(f"radius must have a finite pruning bound R*R*(1 + 1e-12), got {R}")
+        raise InvalidRadius(f"radius must have a finite pruning bound R*R*(1 + 1e-12), got {R}")
     zeros = s.zeros()
     if len(zeros) != 2:
         raise ValueError(f"expected exactly two cone points, found {zeros}")
@@ -451,21 +454,31 @@ def family_counts(s: FlatSurface, R: float) -> dict[int, int]:
     """Counts ``{multiplicity: number of families}`` of z1 -> z2 connections.
 
     A family is the connections of one exact holonomy (:func:`group_families`),
-    whose float holonomies must agree to ``1e-9 * R``.  Raises ``ValueError``
-    unless ``R > 0``.
+    whose float holonomies must agree to ``1e-9 * R``.  Raises
+    ``InvalidRadius`` unless that tolerance is ``> 0``.
     """
-    if not R > 0:
-        raise ValueError(f"radius must be > 0, got {R}")
+    tol = 1e-9 * R
+    if not tol > 0:
+        raise InvalidRadius(f"radius must be > 0 with a family tolerance 1e-9 * R > 0, got {R}")
     counts: dict[int, int] = {}
-    for fam in group_families(enumerate_sc(s, R), 1e-9 * R):
+    for fam in group_families(enumerate_sc(s, R), tol):
         counts[fam.multiplicity] = counts.get(fam.multiplicity, 0) + 1
     return counts
 
 
 def count_report(s: FlatSurface, R: float) -> dict:
-    """JSON-ready report with family counts and empirical constants."""
+    """JSON-ready report with family counts and empirical constants.
+
+    Raises ``InvalidRadius`` unless the disc area ``pi * R * R`` is ``> 0``
+    and ``Area / (pi * R * R)`` is finite.
+    """
+    disc = math.pi * R * R
+    if not disc > 0 or not math.isfinite(norm := s.area / disc):
+        raise InvalidRadius(
+            f"radius {R} is out of range: pi * R * R = {disc} must be > 0 "
+            "and Area / (pi * R * R) finite"
+        )
     counts = family_counts(s, R)
-    norm = s.area / (math.pi * R * R)
     return {
         "R": R,
         "families": {str(k): counts.get(k, 0) for k in (1, 2, 3)},

@@ -284,12 +284,19 @@ def test_count_slit_outside_parallelogram(capsys):
         ("--radius", "5", "--slit", "nan,0.1"),
         ("--radius", "1e200"),  # finite, but its square overflows: the search would never stop
         ("--radius", "1.3407807929942596e154"),  # its square is finite, but not times 1 + 1e-12
+        ("--radius", "1e-160"),  # Area / (pi R^2) overflows: the estimates would read NaN
+        ("--radius", "1e-300"),  # pi R^2 underflows to 0
+        ("--radius", "5e-324"),  # the family tolerance 1e-9 * R underflows to 0
     ],
 )
-def test_count_rejects_bad_numbers(extra):
-    with pytest.raises(SystemExit) as exc:
-        dispatch(["count", "--d", "8", "--proto", "1,0,1,0", *extra])
-    assert exc.value.code == 2
+def test_count_rejects_bad_numbers(capsys, extra):
+    # argparse rejects a non-finite number; flatcount rejects the radius it cannot use.
+    try:
+        code = dispatch(["count", "--d", "8", "--proto", "1,0,1,0", *extra])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("nmax", ["-1", "-5", "1.5", "x"])
@@ -360,6 +367,13 @@ def test_conjecture(capsys):
     assert report["failures"] == []
     assert 17 in report["checked"]
     assert "16" in report["skipped"]
+
+
+def test_unreadable_table_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "sv", "--d", "12", "--table", str(tmp_path / "missing.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read table")
 
 
 def test_table_override(capsys, tmp_path):

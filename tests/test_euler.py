@@ -398,6 +398,15 @@ def test_load_table_parse_errors(tmp_path):
     path.write_text("52,-,-,-\n")
     with pytest.raises(ParseError, match="chi_w2 may not be absent"):
         load_table(str(path))
+    # Every table value is negative; chi_w2 = 3 would make D = 12's volume numerator 0.
+    for row in ("12,-5/6,0,-1/3\n", "12,-5/6,3,-1/3\n"):
+        path.write_text(row)
+        with pytest.raises(ParseError, match=r"bad\.csv:1: value '[03]' is not negative"):
+            load_table(str(path))
+    path.write_bytes(b"\xff12,-5/6,-3/2,-1/3\n")
+    for unreadable in (path, tmp_path, tmp_path / "missing.csv"):
+        with pytest.raises(ParseError, match="cannot read table"):
+            load_table(str(unreadable))
 
 
 def test_chi_report_format():

@@ -19,6 +19,18 @@ class TestDiscriminant:
         with pytest.raises(InvalidDiscriminant):
             check_discriminant(bad)
 
+    def test_agrees_with_admissible(self):
+        # check_discriminant raises exactly the rejection admissible(D, "disc") returns.
+        for D in [*range(-4, 101), True, 8.0, "8"]:
+            reason = admissible(D, "disc")
+            if reason is None:
+                assert check_discriminant(D) == D
+                continue
+            with pytest.raises(InvalidDiscriminant) as exc:
+                check_discriminant(D)
+            assert type(exc.value) is type(reason)
+            assert str(exc.value) == str(reason)
+
     def test_no_memo_after_valid_int(self):
         # Once 5 has been accepted, its float twin must still be rejected.
         check_discriminant(5)

@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from prymsv.errors import DegenerateDirection, SlitTooLong
+from prymsv.errors import DegenerateDirection, InvalidRadius, PrymsvError, SlitTooLong
 from prymsv.flatcount import (
     _KEY,
     FlatSurface,
@@ -155,6 +155,14 @@ class TestConstruction:
             capture_output=True, text=True, env=env, check=True,
         ).stdout
         assert out.startswith("rejected: gluing is not an involution"), out
+
+    def test_build_checks_the_surface(self, monkeypatch):
+        def reject(self):
+            raise ValueError("rejected")
+
+        monkeypatch.setattr(FlatSurface, "check", reject)
+        with pytest.raises(ValueError, match="rejected"):
+            build_slit_triple(P8, default_slit(P8))
 
     def test_slit_too_long(self):
         with pytest.raises(SlitTooLong):
@@ -382,10 +390,15 @@ class TestEstimates:
         assert counts == {3: 1}
 
     def test_report_needs_positive_radius(self, surface8):
-        for R in (0.0, -1.0):
-            with pytest.raises(ValueError, match="radius"):
+        assert issubclass(InvalidRadius, PrymsvError)
+        assert issubclass(InvalidRadius, ValueError)
+        # At 1e-160 Area / (pi R^2) overflows and at 1e-300 pi R^2 underflows,
+        # so only the report fails; at 5e-324 the tolerance 1e-9 * R is 0 too.
+        for R in (0.0, -1.0, 1e-160, 1e-300, 5e-324):
+            with pytest.raises(InvalidRadius, match="radius"):
                 count_report(surface8, R)
-            with pytest.raises(ValueError, match="radius"):
+        for R in (0.0, -1.0, 5e-324):
+            with pytest.raises(InvalidRadius, match="radius"):
                 family_counts(surface8, R)
 
     def test_report_shape(self, surface8):
