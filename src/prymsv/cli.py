@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -27,8 +26,7 @@ def _table(args: argparse.Namespace) -> euler.EulerTable:
 
 def _cmd_chi(args: argparse.Namespace) -> int:
     if args.dmin > args.dmax:
-        print(f"error: --dmin {args.dmin} exceeds --dmax {args.dmax}", file=sys.stderr)
-        return 2
+        raise PrymsvError(f"--dmin {args.dmin} exceeds --dmax {args.dmax}")
     report, ok = euler.chi_report(args.dmin, args.dmax, _table(args))
     print(report)
     return 0 if ok else 1
@@ -84,21 +82,14 @@ def _parse_proto(text: str) -> tuple[int, int, int, int]:
     return a, b, d, e
 
 
-def _parse_finite(text: str) -> float:
-    try:
-        x = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
-    return x
-
-
 def _parse_vec(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected re,im")
-    return complex(*map(_parse_finite, parts))
+    try:
+        return complex(*map(float, parts))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number in {text!r}") from exc
 
 
 def _parse_nonneg(text: str) -> int:
@@ -115,11 +106,7 @@ def _parse_nonneg(text: str) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     p = prototypes.TripleProto(*args.proto)
     if p.D != args.d:
-        print(
-            f"error: prototype {args.proto} has discriminant {p.D}, not {args.d}",
-            file=sys.stderr,
-        )
-        return 2
+        raise PrymsvError(f"prototype {args.proto} has discriminant {p.D}, not {args.d}")
     t = args.slit if args.slit is not None else flatcount.default_slit(p)
     report = flatcount.count_report(flatcount.build_slit_triple(p, t), args.radius)
     print(json.dumps(report, sort_keys=True))
@@ -175,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--d", type=int, required=True)
     p_count.add_argument("--proto", type=_parse_proto, required=True)
     p_count.add_argument("--slit", type=_parse_vec, default=None)
-    p_count.add_argument("--radius", type=_parse_finite, required=True)
+    p_count.add_argument("--radius", type=float, required=True)
     p_count.set_defaults(func=_cmd_count)
 
     p_conj = sub.add_parser("conjecture", help="check (25/9, 3, 2/9) over a range")

@@ -28,34 +28,15 @@ class MissingTableEntry(PrymsvError):
 class OutsideTheoremHypotheses(PrymsvError):
     """A discriminant outside the hypotheses of the closed-form results.
 
-    :func:`prymsv.exactq.admissible` returns it, or one of the subclasses
-    below, to say why a computation rejects a valid discriminant.
+    :func:`prymsv.exactq.admissible` returns it to say why a computation
+    rejects a valid discriminant; the message names the residue, the square
+    or the size.
     """
-
-
-class UnsupportedResidue(OutsideTheoremHypotheses):
-    """A discriminant outside the residue classes mod 8 that a locus needs."""
-
-
-class ResidueMismatch(OutsideTheoremHypotheses):
-    """A discriminant outside the residue classes a formula is stated for."""
-
-
-class SquareDiscriminant(OutsideTheoremHypotheses):
-    """A perfect-square discriminant passed where a non-square one is required."""
-
-
-class NotDivisibleBy4(OutsideTheoremHypotheses):
-    """A discriminant that is not divisible by four where the formula needs D/4."""
 
 
 class InvalidRadius(PrymsvError, ValueError):
     """A counting radius whose pruning bound, family tolerance or normalisation is unusable."""
 
 
-class SlitTooLong(PrymsvError):
-    """A slit vector too long to fit inside the chosen fundamental domains."""
-
-
-class DegenerateDirection(PrymsvError):
-    """A slit direction parallel to a short lattice vector."""
+class InvalidSlit(PrymsvError):
+    """A slit that is not finite, too short or too long for its lattices, or parallel to a generator."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import MissingTableEntry, ParseError, ResidueMismatch
+from .errors import MissingTableEntry, OutsideTheoremHypotheses, ParseError
 from .exactq import admissible, check_discriminant
 
 # ---------------------------------------------------------------------------
@@ -164,9 +164,9 @@ def c_index(m: int) -> int:
 def _check_e(D: int, e: int) -> None:
     check_discriminant(D)
     if e * e >= D:
-        raise ResidueMismatch(f"need e^2 < D, got e = {e}, D = {D}")
+        raise OutsideTheoremHypotheses(f"need e^2 < D, got e = {e}, D = {D}")
     if (D - e * e) % 8 != 0:
-        raise ResidueMismatch(f"e = {e} has e^2 !≡ D (mod 8) for D = {D}")
+        raise OutsideTheoremHypotheses(f"e = {e} has e^2 !≡ D (mod 8) for D = {D}")
 
 
 def m_D(D: int, e: int) -> int:

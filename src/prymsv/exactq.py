@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import (
-    InvalidDiscriminant,
-    OutsideTheoremHypotheses,
-    PrymsvError,
-    SquareDiscriminant,
-    UnsupportedResidue,
-)
+from .errors import InvalidDiscriminant, OutsideTheoremHypotheses, PrymsvError
 
 
 def check_discriminant(D: int) -> int:
@@ -61,11 +55,11 @@ def admissible(D: int, locus: str) -> PrymsvError | None:
         return InvalidDiscriminant(f"{D!r} is not a positive discriminant")
     if D % 8 not in residues:
         allowed = ", ".join(map(str, residues))
-        return UnsupportedResidue(
+        return OutsideTheoremHypotheses(
             f"D = {D} ≡ {D % 8} (mod 8): the {locus} locus needs D ≡ {allowed} (mod 8)"
         )
     if not squares and is_square(D):
-        return SquareDiscriminant(f"D = {D} is a square")
+        return OutsideTheoremHypotheses(f"D = {D} is a square")
     if D <= bound:
         return OutsideTheoremHypotheses(
             f"D = {D} is too small: the {locus} locus needs D > {bound}"

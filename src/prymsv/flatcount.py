@@ -25,14 +25,15 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import DegenerateDirection, InvalidRadius, SlitTooLong
+from .errors import InvalidRadius, InvalidSlit
 from .prototypes import TripleProto
 
 Edge = tuple[int, int]  # (triangle index, edge index 0..2)
 
 #: Relative tolerance of :meth:`FlatSurface.check` on edge vectors and area.
 _CHECK_RTOL = 1e-9
-#: How close to a lattice generator the slit may point, in basis coordinates.
+#: The least basis coordinate the slit may have: a smaller one would leave a
+#: fan triangle of area below about 1e-12 of its parallelogram.
 _BASIS_EPS = 1e-12
 #: Base of the packed exact positions: the int ``A + B*K + C*K**2 + E*K**3``
 #: with signed digits ``|A|, |B|, |C|, |E| < K/2`` is ``((A + B*sqrt(D)) +
@@ -189,12 +190,12 @@ def _quarter_turns(u: complex, v: complex, t: complex) -> int:
     det = _cross(u, v)
     alpha = _cross(t, v) / det
     beta = _cross(u, t) / det
+    if max(abs(alpha), abs(beta)) <= _BASIS_EPS:
+        raise InvalidSlit(f"slit {t} is too short for the lattice of {u} and {v}")
     if abs(alpha) <= _BASIS_EPS or abs(beta) <= _BASIS_EPS:
-        raise DegenerateDirection(
-            f"slit direction {t} is (nearly) parallel to a lattice generator"
-        )
+        raise InvalidSlit(f"slit direction {t} is (nearly) parallel to a lattice generator")
     if max(abs(alpha), abs(beta)) >= 1:
-        raise SlitTooLong(f"slit {t} is outside the parallelogram of {u} and {v}")
+        raise InvalidSlit(f"slit {t} is outside the parallelogram of {u} and {v}")
     if alpha > 0:
         return 0 if beta > 0 else 3
     return 1 if beta > 0 else 2
@@ -232,8 +233,11 @@ def build_slit_triple(p: TripleProto, t: complex) -> FlatSurface:
     Each torus is triangulated by a fan of four triangles from the slit
     endpoint ``R = t`` inside a fundamental parallelogram with the other slit
     endpoint ``L = 0`` at its corner; the doubled slit edge of torus ``j`` is
-    reglued to torus ``j + 1 (mod 3)``.  Area is ``lambda^2 + 2ad``.  The
-    surface is returned only after :meth:`FlatSurface.check` has passed.
+    reglued to torus ``j + 1 (mod 3)``.  Area is ``lambda^2 + 2ad``.  A slit
+    that is not finite, at least half :func:`systole_estimate` long, or too
+    short, too long or (nearly) parallel for one of the three lattices raises
+    ``InvalidSlit``.  The surface is returned only after
+    :meth:`FlatSurface.check` has passed.
     """
     lam = lambda_float(p.D, p.e)
     # Packed lambda: (A, B) = (e, 1), or (e + r, 0) at a square D = r^2, where
@@ -242,9 +246,11 @@ def build_slit_triple(p: TripleProto, t: complex) -> FlatSurface:
     klam = p.e + (r if r * r == p.D else _KEY)
     torus = (complex(p.a), complex(p.b, p.d), 2 * p.a, 2 * p.b + 2 * p.d * _KEY**2)
     lattices = [(complex(lam), complex(0, lam), klam, klam * _KEY**2), torus, torus]
+    if not cmath.isfinite(t):
+        raise InvalidSlit(f"slit {t} is not finite")
     sys_len = systole_estimate(p)
     if abs(t) >= 0.5 * sys_len:
-        raise SlitTooLong(f"|t| = {abs(t):.6g} >= half the systole {sys_len:.6g}")
+        raise InvalidSlit(f"|t| = {abs(t):.6g} >= half the systole {sys_len:.6g}")
     triangles: list[tuple[complex, complex, complex]] = []
     exact: list[tuple[int, int, int]] = []
     glue: dict[Edge, Edge] = {}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .errors import MissingTableEntry, NotDivisibleBy4
+from .errors import MissingTableEntry, OutsideTheoremHypotheses
 from .euler import BUILTIN_TABLE, EulerTable, chi_W03
 from .exactq import admissible
 
@@ -30,7 +30,7 @@ def b_D(D: int) -> int:
     0`` splitting prototype, by the parity of each curve system.
     """
     if D % 4 != 0:
-        raise NotDivisibleBy4(f"b_D needs 4 | D, got {D}")
+        raise OutsideTheoremHypotheses(f"b_D needs 4 | D, got {D}")
     q = D // 4
     if q % 4 in (2, 3):
         return 0

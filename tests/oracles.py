@@ -5,8 +5,10 @@ enumeration (``p1_count``, ``m_D_bruteforce``, ``split_degree_counts``), by a
 recursion (``verify_S_recursion``) or by an external closed form (``chi_X``,
 Bainbridge's Euler characteristic of the Hilbert modular surface).
 ``split_period_vector_uncorrected`` is a negative control: the printed
-``w1`` period vector, which fails the eigen-relation.  No command or module
-of the package reaches this code; only tests import it.
+``w1`` period vector, which fails the eigen-relation.  ``Poly`` runs the eigen
+checks on indeterminates, and ``theta_psi_eta`` expands ``eta(8z)^3`` for
+``modforms.theta_psi``.  No command or module of the package reaches this
+code; only tests import it.
 """
 
 from __future__ import annotations
@@ -158,6 +160,28 @@ def verify_S_recursion(D: int) -> tuple[int, int]:
     return S_D_sigma(D), rhs
 
 
+def theta_psi_eta(N: int) -> dict[int, int]:
+    """``eta(8z)^3 = q * prod_{n >= 1} (1 - q^(8n))^3`` to ``q^N``, as ``{exponent: coefficient}``.
+
+    Multiplies a dense list by each factor ``(1 - x)^3 = 1 - 3x + 3x^2 - x^3``,
+    ``x = q^(8n)``, in one descending pass, so it shares no code with
+    ``modforms``.  Jacobi's identity ``eta(z)^3 = sum_{n >= 0} (-1)^n (2n + 1)
+    q^((2n + 1)^2 / 8)`` says that it is ``modforms.theta_psi(N)``.
+    """
+    c = [0] * (N + 1)
+    if N >= 1:
+        c[1] = 1
+    for m in range(8, N, 8):
+        for k in range(N, m, -1):
+            x = c[k] - 3 * c[k - m]
+            if k >= 2 * m:
+                x += 3 * c[k - 2 * m]
+                if k >= 3 * m:
+                    x -= c[k - 3 * m]
+            c[k] = x
+    return {k: x for k, x in enumerate(c) if x}
+
+
 # ---------------------------------------------------------------------------
 # The splitting degree (oracle of prymsv.svconst.b_D).
 # ---------------------------------------------------------------------------
@@ -229,3 +253,58 @@ def split_period_vector_uncorrected(p: SplitProto) -> list[Row]:
         ([0, 0, 2 * p.a, 0], [2, 0, 0, 0]),
         ([0, 0, 0, 2 * p.d], [0, 2, 0, 0]),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Integer polynomials (the eigen checks as identities in a, b, d, e).
+# ---------------------------------------------------------------------------
+
+
+class Poly:
+    """A sparse integer polynomial in ``(a, b, d, e)``: ``{exponents: coefficient}``.
+
+    Supports ``+``, ``-``, ``*`` and ``==``, also with ``int`` on either side,
+    which is all the eigen checks do to a prototype's integers; so a check that
+    returns ``True`` on ``Poly.var(0..3)`` holds for every integer quadruple.
+    """
+
+    def __init__(self, terms: dict[tuple[int, ...], int]):
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    @classmethod
+    def var(cls, i: int) -> "Poly":
+        return cls({tuple(int(j == i) for j in range(4)): 1})
+
+    @staticmethod
+    def lift(x: "Poly | int") -> "Poly":
+        return x if isinstance(x, Poly) else Poly({(0, 0, 0, 0): x})
+
+    def __add__(self, other: "Poly | int") -> "Poly":
+        terms = dict(self.terms)
+        for m, c in Poly.lift(other).terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Poly":
+        return Poly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: "Poly | int") -> "Poly":
+        return self + -Poly.lift(other)
+
+    def __rsub__(self, other: int) -> "Poly":
+        return -self + other
+
+    def __mul__(self, other: "Poly | int") -> "Poly":
+        terms: dict[tuple[int, ...], int] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in Poly.lift(other).terms.items():
+                m = tuple(i + j for i, j in zip(m1, m2))
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: "Poly | int") -> bool:  # type: ignore[override]
+        return self.terms == Poly.lift(other).terms

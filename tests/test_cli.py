@@ -290,13 +290,32 @@ def test_count_slit_outside_parallelogram(capsys):
     ],
 )
 def test_count_rejects_bad_numbers(capsys, extra):
-    # argparse rejects a non-finite number; flatcount rejects the radius it cannot use.
+    # flatcount rejects every radius and slit it cannot use, finite or not.
     try:
         code = dispatch(["count", "--d", "8", "--proto", "1,0,1,0", *extra])
     except SystemExit as exc:
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "extra,words",
+    [
+        (("--radius", "nan"), "radius nan"),
+        (("--radius", "inf"), "got inf"),
+        (("--radius", "5", "--slit=nan,0.1"), "is not finite"),
+        (("--radius", "5", "--slit=1e-200,3e-200"), "too short for the lattice"),
+        (("--radius", "5", "--slit=0.05,0"), "parallel to a lattice generator"),
+    ],
+)
+def test_count_refusal_is_one_error_line(capsys, extra, words):
+    # flatcount owns the reason; dispatch prints it as one line, with no usage block.
+    code, out, err = run(capsys, "count", "--d", "8", "--proto", "1,0,1,0", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert words in err
 
 
 @pytest.mark.parametrize("nmax", ["-1", "-5", "1.5", "x"])

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+from prymsv import eigencheck
 from prymsv.errors import BRequired
 from prymsv.eigencheck import (
     SPLIT_CASES,
@@ -32,7 +33,7 @@ from prymsv.prototypes import (
     enumerate_split,
 )
 
-from oracles import split_period_vector_uncorrected
+from oracles import Poly, split_period_vector_uncorrected
 
 
 def test_selfadjoint_basic():
@@ -225,6 +226,39 @@ def test_checks_are_identities_in_any_integers(a, b, d, e):
     assert verify_triple(SimpleNamespace(a=a, b=b, d=d, e=e))
     for case in SPLIT_CASES:
         assert verify_split_endo(SimpleNamespace(a=a, b=0, d=d, e=e), case)
+
+
+# The indeterminates a, b, d, e as a prototype; b = 0 for the splitting cases.
+SYMBOLIC = SimpleNamespace(a=Poly.var(0), b=Poly.var(1), d=Poly.var(2), e=Poly.var(3))
+SYMBOLIC_SPLIT = SimpleNamespace(a=SYMBOLIC.a, b=0, d=SYMBOLIC.d, e=SYMBOLIC.e)
+
+
+def test_checks_are_polynomial_identities():
+    # On indeterminates each check compares polynomials, so True proves it
+    # for every integer quadruple.
+    assert verify_cyl_IA(SYMBOLIC) is True
+    assert verify_triple(SYMBOLIC) is True
+    for case in SPLIT_CASES:
+        assert verify_split_endo(SYMBOLIC_SPLIT, case) is True
+
+
+@pytest.mark.parametrize("check", [verify_cyl_IA, verify_triple])
+def test_polynomial_control_perturbed_generator(monkeypatch, check):
+    # One entry of T plus 1 is no identity: the polynomial checks can fail.
+    def perturbed(a, b, d, e):
+        T = build_T(a, b, d, e)
+        T[0][2] += 1
+        return T
+
+    monkeypatch.setattr(eigencheck, "build_T", perturbed)
+    assert check(SYMBOLIC) is False
+
+
+def test_polynomial_control_uncorrected_w1_vector(monkeypatch):
+    monkeypatch.setattr(
+        eigencheck, "split_period_vector", lambda p, case: split_period_vector_uncorrected(p)
+    )
+    assert verify_split_endo(SYMBOLIC_SPLIT, "w1") is False
 
 
 class TestVerifyEndoBranches:

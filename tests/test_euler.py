@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 from prymsv import euler, modforms
 from prymsv.errors import (
     MissingTableEntry,
+    OutsideTheoremHypotheses,
     ParseError,
-    ResidueMismatch,
-    SquareDiscriminant,
-    UnsupportedResidue,
 )
 from prymsv.euler import (
     BUILTIN_TABLE,
@@ -237,9 +235,9 @@ def test_m_D_symmetry():
 
 
 def test_m_D_rejects_bad_e():
-    with pytest.raises(ResidueMismatch):
+    with pytest.raises(OutsideTheoremHypotheses, match=r"e\^2 !≡ D \(mod 8\)"):
         m_D(17, 2)
-    with pytest.raises(ResidueMismatch):
+    with pytest.raises(OutsideTheoremHypotheses, match=r"need e\^2 < D"):
         m_D(17, 5)
 
 
@@ -328,9 +326,9 @@ def test_chi_W03_sums_both_signs_of_e():
 
 
 def test_chi_W03_errors():
-    with pytest.raises(UnsupportedResidue):
+    with pytest.raises(OutsideTheoremHypotheses, match="mod 8"):
         chi_W03(13)
-    with pytest.raises(SquareDiscriminant):
+    with pytest.raises(OutsideTheoremHypotheses, match="is a square"):
         chi_W03(16)
 
 

@@ -1,11 +1,6 @@
 import pytest
 
-from prymsv.errors import (
-    InvalidDiscriminant,
-    OutsideTheoremHypotheses,
-    SquareDiscriminant,
-    UnsupportedResidue,
-)
+from prymsv.errors import InvalidDiscriminant, OutsideTheoremHypotheses
 from prymsv.exactq import admissible, check_discriminant
 
 
@@ -58,10 +53,10 @@ class TestAdmissible:
     @pytest.mark.parametrize(
         "D,locus,err,words",
         [
-            (13, "theorem", UnsupportedResidue, "13 ≡ 5 (mod 8)"),
-            (12, "S_D", UnsupportedResidue, "12 ≡ 4 (mod 8)"),
-            (16, "W03", SquareDiscriminant, "16 is a square"),
-            (49, "S_D", SquareDiscriminant, "49 is a square"),
+            (13, "theorem", OutsideTheoremHypotheses, "13 ≡ 5 (mod 8)"),
+            (12, "S_D", OutsideTheoremHypotheses, "12 ≡ 4 (mod 8)"),
+            (16, "W03", OutsideTheoremHypotheses, "16 is a square"),
+            (49, "S_D", OutsideTheoremHypotheses, "49 is a square"),
             (8, "theorem", OutsideTheoremHypotheses, "needs D > 9"),
             (4, "triple", OutsideTheoremHypotheses, "needs D > 4"),
             (4, "split", OutsideTheoremHypotheses, "needs D > 4"),

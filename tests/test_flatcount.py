@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from prymsv.errors import DegenerateDirection, InvalidRadius, PrymsvError, SlitTooLong
+from prymsv.errors import InvalidRadius, InvalidSlit, PrymsvError
 from prymsv.flatcount import (
     _KEY,
     FlatSurface,
@@ -165,7 +165,7 @@ class TestConstruction:
             build_slit_triple(P8, default_slit(P8))
 
     def test_slit_too_long(self):
-        with pytest.raises(SlitTooLong):
+        with pytest.raises(InvalidSlit, match="half the systole"):
             build_slit_triple(P8, 0.9 + 0.1j)
 
     def test_slit_outside_parallelogram(self):
@@ -175,13 +175,24 @@ class TestConstruction:
         p = TripleProto(100, 33, 1, 1)  # D = 801
         assert systole_estimate(p) > 14
         for t in (2.5 + 1j, default_slit(p, 0.3)):
-            with pytest.raises(SlitTooLong, match="parallelogram"):
+            with pytest.raises(InvalidSlit, match="parallelogram"):
                 build_slit_triple(p, t)
 
     def test_degenerate_direction(self):
         # Slit parallel to the horizontal generator.
-        with pytest.raises(DegenerateDirection):
+        with pytest.raises(InvalidSlit, match="parallel to a lattice generator"):
             build_slit_triple(P8, 0.05 + 0j)
+
+    def test_slit_too_short(self):
+        # A generic direction, but both basis coordinates are below 1e-12: the
+        # slit is too short for the lattice, not parallel to a generator.
+        with pytest.raises(InvalidSlit, match="too short for the lattice"):
+            build_slit_triple(P8, 1e-200 + 3e-200j)
+
+    @pytest.mark.parametrize("t", [complex(math.nan, 0.1), complex(math.inf, 0), complex(0.01, -math.inf)])
+    def test_slit_not_finite(self, t):
+        with pytest.raises(InvalidSlit, match="not finite"):
+            build_slit_triple(P8, t)
 
     def test_negative_e_prototype(self):
         p = TripleProto(2, 1, 1, -1)  # D = 17

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from prymsv import modforms
 from prymsv.cli import dispatch
-from prymsv.errors import SquareDiscriminant, UnsupportedResidue
+from prymsv.errors import OutsideTheoremHypotheses
 from prymsv.modforms import (
     QSeries,
     S_D,
@@ -20,7 +20,7 @@ from prymsv.modforms import (
     verify_vanishing,
 )
 
-from oracles import squarefree_decompose, verify_S_recursion
+from oracles import squarefree_decompose, theta_psi_eta, verify_S_recursion
 
 
 class TestQSeries:
@@ -86,6 +86,12 @@ def test_psi_values():
 def test_theta_psi():
     t = theta_psi(30)
     assert t.coeffs == {1: 1, 9: -3, 25: 5}
+
+
+@pytest.mark.parametrize("N", [0, 1, 9, 2000])
+def test_theta_psi_is_eta_8z_cubed(N):
+    # Jacobi's identity: theta_psi = eta(8z)^3, the product expanded in integers.
+    assert theta_psi(N).coeffs == theta_psi_eta(N)
 
 
 def test_theta_prime_scaled():
@@ -180,11 +186,11 @@ def test_S_D_vanishes(D):
 
 
 def test_S_D_guards():
-    with pytest.raises(UnsupportedResidue):
+    with pytest.raises(OutsideTheoremHypotheses, match="mod 8"):
         S_D(12)
-    with pytest.raises(SquareDiscriminant):
+    with pytest.raises(OutsideTheoremHypotheses, match="is a square"):
         S_D(9)
-    with pytest.raises(SquareDiscriminant):
+    with pytest.raises(OutsideTheoremHypotheses, match="is a square"):
         S_D(49)
 
 
@@ -214,7 +220,7 @@ def test_recursion_nontrivial_conductor():
 
 
 def test_recursion_guards():
-    with pytest.raises(UnsupportedResidue):
+    with pytest.raises(OutsideTheoremHypotheses, match="mod 8"):
         verify_S_recursion(20)
-    with pytest.raises(SquareDiscriminant):
+    with pytest.raises(OutsideTheoremHypotheses, match="is a square"):
         verify_S_recursion(81)

@@ -7,7 +7,6 @@ from prymsv.errors import (
     InvalidDiscriminant,
     InvalidPrototype,
     OutsideTheoremHypotheses,
-    UnsupportedResidue,
 )
 from prymsv.exactq import admissible
 from prymsv.prototypes import (
@@ -117,7 +116,7 @@ def test_triple_slice_counts(D, e, count):
 
 
 def test_triple_rejects_residue_5():
-    with pytest.raises(UnsupportedResidue):
+    with pytest.raises(OutsideTheoremHypotheses, match="mod 8"):
         enumerate_triple(13)
 
 
@@ -264,7 +263,7 @@ def test_split_degree_counts_raise_on_disagreement(monkeypatch):
 
 
 def test_split_degree_rejects_odd_nonsplit():
-    with pytest.raises(UnsupportedResidue):
+    with pytest.raises(OutsideTheoremHypotheses, match="mod 8"):
         split_degree_counts(21)
 
 
@@ -306,11 +305,12 @@ def test_protos_csv_matches_the_objects(cls, enumerate_kind):
     "cls,D,error",
     [
         (CylProto, 7, InvalidDiscriminant),
-        (TripleProto, 21, UnsupportedResidue),
+        (TripleProto, 21, OutsideTheoremHypotheses),
         (SplitProto, 4, OutsideTheoremHypotheses),
     ],
 )
 def test_protos_csv_gates_before_the_header(cls, D, error):
     rows = protos_csv(cls, D)
-    with pytest.raises(error):
+    with pytest.raises(error) as exc:
         next(rows)
+    assert str(exc.value) == str(admissible(D, cls.locus))

@@ -7,7 +7,6 @@ from prymsv import svconst
 from prymsv.errors import (
     InvalidPrototype,
     MissingTableEntry,
-    NotDivisibleBy4,
     OutsideTheoremHypotheses,
 )
 from prymsv.euler import BUILTIN_TABLE, EulerTable
@@ -30,7 +29,7 @@ def test_b_D(D, b):
 
 
 def test_b_D_needs_divisibility():
-    with pytest.raises(NotDivisibleBy4):
+    with pytest.raises(OutsideTheoremHypotheses, match=r"4 \| D"):
         b_D(17)
 
 
