@@ -8,9 +8,9 @@ eigenform loci; everything here is pure integer arithmetic.
 
 One loop walks the ``(e, a, d)`` groups of a family.  The ``enumerate_*``
 functions build validated prototype objects from it; :func:`protos_csv`
-streams the CSV rows one group at a time, so its memory is bounded by the
-largest group (at most ``D/8`` rows).  Every row of that loop meets the
-family's constraints by construction, so the rows need no validator.
+streams each group's CSV rows as one join over the decimal strings of ``b``,
+so its memory is bounded by the largest group (at most ``D/8`` rows).  Every
+row of that loop meets the family's constraints, so none needs a validator.
 """
 
 from __future__ import annotations
@@ -181,16 +181,20 @@ def protos_csv(cls: type[_Proto], D: int) -> Iterator[str]:
     """CSV of family ``cls`` at ``D``: the header ``D,kind,a,b,d,e``, then one
     string of rows per ``(e, a, d)`` group, in :func:`_enumerate`'s order.
 
-    Every line ends in a newline.  No prototype object is built: every row of
-    :func:`_groups` meets the family's constraints by construction (``a`` is
-    a divisor of ``n`` and ``d`` its cofactor, ``b`` runs below the bound and
-    is prime to ``gcd(a, d, e)``, and the loop filters on ``a > d + e``);
-    ``test_protos_csv_matches_the_objects`` checks the rows against the
-    validated objects.  An inadmissible ``D`` raises before the header is
-    yielded.
+    Every line ends in a newline.  A group's rows are one join over the call's
+    decimal strings of ``b``, so memory is still bounded by the largest group.
+    No prototype object is built: the rows of :func:`_groups` meet the family's
+    constraints by construction (``a`` divides ``n``, ``d`` is its cofactor,
+    ``b`` runs below the bound prime to ``gcd(a, d, e)``, the loop filters on
+    ``a > d + e``), as ``test_protos_csv_matches_the_objects`` checks.  An
+    inadmissible ``D`` raises before the header is yielded.
     """
     groups = _groups(cls, D)
     yield "D,kind,a,b,d,e\n"
+    digits: list[str] = []  # str(b) for every b below the largest bound so far
     for e, a, d, bs in groups:
         head, tail = f"{D},{cls.kind},{a},", f",{d},{e}\n"
-        yield "".join([f"{head}{b}{tail}" for b in bs])
+        # bs is never empty: it holds b = 0 when G = 1 and b = 1 when G > 1.
+        digits.extend(map(str, range(len(digits), bs[-1] + 1)))
+        strs = digits[: len(bs)] if isinstance(bs, range) else [digits[b] for b in bs]
+        yield head + (tail + head).join(strs) + tail

@@ -307,6 +307,9 @@ def test_count_rejects_bad_numbers(capsys, extra):
         (("--radius", "5", "--slit=nan,0.1"), "is not finite"),
         (("--radius", "5", "--slit=1e-200,3e-200"), "too short for the lattice"),
         (("--radius", "5", "--slit=0.05,0"), "parallel to a lattice generator"),
+        # Written with "=": argparse reads a bare -1e5 or -inf as an option.
+        (("--radius=-1e5",), "got -100000.0"),
+        (("--radius=-inf",), "got -inf"),
     ],
 )
 def test_count_refusal_is_one_error_line(capsys, extra, words):

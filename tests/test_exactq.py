@@ -50,18 +50,18 @@ class TestAdmissible:
     def test_accepted_discriminants_to_17(self, locus, accepted):
         assert [D for D in range(1, 18) if admissible(D, locus) is None] == accepted
 
-    @pytest.mark.parametrize(
-        "D,locus,err,words",
-        [
-            (13, "theorem", OutsideTheoremHypotheses, "13 ≡ 5 (mod 8)"),
-            (12, "S_D", OutsideTheoremHypotheses, "12 ≡ 4 (mod 8)"),
-            (16, "W03", OutsideTheoremHypotheses, "16 is a square"),
-            (49, "S_D", OutsideTheoremHypotheses, "49 is a square"),
-            (8, "theorem", OutsideTheoremHypotheses, "needs D > 9"),
-            (4, "triple", OutsideTheoremHypotheses, "needs D > 4"),
-            (4, "split", OutsideTheoremHypotheses, "needs D > 4"),
-        ],
-    )
+    REASONS = [
+        (13, "theorem", OutsideTheoremHypotheses, "13 ≡ 5 (mod 8)"),
+        (12, "S_D", OutsideTheoremHypotheses, "12 ≡ 4 (mod 8)"),
+        (16, "W03", OutsideTheoremHypotheses, "16 is a square"),
+        (49, "S_D", OutsideTheoremHypotheses, "49 is a square"),
+        (8, "theorem", OutsideTheoremHypotheses, "needs D > 9"),
+        (4, "triple", OutsideTheoremHypotheses, "needs D > 4"),
+        (4, "split", OutsideTheoremHypotheses, "needs D > 4"),
+    ]
+
+    # Ids from (D, locus) alone, so that renaming an exception class renames no test.
+    @pytest.mark.parametrize("D,locus,err,words", REASONS, ids=[f"{D}-{locus}" for D, locus, _, _ in REASONS])
     def test_reasons(self, D, locus, err, words):
         reason = admissible(D, locus)
         assert type(reason) is err
