@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 from . import euler, flatcount, modforms, prototypes, svconst
-from .eigencheck import verification_csv, verification_rows
+from .eigencheck import verification_rows
 from .errors import PrymsvError
 from .exactq import admissible
 
@@ -27,15 +28,21 @@ def _table(args: argparse.Namespace) -> euler.EulerTable:
 def _cmd_chi(args: argparse.Namespace) -> int:
     if args.dmin > args.dmax:
         raise PrymsvError(f"--dmin {args.dmin} exceeds --dmax {args.dmax}")
-    report, ok = euler.chi_report(args.dmin, args.dmax, _table(args))
-    print(report)
+    lines = ["D,chi_w03_computed,chi_w03_table,match"]
+    ok = True
+    for D, computed, expected in euler.chi_rows(args.dmin, args.dmax, _table(args)):
+        match = "-" if expected is None else "yes" if computed == expected else "NO"
+        ok = ok and match != "NO"
+        lines.append(f"{D},{computed},{'-' if expected is None else expected},{match}")
+    print("\n".join(lines))
     return 0 if ok else 1
 
 
 def _cmd_sv(args: argparse.Namespace) -> int:
     results = svconst.sv_constants(args.d, _table(args))
     for r in results:
-        fields = r.to_dict()
+        # The fields in declaration order, each Fraction as its string.
+        fields = {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(r).items()}
         print(json.dumps(fields) if args.json else " ".join(f"{k}={v}" for k, v in fields.items()))
     return 0
 
@@ -57,7 +64,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps({"dmax": args.dmax, "checked": checked, "failures": failures}))
         return 0 if not failures else 1
     # eigen: each row is written as it is checked, so none is held in memory.
-    return 0 if verification_csv(verification_rows(args.dmax), sys.stdout) else 1
+    write = sys.stdout.write
+    write("D,kind,a,b,d,e,check,pass\n")
+    ok = True
+    for p, check, passed in verification_rows(args.dmax):
+        write(f"{p.D},{p.kind},{p.a},{p.b},{p.d},{p.e},{check},{'pass' if passed else 'FAIL'}\n")
+        ok = ok and passed
+    return 0 if ok else 1
 
 
 _PROTO_FAMILIES = {
@@ -114,17 +127,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
-    report = svconst.check_conjecture(args.dmax, _table(args))
-    print(
-        json.dumps(
-            {
-                "checked": report.checked,
-                "failures": report.failures,
-                "skipped": {str(k): v for k, v in sorted(report.skipped.items())},
-            }
-        )
-    )
-    return 0 if not report.failures else 1
+    checked, skipped, failures = svconst.check_conjecture(args.dmax, _table(args))
+    reasons = {str(D): reason for D, reason in skipped.items()}  # in increasing D, as checked
+    print(json.dumps({"checked": checked, "failures": failures, "skipped": reasons}))
+    return 0 if not failures else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,7 @@ of length 4) raises ``ValueError``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TextIO
+from typing import Iterator, Sequence
 
 from .errors import BRequired
 from .exactq import admissible
@@ -300,35 +300,22 @@ def verify_split_endo(p: SplitProto, case: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Batch verification report.
+# Batch verification rows.
 # ---------------------------------------------------------------------------
 
 
-def verification_rows(dmax: int) -> Iterable[tuple[int, str, object, str, bool]]:
-    """Yield ``(D, kind, proto, check, passed)`` for every prototype with D <= dmax."""
+def verification_rows(dmax: int) -> Iterator[tuple[CylProto | TripleProto | SplitProto, str, bool]]:
+    """Yield ``(proto, check, passed)`` for every prototype with ``D <= dmax``."""
     for D in range(5, dmax + 1):
         if admissible(D, "disc") is not None:
             continue
         for p in enumerate_cyl(D):
-            yield D, p.kind, p, "IA", verify_cyl_IA(p)
+            yield p, "IA", verify_cyl_IA(p)
         if admissible(D, TripleProto.locus) is None:
             for p in enumerate_triple(D):
-                yield D, p.kind, p, "triple", verify_triple(p)
+                yield p, "triple", verify_triple(p)
         for p in enumerate_split(D):
             if p.b != 0:
                 continue
             for case in SPLIT_CASES:
-                yield D, p.kind, p, case, verify_split_endo(p, case)
-
-
-def verification_csv(rows: Iterable[tuple[int, str, object, str, bool]], out: TextIO) -> bool:
-    """Write the CSV report ``D,kind,a,b,d,e,check,pass`` of :func:`verification_rows`.
-
-    Each row is written to ``out`` as it arrives.  Returns whether every row passed.
-    """
-    out.write("D,kind,a,b,d,e,check,pass\n")
-    ok = True
-    for D, kind, p, check, passed in rows:
-        out.write(f"{D},{kind},{p.a},{p.b},{p.d},{p.e},{check},{'pass' if passed else 'FAIL'}\n")
-        ok = ok and passed
-    return ok
+                yield p, case, verify_split_endo(p, case)

@@ -17,7 +17,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import MissingTableEntry, OutsideTheoremHypotheses, ParseError
 from .exactq import admissible, check_discriminant
@@ -282,9 +282,11 @@ def load_table(path: str) -> EulerTable:
 
     File rows override built-in rows on key collision (with a warning to
     stderr); ``-`` marks an absent entry and every other value is negative.
-    A file that cannot be opened or is not UTF-8 raises ``ParseError``.
+    A file that cannot be opened or is not UTF-8, or that gives one ``D``
+    twice, raises ``ParseError``.
     """
     rows = dict(_BUILTIN_ROWS)
+    first_line: dict[int, int] = {}  # the file's line of each D read so far
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -302,34 +304,29 @@ def load_table(path: str) -> EulerTable:
             D = int(parts[0])
         except ValueError as exc:
             raise ParseError(f"{where}: bad discriminant {parts[0]!r}") from exc
+        if D in first_line:
+            raise ParseError(f"{where}: D = {D} repeats line {first_line[D]}")
+        first_line[D] = lineno
         w4 = _parse_cell(parts[1], where)
         w2 = _parse_cell(parts[2], where)
         w03 = _parse_cell(parts[3], where)
         if w2 is None:
             raise ParseError(f"{where}: chi_w2 may not be absent")
-        if D in rows:
+        if D in _BUILTIN_ROWS:
             print(f"warning: table row D={D} overrides built-in", file=sys.stderr)
         rows[D] = (w4, w2, w03)
     return EulerTable(rows=rows)
 
 
-def chi_report(dmin: int, dmax: int, table: EulerTable = BUILTIN_TABLE) -> tuple[str, bool]:
-    """CSV report ``D,chi_w03_computed,chi_w03_table,match`` over a D range.
-
-    Also returns whether no row reads ``NO``.
-    """
-    lines = ["D,chi_w03_computed,chi_w03_table,match"]
-    ok = True
+def chi_rows(
+    dmin: int, dmax: int, table: EulerTable = BUILTIN_TABLE
+) -> Iterator[tuple[int, Fraction, Fraction | None]]:
+    """Yield ``(D, chi_W03(D), the table's chi(W_D(0^3)) or None)`` for each W03-admissible ``D``."""
     for D in range(dmin, dmax + 1):
         if admissible(D, "W03") is not None:
             continue
-        computed = chi_W03(D)
         try:
             expected = table.chi_w03_expected(D)
-            ok &= computed == expected
-            match = "yes" if computed == expected else "NO"
-            expected_str = str(expected)
         except MissingTableEntry:
-            expected_str, match = "-", "-"
-        lines.append(f"{D},{computed},{expected_str},{match}")
-    return "\n".join(lines), ok
+            expected = None
+        yield D, chi_W03(D), expected

@@ -8,6 +8,16 @@ arithmetic: the series are stored scaled by 24, as ``24 f = -E2(8z) theta(z)
 + theta'(z)/(2 pi i)``, whose coefficients are integers, so neither a
 fraction nor a transcendental constant materializes.
 
+The vanishing is a theorem.  ``theta_psi``, the sum of ``psi(s) s q^(s^2)``,
+is ``eta(8z)^3`` by Jacobi's identity ``prod (1 - q^n)^3 = sum (-1)^n (2n + 1)
+q^(n(n+1)/2)``, and ``q d/dq log eta(8z)^3 = E2(8z)``, so ``24 f = theta_psi'
+- E2(8z) theta_psi = 0`` (with ``' = q d/dq``).  ``verify modular`` therefore
+checks the code, not the identity: the ``sigma1`` table, the series product
+and the closed form must agree.  Read through the closed form, the theorem
+proves ``S_D_sigma(D) = 0`` for every non-square ``D ≡ 1 (mod 8)``; :func:`S_D`
+sums the gcd-corrected degrees ``m_D(e)`` instead, which it does not cover,
+so ``verify identity`` is the scan with real content.
+
 :func:`verify_vanishing` checks both sides from one table of ``sigma1(k)``,
 ``k <= N // 8``, built per call: the series multiplies it out (a product of
 two series adds into a dense list of its ``N + 1`` coefficients), and the
@@ -186,6 +196,13 @@ def verify_vanishing(N: int) -> list[int]:
     the coefficients of :func:`g2_8`, and every term of the closed forms
     (``(n - e^2)/8 <= N // 8``), which would otherwise call the kernel again
     for the same few arguments.
+
+    An empty list is what the theorem predicts (``theta_psi = eta(8z)^3`` by
+    Jacobi's identity, and ``q d/dq log eta(8z)^3 = E2(8z)``), so a nonempty
+    one is a fault of the code: the ``sigma1`` table, the product or the
+    closed form.  The theorem proves ``S_D_sigma(D) = 0`` for every
+    non-square ``D ≡ 1 (mod 8)``; ``verify identity``, on :func:`S_D` with
+    its gcd-corrected degrees, is the scan with real content.
     """
     sig = _sigma1_table(N // 8)
     series = _f_coeffs(N, sig)

@@ -11,7 +11,7 @@ it is returned verbatim.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingTableEntry, OutsideTheoremHypotheses
@@ -54,13 +54,6 @@ class SVResult:
     @property
     def constants(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.c1, self.c2, self.c3)
-
-    def to_dict(self) -> dict:
-        """The fields in order, each ``Fraction`` as its string."""
-        return {
-            k: str(v) if isinstance(v, Fraction) else v
-            for k, v in asdict(self).items()
-        }
 
 
 def _chi2_term(D: int, b: int | None, table: EulerTable) -> Fraction:
@@ -109,19 +102,15 @@ def sv_constants(D: int, table: EulerTable = BUILTIN_TABLE) -> list[SVResult]:
     ]
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    checked: list[int]
-    skipped: dict[int, str]
-    failures: list[int]
-
-
-def check_conjecture(dmax: int, table: EulerTable = BUILTIN_TABLE) -> ConjectureReport:
+def check_conjecture(
+    dmax: int, table: EulerTable = BUILTIN_TABLE
+) -> tuple[list[int], dict[int, str], list[int]]:
     """Check ``sv_constants(D) == (25/9, 3, 2/9)`` for ``5 <= D <= dmax``.
 
+    Returns ``(checked, skipped, failures)``, each in increasing ``D``.
     Discriminants outside the hypotheses (see :func:`prymsv.exactq.admissible`),
-    or missing from the table, are recorded as skipped with the reason; any
-    other error propagates.
+    or missing from the table, are skipped with the reason; any other error
+    propagates.
     """
     checked: list[int] = []
     skipped: dict[int, str] = {}
@@ -140,4 +129,4 @@ def check_conjecture(dmax: int, table: EulerTable = BUILTIN_TABLE) -> Conjecture
         checked.append(D)
         if any(r.constants != CONJECTURED for r in results):
             failures.append(D)
-    return ConjectureReport(checked=checked, skipped=skipped, failures=failures)
+    return checked, skipped, failures

@@ -113,11 +113,11 @@ def test_criterion_6_endomorphism_checks_to_500():
     start = time.perf_counter()
     rows = list(verification_rows(500))
     assert rows, "no prototypes enumerated"
-    failures = [(r[0], r[1], r[2], r[3]) for r in rows if not r[4]]
+    failures = [(p, check) for p, check, passed in rows if not passed]
     assert failures == []
     counts = {}
-    for r in rows:
-        counts[r[1]] = counts.get(r[1], 0) + 1
+    for p, _, _ in rows:
+        counts[p.kind] = counts.get(p.kind, 0) + 1
     assert set(counts) == {"cyl", "triple", "split"}
 
     # Negative controls: any single-entry perturbation of a generator breaks

@@ -23,6 +23,8 @@ def test_chi(capsys):
     assert lines[0] == "D,chi_w03_computed,chi_w03_table,match"
     assert "8,-1/6,-1/6,yes" in lines
     assert "17,-4/3,-4/3,yes" in lines
+    # D=13 (residue 5) and D=16 (square) are skipped entirely
+    assert not any(line.startswith(("13,", "16,")) for line in lines)
 
 
 def test_sv_plain(capsys):
@@ -41,11 +43,37 @@ def test_sv_json(capsys):
     assert all(r["c1"] == "25/9" for r in rows)
 
 
+def test_sv_json_fields(capsys):
+    # The fields of each SVResult in declaration order, each Fraction as its string.
+    _, out, _ = run(capsys, "sv", "--d", "17", "--json")
+    rows = [json.loads(line) for line in out.splitlines()]
+    fields = {
+        "D": 17,
+        "component": "plus",
+        "c1": "25/9",
+        "c2": "3",
+        "c3": "2/9",
+        "volume_pi2": "-1/4",
+        "b_D": None,
+    }
+    assert list(rows[0].items()) == list(fields.items())
+    assert rows[1] == {**fields, "component": "minus"}
+
+
 def test_sv_outside_hypotheses_is_usage_error(capsys):
-    code, out, err = run(capsys, "sv", "--d", "8")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    # Each refusal is exit 2, empty stdout and one error line with its reason.
+    for D, reason in [
+        ("8", "is too small"),
+        ("52", "no table row"),
+        ("13", "mod 8"),
+        ("49", "is a square"),
+        ("7", "not a positive discriminant"),
+    ]:
+        code, out, err = run(capsys, "sv", "--d", D)
+        assert code == 2, D
+        assert out == "", D
+        assert err.startswith("error:") and err.count("error:") == 1, D
+        assert err.count("\n") == 1 and reason in err, (D, err)
 
 
 def test_verify_modular(capsys):
@@ -71,6 +99,15 @@ def test_verify_eigen(capsys):
     assert lines[0] == "D,kind,a,b,d,e,check,pass"
     assert len(lines) > 10
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+def test_verify_eigen_csv_shape(capsys):
+    code, out, _ = run(capsys, "verify", "eigen", "--dmax", "20")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "D,kind,a,b,d,e,check,pass"
+    assert all(line.endswith(",pass") for line in lines[1:])
+    assert "8,cyl,1,0,1,0,IA,pass" in lines
 
 
 def test_verify_eigen_csv_pinned(capsys):
@@ -396,6 +433,15 @@ def test_unreadable_table_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot read table")
+
+
+def test_repeated_table_row_is_usage_error(capsys, tmp_path):
+    table = tmp_path / "chi.csv"
+    table.write_text("60,-1,-3,-1\n60,-2,-3,-1\n")
+    code, out, err = run(capsys, "chi", "--dmin", "60", "--dmax", "60", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {table}:2: D = 60 repeats line 1\n"
 
 
 def test_table_override(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import io
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +17,6 @@ from prymsv.eigencheck import (
     row_times_matrix,
     split_matrices,
     split_period_vector,
-    verification_csv,
     verification_rows,
     verify_cyl_IA,
     verify_selfadjoint,
@@ -321,22 +319,14 @@ class TestPeriodPerturbations:
 class TestBatch:
     def test_rows_cover_all_kinds(self):
         rows = list(verification_rows(50))
-        kinds = {r[1] for r in rows}
+        kinds = {p.kind for p, _, _ in rows}
         assert kinds == {"cyl", "triple", "split"}
-        assert all(r[4] for r in rows)
+        assert all(passed for _, _, passed in rows)
         ds = [D for D in range(5, 51) if D % 4 in (0, 1)]
-        cyl_count = sum(1 for r in rows if r[1] == "cyl")
+        cyl_count = sum(1 for p, _, _ in rows if p.kind == "cyl")
         assert cyl_count == sum(len(enumerate_cyl(D)) for D in ds)
-        split_rows = [r for r in rows if r[1] == "split"]
-        assert all(r[2].b == 0 for r in split_rows)
+        split_rows = [p for p, _, _ in rows if p.kind == "split"]
+        assert all(p.b == 0 for p in split_rows)
         assert len(split_rows) == 3 * sum(
             sum(1 for p in enumerate_split(D) if p.b == 0) for D in ds
         )
-
-    def test_csv_shape(self):
-        out = io.StringIO()
-        assert verification_csv(verification_rows(20), out)
-        lines = out.getvalue().splitlines()
-        assert lines[0] == "D,kind,a,b,d,e,check,pass"
-        assert all(line.endswith(",pass") for line in lines[1:])
-        assert "8,cyl,1,0,1,0,IA,pass" in lines

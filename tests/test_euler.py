@@ -14,7 +14,7 @@ from prymsv.errors import (
 from prymsv.euler import (
     BUILTIN_TABLE,
     c_index,
-    chi_report,
+    chi_rows,
     chi_W03,
     factorize,
     load_table,
@@ -379,7 +379,9 @@ def test_load_table_merge_and_override(tmp_path, capsys):
     table = load_table(str(path))
     assert table.chi_w2(52) == F(-21, 2)
     assert table.chi_w2(5) == F(-3, 10)  # built-ins survive
-    assert "overrides built-in" in capsys.readouterr().err
+    assert table.chi_w4(8) == F(-12, 5)  # the file's row wins
+    # Only D = 8 has a built-in row: D = 52 is new and draws no warning.
+    assert capsys.readouterr().err == "warning: table row D=8 overrides built-in\n"
 
 
 def test_load_table_parse_errors(tmp_path):
@@ -401,18 +403,24 @@ def test_load_table_parse_errors(tmp_path):
         path.write_text(row)
         with pytest.raises(ParseError, match=r"bad\.csv:1: value '[03]' is not negative"):
             load_table(str(path))
+    # A D given twice is refused at the second line, which names the first,
+    # whether or not D has a built-in row.
+    for D in (60, 12):
+        path.write_text(f"# header\n{D},-1,-3,-1\n{D},-2,-3,-1\n")
+        with pytest.raises(ParseError, match=rf"bad\.csv:3: D = {D} repeats line 2$"):
+            load_table(str(path))
     path.write_bytes(b"\xff12,-5/6,-3/2,-1/3\n")
     for unreadable in (path, tmp_path, tmp_path / "missing.csv"):
         with pytest.raises(ParseError, match="cannot read table"):
             load_table(str(unreadable))
 
 
-def test_chi_report_format():
-    report, ok = chi_report(8, 17)
-    assert ok
-    lines = report.splitlines()
-    assert lines[0] == "D,chi_w03_computed,chi_w03_table,match"
-    assert "8,-1/6,-1/6,yes" in lines
-    assert "17,-4/3,-4/3,yes" in lines
-    # D=13 (residue 5) and D=16 (square) are skipped entirely
-    assert not any(line.startswith(("13,", "16,")) for line in lines)
+def test_chi_rows():
+    assert list(chi_rows(8, 17)) == [
+        (8, F(-1, 6), F(-1, 6)),
+        (12, F(-1, 3), F(-1, 3)),
+        (17, F(-4, 3), F(-4, 3)),
+    ]
+    # D=13 (residue 5) and D=16 (square) are skipped entirely; a D without a row has None.
+    assert list(chi_rows(13, 16)) == []
+    assert list(chi_rows(57, 57)) == [(57, chi_W03(57), None)]

@@ -93,32 +93,20 @@ def test_sv_hypotheses(D, err):
         sv_constants(D)
 
 
-def test_result_json():
-    plus = sv_constants(17)[0]
-    assert plus.to_dict() == {
-        "D": 17,
-        "component": "plus",
-        "c1": "25/9",
-        "c2": "3",
-        "c3": "2/9",
-        "volume_pi2": "-1/4",
-        "b_D": None,
-    }
-
-
 def test_check_conjecture_report():
-    report = check_conjecture(48)
-    assert report.failures == []
-    assert set(report.checked) == set(TABLE_DS)
-    assert 8 in report.skipped  # too small
-    assert 16 in report.skipped  # square
-    assert 13 in report.skipped  # empty locus
+    checked, skipped, failures = check_conjecture(48)
+    assert failures == []
+    assert set(checked) == set(TABLE_DS)
+    assert 8 in skipped  # too small
+    assert 16 in skipped  # square
+    assert 13 in skipped  # empty locus
 
 
 def test_check_conjecture_skips_missing_rows():
-    report = check_conjecture(53)
-    assert report.checked == TABLE_DS
-    assert {D: report.skipped[D] for D in (49, 52, 53)} == {
+    checked, skipped, _ = check_conjecture(53)
+    assert checked == TABLE_DS
+    assert list(skipped) == sorted(skipped)
+    assert {D: skipped[D] for D in (49, 52, 53)} == {
         49: "D = 49 is a square",
         52: "no table row for D = 52",
         53: "D = 53 ≡ 5 (mod 8): the theorem locus needs D ≡ 0, 1, 4 (mod 8)",
