@@ -43,7 +43,10 @@ def _cmd_sv(args: argparse.Namespace) -> int:
     for r in results:
         # The fields in declaration order, each Fraction as its string.
         fields = {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(r).items()}
-        print(json.dumps(fields) if args.json else " ".join(f"{k}={v}" for k, v in fields.items()))
+        if args.json:
+            print(json.dumps(fields))
+        else:  # An absent value reads "-", as in chi.
+            print(" ".join(f"{k}={'-' if v is None else v}" for k, v in fields.items()))
     return 0
 
 

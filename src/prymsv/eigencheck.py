@@ -14,10 +14,11 @@ integer quadruple, prototype or not, so a ``FAIL`` row of ``verify eigen`` can
 only mean a mistyped generator or period vector; the tests' perturbation
 controls are what show that each check can fail.
 
-The kernels :func:`row_times_matrix`, :func:`mat_mul` and
-:func:`mat_scale_plus` are straight-line 4x4 integer code over unpacked
-entries, with no index loops; an input that is not 4x4 (or a row that is not
-of length 4) raises ``ValueError``.
+The kernels :func:`row_times_matrix`, :func:`mat_mul`, :func:`mat_scale_plus`
+and :func:`eigen_residual` are straight-line 4x4 integer code over unpacked
+entries, with no index loops, and each product unpacks its operands once; an
+input that is not 4x4 (or a row that is not of length 4) raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ SPLIT_CASES = ("w1", "w2", "w3")
 
 
 # ---------------------------------------------------------------------------
-# Small exact matrix helpers: straight-line 4x4 integer code over unpacked
-# entries, so a non-4x4 input fails to unpack and raises ValueError.
+# Small exact matrix helpers: straight-line 4x4 integer code that unpacks each
+# operand once, so a non-4x4 input fails to unpack and raises ValueError.
 # ---------------------------------------------------------------------------
 
 
@@ -68,13 +69,44 @@ def row_times_matrix(x: Sequence[int], T: Matrix) -> list[int]:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> list[list[int]]:
-    """``A B``; raises ``ValueError`` unless both are 4x4."""
-    a0, a1, a2, a3 = A
+    """``A B``, unpacking each operand once; raises ``ValueError`` unless both are 4x4."""
+    (
+        (a00, a01, a02, a03),
+        (a10, a11, a12, a13),
+        (a20, a21, a22, a23),
+        (a30, a31, a32, a33),
+    ) = A
+    (
+        (b00, b01, b02, b03),
+        (b10, b11, b12, b13),
+        (b20, b21, b22, b23),
+        (b30, b31, b32, b33),
+    ) = B
     return [
-        row_times_matrix(a0, B),
-        row_times_matrix(a1, B),
-        row_times_matrix(a2, B),
-        row_times_matrix(a3, B),
+        [
+            a00 * b00 + a01 * b10 + a02 * b20 + a03 * b30,
+            a00 * b01 + a01 * b11 + a02 * b21 + a03 * b31,
+            a00 * b02 + a01 * b12 + a02 * b22 + a03 * b32,
+            a00 * b03 + a01 * b13 + a02 * b23 + a03 * b33,
+        ],
+        [
+            a10 * b00 + a11 * b10 + a12 * b20 + a13 * b30,
+            a10 * b01 + a11 * b11 + a12 * b21 + a13 * b31,
+            a10 * b02 + a11 * b12 + a12 * b22 + a13 * b32,
+            a10 * b03 + a11 * b13 + a12 * b23 + a13 * b33,
+        ],
+        [
+            a20 * b00 + a21 * b10 + a22 * b20 + a23 * b30,
+            a20 * b01 + a21 * b11 + a22 * b21 + a23 * b31,
+            a20 * b02 + a21 * b12 + a22 * b22 + a23 * b32,
+            a20 * b03 + a21 * b13 + a22 * b23 + a23 * b33,
+        ],
+        [
+            a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30,
+            a30 * b01 + a31 * b11 + a32 * b21 + a33 * b31,
+            a30 * b02 + a31 * b12 + a32 * b22 + a33 * b32,
+            a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33,
+        ],
     ]
 
 
@@ -130,13 +162,17 @@ def eigen_residual(row: Row, T: Matrix, t: int, n: int) -> Row:
     Since ``mu (X + Y mu) = n Y + (X + t Y) mu``, the residual is
     ``(X T - n Y, Y T - X - t Y)``; it is zero iff the row is a left
     eigenvector of ``T`` for ``mu``.  The comparison is formal in the basis
-    ``(1, mu)``: two integer rows, with no square root evaluated.
+    ``(1, mu)``: two integer rows, with no square root evaluated.  The row is
+    unpacked once and the eight entries are written out.
     """
     X, Y = row
-    XT, YT = row_times_matrix(X, T), row_times_matrix(Y, T)
+    x0, x1, x2, x3 = X
+    y0, y1, y2, y3 = Y
+    p0, p1, p2, p3 = row_times_matrix(X, T)
+    q0, q1, q2, q3 = row_times_matrix(Y, T)
     return (
-        [XT[j] - n * Y[j] for j in range(4)],
-        [YT[j] - X[j] - t * Y[j] for j in range(4)],
+        [p0 - n * y0, p1 - n * y1, p2 - n * y2, p3 - n * y3],
+        [q0 - x0 - t * y0, q1 - x1 - t * y1, q2 - x2 - t * y2, q3 - x3 - t * y3],
     )
 
 
@@ -147,7 +183,10 @@ def _verify_endo(T: Matrix, J: Matrix, t: int, n: int, rows: Sequence[Row] = ())
     if mat_mul(T, T) != mat_scale_plus(T, t, n):
         return False
     zero = [0, 0, 0, 0]
-    return all(eigen_residual(row, T, t, n) == (zero, zero) for row in rows)
+    for row in rows:
+        if eigen_residual(row, T, t, n) != (zero, zero):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

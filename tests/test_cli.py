@@ -33,6 +33,13 @@ def test_sv_plain(capsys):
     assert out.strip() == (
         "D=12 component=whole c1=25/9 c2=3 c3=2/9 volume_pi2=-1/8 b_D=0"
     )
+    # An absent b_D reads "-", the token chi uses, not a Python repr.
+    code, out, _ = run(capsys, "sv", "--d", "17")
+    assert code == 0
+    assert out.splitlines() == [
+        "D=17 component=plus c1=25/9 c2=3 c3=2/9 volume_pi2=-1/4 b_D=-",
+        "D=17 component=minus c1=25/9 c2=3 c3=2/9 volume_pi2=-1/4 b_D=-",
+    ]
 
 
 def test_sv_json(capsys):

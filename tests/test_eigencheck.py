@@ -61,24 +61,29 @@ def test_selfadjoint_checks_every_entry(i, j):
 # Entries past a machine word, so the kernels must keep exact Python ints.
 entries = st.integers(min_value=-(2**70), max_value=2**70)
 containers = st.sampled_from([list, tuple])
+vectors = st.lists(entries, min_size=4, max_size=4)
 
 
 @st.composite
 def matrices(draw):
     outer, inner = draw(containers), draw(containers)
-    return outer(inner(draw(st.lists(entries, min_size=4, max_size=4))) for _ in range(4))
+    return outer(inner(draw(vectors)) for _ in range(4))
 
 
 class TestKernels:
     """The straight-line kernels against index-loop references."""
 
-    @given(matrices(), matrices(), st.lists(entries, min_size=4, max_size=4), containers)
-    def test_products_match_reference(self, A, B, x, container):
-        x = container(x)
+    @given(matrices(), matrices(), vectors, vectors, entries, entries, containers)
+    def test_products_match_reference(self, A, B, x, y, t, n, container):
+        x, y = container(x), container(y)
         assert row_times_matrix(x, B) == [sum(x[k] * B[k][j] for k in range(4)) for j in range(4)]
         assert mat_mul(A, B) == [
             [sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)] for i in range(4)
         ]
+        assert eigen_residual(container([x, y]), B, t, n) == (
+            [sum(x[k] * B[k][j] for k in range(4)) - n * y[j] for j in range(4)],
+            [sum(y[k] * B[k][j] for k in range(4)) - x[j] - t * y[j] for j in range(4)],
+        )
 
     @given(matrices(), entries, entries)
     def test_scale_plus_matches_reference(self, A, s, c):
