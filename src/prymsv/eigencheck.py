@@ -14,11 +14,10 @@ integer quadruple, prototype or not, so a ``FAIL`` row of ``verify eigen`` can
 only mean a mistyped generator or period vector; the tests' perturbation
 controls are what show that each check can fail.
 
-The kernels :func:`row_times_matrix`, :func:`mat_mul`, :func:`mat_scale_plus`
-and :func:`eigen_residual` are straight-line 4x4 integer code over unpacked
-entries, with no index loops, and each product unpacks its operands once; an
-input that is not 4x4 (or a row that is not of length 4) raises
-``ValueError``.
+The kernels :func:`mat_mul`, :func:`mat_scale_plus` and :func:`eigen_residual`
+are straight-line 4x4 integer code over unpacked entries, with no index loops,
+and each product unpacks its operands once; an input that is not 4x4 (or a
+row that is not of length 4) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -49,23 +48,6 @@ SPLIT_CASES = ("w1", "w2", "w3")
 # Small exact matrix helpers: straight-line 4x4 integer code that unpacks each
 # operand once, so a non-4x4 input fails to unpack and raises ValueError.
 # ---------------------------------------------------------------------------
-
-
-def row_times_matrix(x: Sequence[int], T: Matrix) -> list[int]:
-    """``x T``; raises ``ValueError`` unless ``x`` has length 4 and ``T`` is 4x4."""
-    x0, x1, x2, x3 = x
-    (
-        (t00, t01, t02, t03),
-        (t10, t11, t12, t13),
-        (t20, t21, t22, t23),
-        (t30, t31, t32, t33),
-    ) = T
-    return [
-        x0 * t00 + x1 * t10 + x2 * t20 + x3 * t30,
-        x0 * t01 + x1 * t11 + x2 * t21 + x3 * t31,
-        x0 * t02 + x1 * t12 + x2 * t22 + x3 * t32,
-        x0 * t03 + x1 * t13 + x2 * t23 + x3 * t33,
-    ]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> list[list[int]]:
@@ -162,17 +144,32 @@ def eigen_residual(row: Row, T: Matrix, t: int, n: int) -> Row:
     Since ``mu (X + Y mu) = n Y + (X + t Y) mu``, the residual is
     ``(X T - n Y, Y T - X - t Y)``; it is zero iff the row is a left
     eigenvector of ``T`` for ``mu``.  The comparison is formal in the basis
-    ``(1, mu)``: two integer rows, with no square root evaluated.  The row is
-    unpacked once and the eight entries are written out.
+    ``(1, mu)``: two integer rows, with no square root evaluated.  The row and
+    ``T`` are unpacked once and the eight entries are written out; raises
+    ``ValueError`` unless ``X`` and ``Y`` have length 4 and ``T`` is 4x4.
     """
     X, Y = row
     x0, x1, x2, x3 = X
     y0, y1, y2, y3 = Y
-    p0, p1, p2, p3 = row_times_matrix(X, T)
-    q0, q1, q2, q3 = row_times_matrix(Y, T)
+    (
+        (t00, t01, t02, t03),
+        (t10, t11, t12, t13),
+        (t20, t21, t22, t23),
+        (t30, t31, t32, t33),
+    ) = T
     return (
-        [p0 - n * y0, p1 - n * y1, p2 - n * y2, p3 - n * y3],
-        [q0 - x0 - t * y0, q1 - x1 - t * y1, q2 - x2 - t * y2, q3 - x3 - t * y3],
+        [
+            x0 * t00 + x1 * t10 + x2 * t20 + x3 * t30 - n * y0,
+            x0 * t01 + x1 * t11 + x2 * t21 + x3 * t31 - n * y1,
+            x0 * t02 + x1 * t12 + x2 * t22 + x3 * t32 - n * y2,
+            x0 * t03 + x1 * t13 + x2 * t23 + x3 * t33 - n * y3,
+        ],
+        [
+            y0 * t00 + y1 * t10 + y2 * t20 + y3 * t30 - x0 - t * y0,
+            y0 * t01 + y1 * t11 + y2 * t21 + y3 * t31 - x1 - t * y1,
+            y0 * t02 + y1 * t12 + y2 * t22 + y3 * t32 - x2 - t * y2,
+            y0 * t03 + y1 * t13 + y2 * t23 + y3 * t33 - x3 - t * y3,
+        ],
     )
 
 

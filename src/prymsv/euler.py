@@ -27,60 +27,68 @@ from .exactq import admissible, check_discriminant
 # ---------------------------------------------------------------------------
 
 #: The sieve covers ``0..SIEVE_CAP``; larger ``n`` are factored by trial
-#: division, so its memory (4 bytes per entry, at most 40 MB) stays bounded.
+#: division, so its memory (2 bytes per odd ``n``, at most ``SIEVE_CAP/2 + 1``
+#: entries or 10 MB) stays bounded.  Every composite ``n <= SIEVE_CAP`` has a
+#: prime factor at most ``isqrt(SIEVE_CAP) = 3162 < 2**16``; an ``array("H")``
+#: raises ``OverflowError`` on a larger entry.
 SIEVE_CAP = 10**7
 
-#: The smallest prime factor of each ``n``, 0 for a prime (and 0, 1): read ``spf[n] or n``.
-_spf: Sequence[int] = array("i", [0, 0])
+#: Entry ``i`` is the smallest prime factor of the odd ``2i + 1`` (0 for 1 and
+#: for a prime), so the sieve covers ``n < 2 * len(_spf)``.  Readers take out
+#: the factor 2 with bit operations, then read ``spf[n >> 1] or n``.
+_spf: Sequence[int] = array("H", [0])
 
-#: ``(length, primes)``: the first primes of the sieve of that length.  Trial
-#: division lists them as far as it needs, up to the square root of the number
-#: it divides, and extends the list while the sieve keeps its length;
+#: ``(length, primes)``: the first primes of the sieve covering ``n < length``.
+#: Trial division lists them as far as it needs, up to the square root of the
+#: number it divides, and extends the list while the sieve keeps its length;
 #: factorizations that only read the sieve never pay that scan.
 _primes: tuple[int, array[int]] = (0, array("i"))
 
 
 def _ensure_sieve(n: int) -> None:
+    """Grow the sieve to cover ``n``: its covered range at least doubles, up to :data:`SIEVE_CAP`."""
     global _spf
-    if n < len(_spf):
+    if n < 2 * len(_spf):
         return
-    size = min(max(2 * len(_spf), n + 1), SIEVE_CAP + 1)
-    _spf = array("i", [0, 0])  # release the old sieve before its successor is built
-    # Multiples of 2 and 3 repeat with period 6; a prime p >= 5 writes p * m, m >= p prime to 6.
-    spf = array("i", [2, 0, 2, 3, 2, 0]) * (size // 6 + 1)
+    size = min(max(2 * len(_spf), n // 2 + 1), SIEVE_CAP // 2 + 1)
+    _spf = array("H", [0])  # release the old sieve before its successor is built
+    # Odd multiples of 3 repeat with period 3 in the index; a prime p >= 5
+    # writes its odd multiples p * m, m >= p prime to 6, with index step 3p.
+    spf = array("H", [0, 3, 0]) * (size // 3 + 1)
     del spf[size:]
-    spf[:4] = array("i", [0, 0, 0, 0])
-    root = math.isqrt(size - 1)
+    spf[1] = 0  # 3 is prime
+    root = math.isqrt(2 * size - 1)
     primes = [p for p in range(5, root + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     # Largest prime first, so each entry ends with its smallest prime factor.
     for p in reversed(primes):
-        for start in (p * p, p * (p + 2 if p % 6 == 5 else p + 4)):
-            spf[start :: 6 * p] = array("i", [p]) * len(range(start, size, 6 * p))
+        for m in (p, p + 2 if p % 6 == 5 else p + 4):
+            start = p * m >> 1
+            spf[start :: 3 * p] = array("H", [p]) * len(range(start, size, 3 * p))
     _spf = spf
 
 
 def _trial_divide(n: int) -> dict[int, int]:
     """Factor ``n > SIEVE_CAP`` by trial division; the sieve grows only as far as the cofactor needs.
 
-    The candidates are the sieve's primes up to ``sqrt(n)``.  When they run
-    out while the sieve's length squared is still at most the cofactor, the
-    sieve doubles (up to :data:`SIEVE_CAP`) and division goes on with its new
-    primes only; past the cap it goes on with every integer.  Division stops
-    once ``p**2`` exceeds the cofactor, which is then 1 or a prime.
+    The candidates are 2 and the sieve's odd primes up to ``sqrt(n)``.  When
+    they run out while the sieve's covered range squared is still at most the
+    cofactor, the sieve doubles (up to :data:`SIEVE_CAP`) and division goes on
+    with its new primes only; past the cap it goes on with every odd integer.
+    Division stops once ``p**2`` exceeds the cofactor, which is then 1 or a prime.
     """
     global _primes
     out: dict[int, int] = {}
     done = 0  # the first `done` primes of the sieve are divided out
     while True:
-        bound = len(_spf)
+        bound = 2 * len(_spf)
         if _primes[0] != bound:
-            _primes = (bound, array("i"))  # no list of ints
+            _primes = (bound, array("i", [2]))  # no list of ints
         primes = _primes[1]
-        start = primes[-1] + 1 if primes else 2
-        primes.extend(p for p in range(start, min(bound, math.isqrt(n) + 1)) if not _spf[p])
+        stop = min(bound, math.isqrt(n) + 1)
+        primes.extend(p for p in range(primes[-1] + 1 | 1, stop, 2) if not _spf[p >> 1])
         candidates = itertools.islice(primes, done, None)
         if bound > SIEVE_CAP:
-            candidates = itertools.chain(candidates, itertools.count(bound))
+            candidates = itertools.chain(candidates, itertools.count(bound + 1, 2))
         for p in candidates:
             if p * p > n:
                 break
@@ -101,8 +109,9 @@ def _trial_divide(n: int) -> dict[int, int]:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization ``{p: multiplicity}`` of ``n >= 1``.
 
-    Reads the smallest-prime-factor sieve for ``n <=`` :data:`SIEVE_CAP`;
-    larger ``n`` are factored by trial division.
+    Takes the factor ``2**k`` from ``n & -n``, then reads the odd part's
+    smallest-prime-factor sieve for ``n <=`` :data:`SIEVE_CAP`; larger ``n``
+    are factored by trial division.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -110,8 +119,12 @@ def factorize(n: int) -> dict[int, int]:
         return _trial_divide(n)
     _ensure_sieve(n)
     out: dict[int, int] = {}
+    if k := (n & -n).bit_length() - 1:
+        out[2] = k
+        n >>= k
+    spf = _spf
     while n > 1:
-        p = _spf[n] or n
+        p = spf[n >> 1] or n
         out[p] = out.get(p, 0) + 1
         n //= p
     return out
@@ -120,21 +133,24 @@ def factorize(n: int) -> dict[int, int]:
 def degree(n: int, e: int) -> int:
     """The product over ``p**k || n`` of ``c(p**k) = p**k + p**(k-1)`` if ``p | e``, else of ``sigma1(p**k)``.
 
-    The one kernel of :func:`sigma1` (``e = 1``), :func:`c_index` (``e = 0``) and :func:`m_D`.  It
-    walks the sieve, grown only when ``n`` is past its end, or trial-divides ``n >``
-    :data:`SIEVE_CAP`.  Raises ``ValueError`` unless ``n >= 1``.
+    The one kernel of :func:`sigma1` (``e = 1``), :func:`c_index` (``e = 0``) and :func:`m_D`.  The
+    factor ``q = 2**k = n & -n`` gives ``q + q/2`` or ``2q - 1`` (both 1 at ``k = 0`` and 3 at
+    ``k = 1``); the odd part walks the sieve, grown only when ``n`` is past its end, or
+    trial-divides ``n >`` :data:`SIEVE_CAP`.  Raises ``ValueError`` unless ``n >= 1``.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n >= len(_spf):  # the sieve never reaches past SIEVE_CAP
+    if n >= 2 * len(_spf):  # the sieve never covers past SIEVE_CAP + 1
         if n > SIEVE_CAP:
             pqs = ((p, p**k) for p, k in _trial_divide(n).items())
             return math.prod(q + q // p if e % p == 0 else (q * p - 1) // (p - 1) for p, q in pqs)
         _ensure_sieve(n)
     spf = _spf
-    total = 1
+    q = n & -n
+    n //= q
+    total = 2 * q - 1 if e & 1 else q + (q >> 1)
     while n > 1:
-        p = q = spf[n] or n
+        p = q = spf[n >> 1] or n
         n //= p
         if n % p == 0:
             while n % p == 0:

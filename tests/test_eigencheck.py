@@ -14,7 +14,6 @@ from prymsv.eigencheck import (
     mat_mul,
     mat_scale_plus,
     pairing_form,
-    row_times_matrix,
     split_matrices,
     split_period_vector,
     verification_rows,
@@ -76,7 +75,9 @@ class TestKernels:
     @given(matrices(), matrices(), vectors, vectors, entries, entries, containers)
     def test_products_match_reference(self, A, B, x, y, t, n, container):
         x, y = container(x), container(y)
-        assert row_times_matrix(x, B) == [sum(x[k] * B[k][j] for k in range(4)) for j in range(4)]
+        assert eigen_residual(container([x, y]), B, 0, 0)[0] == [
+            sum(x[k] * B[k][j] for k in range(4)) for j in range(4)
+        ]
         assert mat_mul(A, B) == [
             [sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)] for i in range(4)
         ]
@@ -100,14 +101,16 @@ class TestKernels:
             lambda: mat_mul(M, T),
             lambda: mat_mul(T, M),
             lambda: mat_scale_plus(M, 2, 1),
-            lambda: row_times_matrix([1, 2, 3, 4], M),
+            lambda: eigen_residual(([1, 2, 3, 4], [5, 6, 7, 8]), M, 1, 2),
         ):
             with pytest.raises(ValueError):
                 call()
 
     def test_short_row_raises(self):
         with pytest.raises(ValueError):
-            row_times_matrix([1, 2, 3], build_T(1, 0, 1, 0))
+            eigen_residual(([1, 2, 3], [5, 6, 7, 8]), build_T(1, 0, 1, 0), 1, 2)
+        with pytest.raises(ValueError):
+            eigen_residual(([1, 2, 3, 4], [5, 6, 7]), build_T(1, 0, 1, 0), 1, 2)
 
 
 class TestCylinder:

@@ -45,29 +45,29 @@ def test_factorize_above_sieve_cap():
     assert factorize(prime) == {prime: 1}
     assert factorize(10007 * 10009) == {10007: 1, 10009: 1}
     assert factorize(2**3 * prime) == {2: 3, prime: 1}
-    assert len(euler._spf) <= cap + 1
+    assert len(euler._spf) <= cap // 2 + 1
 
 
 def test_factorize_past_the_sieve(monkeypatch):
     # With a small cap, n > cap**2 is factored by integers past the sieve too.
     monkeypatch.setattr(euler, "SIEVE_CAP", 100)
-    monkeypatch.setattr(euler, "_spf", [0, 1])
+    monkeypatch.setattr(euler, "_spf", [0])
     for n in (101 * 103, 2 * 3 * 10007, 10007 * 10009, 10007**2, 99991, 97 * 101**2):
         factors = factorize(n)
         assert _product(factors) == n
         assert all(all(p % q for q in range(2, math.isqrt(p) + 1)) for p in factors)
     assert factorize(10007 * 10009) == {10007: 1, 10009: 1}
-    assert len(euler._spf) <= 101
+    assert len(euler._spf) <= 100 // 2 + 1
 
 
 def test_trial_division_sieves_only_to_sqrt(monkeypatch):
     # Trial division runs until p**2 exceeds the cofactor, so the prime
     # cofactor 9973 never sizes the sieve.
     monkeypatch.setattr(euler, "SIEVE_CAP", 10**4)
-    monkeypatch.setattr(euler, "_spf", [0, 1])
+    monkeypatch.setattr(euler, "_spf", [0])
     n = 3 * 9973
     assert factorize(n) == {3: 1, 9973: 1}
-    assert len(euler._spf) <= math.isqrt(n) + 1
+    assert 2 * len(euler._spf) <= math.isqrt(n) + 1
 
 
 def _brute_factorize(n):
@@ -84,9 +84,10 @@ def _brute_factorize(n):
 
 def test_trial_division_after_sieve_growth(monkeypatch):
     # Trial division lists the sieve's primes once per sieve length; each n
-    # below grows the sieve, so a stale list would miss a factor.
+    # below grows the sieve, so a stale list would miss a factor.  A size is
+    # the covered range, 2 * len(_spf).
     monkeypatch.setattr(euler, "SIEVE_CAP", 1000)
-    monkeypatch.setattr(euler, "_spf", [0, 1])
+    monkeypatch.setattr(euler, "_spf", [0])
     sizes = []
     for n in (
         97 * 89,  # trial division, sieve to isqrt(n)
@@ -100,19 +101,19 @@ def test_trial_division_after_sieve_growth(monkeypatch):
         999983 * 2,
     ):
         assert factorize(n) == _brute_factorize(n), n
-        sizes.append(len(euler._spf))
+        sizes.append(2 * len(euler._spf))
     assert sizes[:4] == sorted(set(sizes[:4]))  # grew before each of the first four
-    assert sizes[-1] == 1001
+    assert sizes[-1] == 1002  # n <= 1001: the cap, up to the next odd n
 
 
 def test_trial_division_lists_only_primes_below_sqrt(monkeypatch):
     # A sieve grown to the cap holds the primes to 997, yet 3 * 1009 needs
     # none past isqrt(3027) = 55: trial division lists no more than that.
     monkeypatch.setattr(euler, "SIEVE_CAP", 1000)
-    monkeypatch.setattr(euler, "_spf", [0, 1])
+    monkeypatch.setattr(euler, "_spf", [0])
     monkeypatch.setattr(euler, "_primes", (0, array("i")))
     factorize(1000)
-    assert len(euler._spf) == 1001
+    assert 2 * len(euler._spf) == 1002
     assert factorize(3 * 1009) == {3: 1, 1009: 1}
     assert max(euler._primes[1]) <= math.isqrt(3 * 1009) == 55
 
@@ -120,23 +121,47 @@ def test_trial_division_lists_only_primes_below_sqrt(monkeypatch):
 def test_smooth_numbers_past_the_cap_keep_the_sieve_small(monkeypatch):
     # At the default cap, a smooth n > SIEVE_CAP**2 grows the sieve only
     # until its primes pass the square root of the cofactor.
-    monkeypatch.setattr(euler, "_spf", [0, 1])
+    monkeypatch.setattr(euler, "_spf", [0])
     assert factorize(2**60) == {2: 60}
     assert factorize(3**40 * 7) == {3: 40, 7: 1}
-    factorize(96)  # a sieve of length 97
-    assert factorize(2**40 * 97**2) == {2: 40, 97: 2}  # cofactor len(sieve)**2
-    assert len(euler._spf) <= 1000
+    factorize(95)  # a sieve covering n < 96, whose primes stop at 89
+    assert factorize(2**40 * 97**2) == {2: 40, 97: 2}  # cofactor past 96**2: one doubling
+    assert 2 * len(euler._spf) <= 1000
+
+
+def _smallest_prime_factor(n):
+    return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
 
 
 def test_sieve_holds_smallest_prime_factor(monkeypatch):
-    # A prime's entry is 0, so every reader takes `spf[n] or n`.
-    monkeypatch.setattr(euler, "_spf", [0, 0])
+    # Entry i is for the odd n = 2i + 1, and a prime's entry is 0, so every
+    # reader takes `spf[n >> 1] or n`; even n go through factorize.
+    monkeypatch.setattr(euler, "_spf", [0])
     for n in (2, 3, 50, 1000, 5000):  # grows the sieve in several steps
         factorize(n)
     spf = euler._spf
-    assert len(spf) >= 5001
-    for n in range(2, len(spf)):
-        assert (spf[n] or n) == next(p for p in range(2, n + 1) if n % p == 0), n
+    assert 2 * len(spf) >= 5001
+    assert spf[0] == 0
+    for n in range(3, 2 * len(spf), 2):
+        assert (spf[n >> 1] or n) == _smallest_prime_factor(n), n
+    for n in range(2, 2 * len(spf)):
+        assert min(factorize(n)) == _smallest_prime_factor(n), n
+    assert len(spf) == len(euler._spf)  # factorize read the sieve without growing it
+
+
+def test_sieve_at_the_default_cap(monkeypatch):
+    # Two bytes per odd n: the sieve that covers every n <= SIEVE_CAP takes
+    # SIEVE_CAP/2 + 1 entries (10 MB).  The monkeypatch releases it afterwards.
+    monkeypatch.setattr(euler, "_spf", array("H", [0]))
+    cap = euler.SIEVE_CAP
+    factorize(cap)
+    spf = euler._spf
+    assert spf.itemsize == 2
+    assert 2 * len(spf) - 2 <= cap < 2 * len(spf)  # every n <= cap, and no odd n past cap + 1
+    assert len(spf) * spf.itemsize <= 10_000_002
+    assert max(spf) <= math.isqrt(cap)
+    for n in [*range(cap - 999, cap + 2, 2), *range(3, cap, 99_991 * 2)]:
+        assert (spf[n >> 1] or n) == _smallest_prime_factor(n), n
 
 
 @pytest.mark.parametrize("f", [factorize, sigma1, c_index])
@@ -171,9 +196,9 @@ def test_sums_past_the_sieve_match_the_default_cap(monkeypatch):
 
     default = values()
     monkeypatch.setattr(euler, "SIEVE_CAP", 100)
-    monkeypatch.setattr(euler, "_spf", [0, 0])
+    monkeypatch.setattr(euler, "_spf", [0])
     small = values()
-    assert len(euler._spf) <= 101
+    assert len(euler._spf) <= 100 // 2 + 1
     assert small == default
     S, _, chis, degrees, sigmas, cs = small
     assert set(S) == {0}
