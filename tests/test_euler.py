@@ -129,10 +129,6 @@ def test_smooth_numbers_past_the_cap_keep_the_sieve_small(monkeypatch):
     assert 2 * len(euler._spf) <= 1000
 
 
-def _smallest_prime_factor(n):
-    return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
-
-
 def test_sieve_holds_smallest_prime_factor(monkeypatch):
     # Entry i is for the odd n = 2i + 1, and a prime's entry is 0, so every
     # reader takes `spf[n >> 1] or n`; even n go through factorize.
@@ -143,10 +139,10 @@ def test_sieve_holds_smallest_prime_factor(monkeypatch):
     assert 2 * len(spf) >= 5001
     assert spf[0] == 0
     for n in range(3, 2 * len(spf), 2):
-        assert (spf[n >> 1] or n) == _smallest_prime_factor(n), n
+        assert (spf[n >> 1] or n) == min(_brute_factorize(n)), n
     for n in range(2, 2 * len(spf)):
-        assert min(factorize(n)) == _smallest_prime_factor(n), n
-    assert len(spf) == len(euler._spf)  # factorize read the sieve without growing it
+        assert min(factorize(n)) == min(_brute_factorize(n)), n
+    assert euler._spf is spf  # factorize read the sieve without growing it
 
 
 def test_sieve_at_the_default_cap(monkeypatch):
@@ -161,7 +157,7 @@ def test_sieve_at_the_default_cap(monkeypatch):
     assert len(spf) * spf.itemsize <= 10_000_002
     assert max(spf) <= math.isqrt(cap)
     for n in [*range(cap - 999, cap + 2, 2), *range(3, cap, 99_991 * 2)]:
-        assert (spf[n >> 1] or n) == _smallest_prime_factor(n), n
+        assert (spf[n >> 1] or n) == min(_brute_factorize(n)), n
 
 
 @pytest.mark.parametrize("f", [factorize, sigma1, c_index])
