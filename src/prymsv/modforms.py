@@ -14,14 +14,17 @@ q^(n(n+1)/2)``, and ``q d/dq log eta(8z)^3 = E2(8z)``, so ``24 f = theta_psi'
 - E2(8z) theta_psi = 0`` (with ``' = q d/dq``).  ``verify modular`` therefore
 checks the code, not the identity: the ``sigma1`` table, the series product
 and the closed form must agree.  Read through the closed form, the theorem
-proves ``S_D_sigma(D) = 0`` for every non-square ``D ≡ 1 (mod 8)``; :func:`S_D`
-sums the gcd-corrected degrees ``m_D(e)`` instead, which it does not cover,
-so ``verify identity`` is the scan with real content.
+proves ``S_D_sigma(D) = 0`` for every non-square ``D ≡ 1 (mod 8)``, and so
+``S_D = 0`` for the same ``D``: the termwise divisor recursion
+``sigma1((D - e^2)/8) = sum over g | e with g^2 | D of m_{D/g^2}(e/g)``,
+weighted by ``psi(e) e``, gives ``S_D_sigma(D) = sum over g^2 | D of psi(g) g
+S_{D/g^2}``, and induction on the square part of ``D`` does the rest.  So
+``verify identity``, like ``verify modular``, checks code against a theorem:
+the degree kernel and the sum of :func:`S_D` must give 0.
 
-:func:`verify_vanishing` checks both sides from one table of ``sigma1(k)``,
-``k <= N // 8``, built per call: the series multiplies it out (a product of
-two series adds into a dense list of its ``N + 1`` coefficients), and the
-closed forms read it instead of calling the kernel once per term.
+Every ``sigma1`` value is read from a :func:`sigma1_table` that the caller
+passes.  :func:`verify_vanishing` builds one to ``N // 8`` for both sides: the
+series product (a dense list of ``N + 1`` coefficients) and the closed forms.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def theta_prime_scaled(N: int) -> QSeries:
     return QSeries(N, {n: n * c for n, c in theta_psi(N).coeffs.items()})
 
 
-def _sigma1_table(K: int) -> Sequence[int]:
+def sigma1_table(K: int) -> Sequence[int]:
     """``0, sigma1(1), ..., sigma1(K)``: one kernel call per argument, then read by index.
 
     A machine-integer array, not a list of ``int`` objects, so the table adds
@@ -123,45 +126,34 @@ def _sigma1_table(K: int) -> Sequence[int]:
     return sig
 
 
-def _g2_8(N: int, sig: Sequence[int]) -> QSeries:
-    """:func:`g2_8` from the table ``sig`` of ``sigma1(k)``, ``k <= N // 8``."""
+def g2_8(N: int, sig: Sequence[int]) -> QSeries:
+    """24 times the weight-2 Eisenstein series at ``8z``: ``-1`` at 0, ``24 sigma1(k)`` at ``8k``.
+
+    That is ``-E2(8z)``, with integer coefficients; ``sig`` is a
+    :func:`sigma1_table` that reaches ``N // 8``.
+    """
     coeffs: dict[int, int] = {0: -1}
     for k in range(1, N // 8 + 1):
         coeffs[8 * k] = 24 * sig[k]
     return QSeries(N, coeffs)
 
 
-def g2_8(N: int) -> QSeries:
-    """24 times the weight-2 Eisenstein series at ``8z``: ``-1`` at 0, ``24 sigma1(k)`` at ``8k``.
+def f_coeffs(N: int, sig: Sequence[int]) -> QSeries:
+    """``24 f = g2_8 * theta_psi + theta_prime_scaled`` to ``q^N``; ``sig`` as in :func:`g2_8`."""
+    return g2_8(N, sig) * theta_psi(N) + theta_prime_scaled(N)
 
-    That is ``-E2(8z)``, with integer coefficients.
+
+def S_D_sigma(D: int, sig: Sequence[int]) -> int:
+    """The alternating sum of :func:`S_D` with ``sigma1((D - e^2)/8)`` in place of ``m_D(e)``.
+
+    Zero unless ``D ≡ 1 (mod 8)``; ``sig`` is a :func:`sigma1_table` that
+    reaches ``(D - 1) // 8``.  Agrees with :func:`S_D` exactly when ``D``
+    admits no square divisor (the degrees then reduce to plain divisor sums).
+    Odd ``e <= isqrt(D - 1)`` has ``8 | D - e^2`` and ``e^2 < D``: no check.
+    From ``e`` to ``e + 2``, ``(D - e^2)/8`` falls by ``(e + 1)/2``.
     """
-    return _g2_8(N, _sigma1_table(N // 8))
-
-
-def _f_coeffs(N: int, sig: Sequence[int]) -> QSeries:
-    """:func:`f_coeffs` from the table ``sig`` of :func:`_g2_8`."""
-    return _g2_8(N, sig) * theta_psi(N) + theta_prime_scaled(N)
-
-
-def f_coeffs(N: int) -> QSeries:
-    """The series ``24 f = g2_8 * theta_psi + theta_prime_scaled`` up to exponent ``N``."""
-    return _f_coeffs(N, _sigma1_table(N // 8))
-
-
-class _Sigma1:
-    """The kernel :func:`sigma1` read by subscript, as a table of it is read."""
-
-    __getitem__ = staticmethod(sigma1)
-
-
-def _sigma_sum(D: int, sig: Sequence[int] | _Sigma1) -> int:
-    """``sum over odd 0 < e < sqrt(D)`` of ``psi(e) e sig[(D - e^2)/8]``, for ``D ≡ 1 (mod 8)``.
-
-    ``sig[k]`` is ``sigma1(k)``: a table, or :class:`_Sigma1`, the kernel.  Odd
-    ``e <= isqrt(D - 1)`` has ``8 | D - e^2`` and ``e^2 < D``: no check.  From
-    ``e`` to ``e + 2``, ``(D - e^2)/8`` falls by ``(e + 1)/2``.
-    """
+    if D % 8 != 1:
+        return 0
     total, k = 0, (D - 1) // 8
     for e in range(1, math.isqrt(D - 1) + 1, 2):
         total += (e if e % 4 == 1 else -e) * sig[k]
@@ -169,46 +161,38 @@ def _sigma_sum(D: int, sig: Sequence[int] | _Sigma1) -> int:
     return total
 
 
-def _closed_form(n: int, sig: Sequence[int] | _Sigma1) -> int:
-    """``24 c_n`` of :func:`c_n_closed`, with ``sigma1(k)`` read as ``sig[k]``."""
-    total = 24 * _sigma_sum(n, sig) if n % 8 == 1 else 0
+def c_n_closed(n: int, sig: Sequence[int]) -> int:
+    """Closed form of the ``n``-th coefficient of :func:`f_coeffs` (that is, ``24 c_n``).
+
+    ``24 * S_D_sigma(n, sig)``, the alternating divisor sum over odd ``e <
+    sqrt(n)`` (zero unless ``n ≡ 1 (mod 8)``), plus ``psi(r) (r**3 - r)`` when
+    ``n = r**2`` (zero for even ``r``; an odd square is ``≡ 1 (mod 8)``).
+    """
+    total = 24 * S_D_sigma(n, sig)
     root = math.isqrt(n)
     if root * root == n:
         total += psi(root) * (root ** 3 - root)
     return total
 
 
-def c_n_closed(n: int) -> int:
-    """Closed form of the ``n``-th coefficient of :func:`f_coeffs` (that is, ``24 c_n``).
-
-    ``24 * S_D_sigma(n)``, the alternating divisor sum over odd ``e <
-    sqrt(n)`` (zero unless ``n ≡ 1 (mod 8)``), plus ``psi(r) (r**3 - r)`` when
-    ``n = r**2`` (zero for even ``r``; an odd square is ``≡ 1 (mod 8)``).
-    """
-    return _closed_form(n, _Sigma1())
-
-
 def verify_vanishing(N: int) -> list[int]:
     """The sorted exponents up to ``N`` where ``f`` is nonzero or differs from its closed form.
 
     The identity holds up to ``N`` exactly when the list is empty.  Both sides
-    read one table of ``sigma1(k)`` for ``k <= N // 8``, built once per call:
-    the coefficients of :func:`g2_8`, and every term of the closed forms
-    (``(n - e^2)/8 <= N // 8``), which would otherwise call the kernel again
-    for the same few arguments.
+    read one :func:`sigma1_table` to ``N // 8``: the coefficients of
+    :func:`g2_8`, and every term of the closed forms (``(n - e^2)/8 <= N // 8``).
 
     An empty list is what the theorem predicts (``theta_psi = eta(8z)^3`` by
     Jacobi's identity, and ``q d/dq log eta(8z)^3 = E2(8z)``), so a nonempty
     one is a fault of the code: the ``sigma1`` table, the product or the
-    closed form.  The theorem proves ``S_D_sigma(D) = 0`` for every
-    non-square ``D ≡ 1 (mod 8)``; ``verify identity``, on :func:`S_D` with
-    its gcd-corrected degrees, is the scan with real content.
+    closed form.  ``verify identity``, on :func:`S_D`, likewise checks code
+    against a theorem (see the module docstring).
     """
-    sig = _sigma1_table(N // 8)
-    series = _f_coeffs(N, sig)
+    sig = sigma1_table(N // 8)
+    series = f_coeffs(N, sig)
     return sorted(
         set(series.support())
-        | {n for n in range(1, N + 1, 8) if _closed_form(n, sig) != series[n]}
+        | {n for n in range(1, N + 1, 8) if c_n_closed(n, sig) != series[n]}
     )
 
 
@@ -224,12 +208,3 @@ def S_D(D: int) -> int:
     es = range(1, math.isqrt(D - 1) + 1, 2)  # n falls as e rises: the first term sizes the sieve
     return sum((e if e % 4 == 1 else -e) * degree((D - e * e) // 8, e) for e in es)
 
-
-def S_D_sigma(D: int) -> int:
-    """The same alternating sum with ``sigma1((D - e^2)/8)`` in place of ``m_D(e)``.
-
-    Summed over odd ``0 < e < sqrt(D)``, and zero unless ``D ≡ 1 (mod 8)``.
-    Agrees with :func:`S_D` exactly when ``D`` admits no square divisor
-    (the degrees then reduce to plain divisor sums).
-    """
-    return _sigma_sum(D, _Sigma1()) if D % 8 == 1 else 0

@@ -21,7 +21,7 @@ from prymsv.eigencheck import Row
 from prymsv.errors import BRequired, InvalidPrototype
 from prymsv.euler import _check_e, factorize, sigma1
 from prymsv.exactq import admissible, check_discriminant
-from prymsv.modforms import S_D, S_D_sigma, psi
+from prymsv.modforms import S_D, S_D_sigma, psi, sigma1_table
 from prymsv.prototypes import SplitProto, enumerate_split
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def verify_S_recursion(D: int) -> tuple[int, int]:
         raise err
     f, _ = squarefree_decompose(D)
     rhs = sum(psi(r) * r * S_D(D // (r * r)) for r in range(1, f + 1) if f % r == 0)
-    return S_D_sigma(D), rhs
+    return S_D_sigma(D, sigma1_table(D // 8)), rhs
 
 
 def theta_psi_eta(N: int) -> dict[int, int]:

@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -521,3 +523,18 @@ def test_parser_built_once_and_reused(capsys, monkeypatch):
 
 def test_parser_prog():
     assert build_parser().prog == "prymsv"
+
+
+def test_readme_says_what_each_command_shows():
+    # "What a pass means" has one row per subcommand, and one per verify mode.
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = set()
+    for name, sub in subparsers.choices.items():
+        modes = [a.choices for a in sub._actions if not a.option_strings and a.choices]
+        commands |= {f"{name} {m}" for m in modes[0]} if modes else {name}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## What a pass means\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| `")]
+    assert sorted(row.strip("`") for row in rows) == sorted(commands)
+    assert "verify identity" in commands and "verify" not in commands

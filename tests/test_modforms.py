@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from prymsv import modforms
 from prymsv.cli import dispatch
 from prymsv.errors import OutsideTheoremHypotheses
+from prymsv.euler import m_D
 from prymsv.modforms import (
     QSeries,
     S_D,
@@ -15,6 +18,7 @@ from prymsv.modforms import (
     f_coeffs,
     g2_8,
     psi,
+    sigma1_table,
     theta_prime_scaled,
     theta_psi,
     verify_vanishing,
@@ -102,13 +106,21 @@ def test_theta_prime_scaled():
 
 def test_g2_8():
     # -E2(8z) = 24 * G2(8z): -1 at 0, 24 * sigma1(k) at 8k.
-    g = g2_8(30)
+    g = g2_8(30, sigma1_table(30 // 8))
     assert g.coeffs == {0: -1, 8: 24, 16: 72, 24: 96}
 
 
 @pytest.mark.parametrize("N", range(8))
 def test_g2_8_below_eight(N):
-    assert g2_8(N).coeffs == {0: -1}
+    assert g2_8(N, sigma1_table(N // 8)).coeffs == {0: -1}
+
+
+def test_sigma1_table_is_the_divisor_sums():
+    brute = [0] + [sum(d for d in range(1, k + 1) if k % d == 0) for k in range(1, 301)]
+    table = sigma1_table(300)
+    assert type(table) is array and table.typecode == "q"
+    assert list(table) == brute
+    assert list(sigma1_table(0)) == [0]
 
 
 @pytest.mark.parametrize("N", [0, 1, 7, 8, 9, 17])
@@ -118,31 +130,32 @@ def test_verify_vanishing_edge_sizes(N):
 
 
 def test_f_coeffs_small_vanishes():
-    assert f_coeffs(200).support() == []
+    assert f_coeffs(200, sigma1_table(200 // 8)).support() == []
 
 
 @pytest.mark.parametrize("n", [1, 9, 17, 25, 33, 41, 49, 57, 65, 73, 81, 89, 97])
 def test_closed_form_matches_series(n):
-    series = f_coeffs(n)
-    assert c_n_closed(n) == series[n] == 0
+    sig = sigma1_table(n // 8)
+    assert c_n_closed(n, sig) == f_coeffs(n, sig)[n] == 0
 
 
 def test_closed_form_needs_residue_one():
-    assert c_n_closed(12) == 0
-    assert c_n_closed(19) == 0
+    assert c_n_closed(12, sigma1_table(12 // 8)) == 0
+    assert c_n_closed(19, sigma1_table(19 // 8)) == 0
 
 
 def test_closed_form_terms():
     # n = 9: e = 1 gives 24 * sigma1(1) = 24, square term psi(3) * (27 - 3) = -24.
-    assert c_n_closed(9) == 24 * 1 + psi(3) * (27 - 3) == 0
+    assert c_n_closed(9, sigma1_table(9 // 8)) == 24 * 1 + psi(3) * (27 - 3) == 0
     # n = 17: 24 * (sigma1(2) - 3 * sigma1(1)) = 24 * (3 - 3).
-    assert c_n_closed(17) == 24 * (psi(1) * 1 * 3 + psi(3) * 3 * 1) == 0
+    assert c_n_closed(17, sigma1_table(17 // 8)) == 24 * (psi(1) * 1 * 3 + psi(3) * 3 * 1) == 0
 
 
 def test_everything_is_an_int():
-    values = [S_D(153), S_D_sigma(153), c_n_closed(153), c_n_closed(12)]
+    sig = sigma1_table(200 // 8)
+    values = [S_D(153), S_D_sigma(153, sig), c_n_closed(153, sig), c_n_closed(12, sig)]
     values += verify_S_recursion(153)
-    for series in (f_coeffs(200), g2_8(200) * theta_psi(200), theta_prime_scaled(200)):
+    for series in (f_coeffs(200, sig), g2_8(200, sig) * theta_psi(200), theta_prime_scaled(200)):
         values += series.coeffs.values()
     assert values and all(type(v) is int for v in values)
 
@@ -155,7 +168,7 @@ def test_verify_vanishing_report(capsys):
 
 def test_vanishing_catches_violations():
     # Deliberately wrong series: support shows up as violations.
-    broken = f_coeffs(100) + QSeries(100, {33: 1})
+    broken = f_coeffs(100, sigma1_table(100 // 8)) + QSeries(100, {33: 1})
     assert broken.support() == [33]
 
 
@@ -164,7 +177,7 @@ def test_verify_vanishing_reports_planted_coefficients(monkeypatch, capsys):
     # is planted at 50 (seen by the support check only, as 50 !≡ 1 mod 8) and
     # at 57; the closed-form side at 33, where the series stays zero, so only
     # the closed-form comparison sees it.
-    real_theta_prime, real_closed = modforms.theta_prime_scaled, modforms._closed_form
+    real_theta_prime, real_closed = modforms.theta_prime_scaled, modforms.c_n_closed
 
     def theta_prime_planted(N):
         series = real_theta_prime(N)
@@ -174,7 +187,7 @@ def test_verify_vanishing_reports_planted_coefficients(monkeypatch, capsys):
         return real_closed(n, sig) + (24 if n == 33 else 0)
 
     monkeypatch.setattr(modforms, "theta_prime_scaled", theta_prime_planted)
-    monkeypatch.setattr(modforms, "_closed_form", closed_planted)
+    monkeypatch.setattr(modforms, "c_n_closed", closed_planted)
     assert verify_vanishing(200) == [33, 50, 57]
     assert dispatch(["verify", "modular", "--nmax", "200"]) == 1
     assert json.loads(capsys.readouterr().out) == {"N": 200, "violations": [33, 50, 57]}
@@ -202,7 +215,7 @@ squarefree_one_mod_8 = st.sampled_from(
 @given(squarefree_one_mod_8)
 @settings(max_examples=40, deadline=None)
 def test_sigma_sum_agrees_on_squarefree(D):
-    assert S_D_sigma(D) == S_D(D)
+    assert S_D_sigma(D, sigma1_table(D // 8)) == S_D(D)
 
 
 @pytest.mark.parametrize("D", [17, 41, 153, 425, 1377])
@@ -216,7 +229,26 @@ def test_recursion_nontrivial_conductor():
     lhs, rhs = verify_S_recursion(153)
     assert squarefree_decompose(153) == (3, 17)
     assert lhs == rhs
-    assert S_D_sigma(153) == S_D(153) + psi(3) * 3 * S_D(17)
+    assert S_D_sigma(153, sigma1_table(153 // 8)) == S_D(153) + psi(3) * 3 * S_D(17)
+
+
+def test_divisor_recursion_term_by_term():
+    # sigma1((D - e^2)/8) = sum over g | e with g^2 | D of m_{D/g^2}(e/g), for
+    # every odd 0 < e < sqrt(D) and non-square D ≡ 1 (mod 8): weighted by
+    # psi(e) e and summed, this is verify_S_recursion, whence S_D = 0.
+    Dmax = 20_000
+    sig = sigma1_table(Dmax // 8)
+    pairs = 0
+    for D in range(17, Dmax, 8):
+        root = math.isqrt(D)
+        if root * root == D:
+            continue
+        gs = [g for g in range(1, root + 1, 2) if D % (g * g) == 0]
+        for e in range(1, math.isqrt(D - 1) + 1, 2):
+            rhs = sum(m_D(D // (g * g), e // g) for g in gs if e % g == 0)
+            assert sig[(D - e * e) // 8] == rhs, (D, e)
+            pairs += 1
+    assert pairs == 115_304
 
 
 def test_recursion_guards():
