@@ -298,8 +298,8 @@ def load_table(path: str) -> EulerTable:
 
     File rows override built-in rows on key collision (with a warning to
     stderr); ``-`` marks an absent entry and every other value is negative.
-    A file that cannot be opened or is not UTF-8, or that gives one ``D``
-    twice, raises ``ParseError``.
+    A file that cannot be opened or is not UTF-8, that gives a ``D`` that is
+    no discriminant, or that gives one ``D`` twice, raises ``ParseError``.
     """
     rows = dict(_BUILTIN_ROWS)
     first_line: dict[int, int] = {}  # the file's line of each D read so far
@@ -320,6 +320,8 @@ def load_table(path: str) -> EulerTable:
             D = int(parts[0])
         except ValueError as exc:
             raise ParseError(f"{where}: bad discriminant {parts[0]!r}") from exc
+        if err := admissible(D, "disc"):
+            raise ParseError(f"{where}: {err}")
         if D in first_line:
             raise ParseError(f"{where}: D = {D} repeats line {first_line[D]}")
         first_line[D] = lineno

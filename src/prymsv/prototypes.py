@@ -24,15 +24,8 @@ from .exactq import admissible
 
 
 def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
 
 @dataclass(frozen=True)
@@ -191,10 +184,14 @@ def protos_csv(cls: type[_Proto], D: int) -> Iterator[str]:
     """
     groups = _groups(cls, D)
     yield "D,kind,a,b,d,e\n"
+    pre = f"{D},{cls.kind},"
     digits: list[str] = []  # str(b) for every b below the largest bound so far
     for e, a, d, bs in groups:
-        head, tail = f"{D},{cls.kind},{a},", f",{d},{e}\n"
         # bs is never empty: it holds b = 0 when G = 1 and b = 1 when G > 1.
+        if len(bs) == 1:
+            yield f"{pre}{a},{bs[0]},{d},{e}\n"
+            continue
+        head, tail = f"{pre}{a},", f",{d},{e}\n"
         digits.extend(map(str, range(len(digits), bs[-1] + 1)))
         strs = digits[: len(bs)] if isinstance(bs, range) else [digits[b] for b in bs]
         yield head + (tail + head).join(strs) + tail

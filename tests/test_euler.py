@@ -418,6 +418,11 @@ def test_load_table_parse_errors(tmp_path):
     path.write_text("52.5,-,-21/2,-\n")
     with pytest.raises(ParseError, match="bad discriminant"):
         load_table(str(path))
+    # A D that is no discriminant could never be looked up.
+    for D in (7, 0, -8):
+        path.write_text(f"# header\n{D},-1,-3,-1\n")
+        with pytest.raises(ParseError, match=rf"bad\.csv:2: {D} is not a positive discriminant"):
+            load_table(str(path))
     path.write_text("52,-,-,-\n")
     with pytest.raises(ParseError, match="chi_w2 may not be absent"):
         load_table(str(path))
