@@ -8,9 +8,10 @@ eigenform loci; everything here is pure integer arithmetic.
 
 One loop walks the ``(e, a, d)`` groups of a family.  The ``enumerate_*``
 functions build validated prototype objects from it; :func:`protos_csv`
-streams each group's CSV rows as one join over the decimal strings of ``b``,
-so its memory is bounded by the largest group (at most ``D/8`` rows).  Every
-row of that loop meets the family's constraints, so none needs a validator.
+streams each group's CSV rows, a group with one ``b`` as one formatted row and
+a larger group as one join over the decimal strings of ``b``, so its memory is
+bounded by the largest group (at most ``D/8`` rows).  Every row of that loop
+meets the family's constraints, so none needs a validator.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ def protos_csv(cls: type[_Proto], D: int) -> Iterator[str]:
     """CSV of family ``cls`` at ``D``: the header ``D,kind,a,b,d,e``, then one
     string of rows per ``(e, a, d)`` group, in :func:`_enumerate`'s order.
 
-    Every line ends in a newline.  A group's rows are one join over the call's
-    decimal strings of ``b``, so memory is still bounded by the largest group.
+    Every line ends in a newline.  A group with one ``b`` (most groups) is one
+    formatted row; a larger group's rows are one join over the call's decimal
+    strings of ``b``, so memory is still bounded by the largest group.
     No prototype object is built: the rows of :func:`_groups` meet the family's
     constraints by construction (``a`` divides ``n``, ``d`` is its cofactor,
     ``b`` runs below the bound prime to ``gcd(a, d, e)``, the loop filters on
@@ -192,6 +194,7 @@ def protos_csv(cls: type[_Proto], D: int) -> Iterator[str]:
             yield f"{pre}{a},{bs[0]},{d},{e}\n"
             continue
         head, tail = f"{pre}{a},", f",{d},{e}\n"
-        digits.extend(map(str, range(len(digits), bs[-1] + 1)))
+        if bs[-1] >= len(digits):
+            digits.extend(map(str, range(len(digits), bs[-1] + 1)))
         strs = digits[: len(bs)] if isinstance(bs, range) else [digits[b] for b in bs]
-        yield head + (tail + head).join(strs) + tail
+        yield f"{head}{(tail + head).join(strs)}{tail}"  # one copy of the joined rows, not two

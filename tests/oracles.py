@@ -6,8 +6,9 @@ recursion (``verify_S_recursion``) or by an external closed form (``chi_X``,
 Bainbridge's Euler characteristic of the Hilbert modular surface).
 ``split_period_vector_uncorrected`` is a negative control: the printed
 ``w1`` period vector, which fails the eigen-relation.  ``Poly`` runs the eigen
-checks on indeterminates, and ``theta_psi_eta`` expands ``eta(8z)^3`` for
-``modforms.theta_psi``.  No command or module of the package reaches this
+checks on indeterminates, ``theta_psi_eta`` expands ``eta(8z)^3`` for
+``modforms.theta_psi``, and ``theta_odd_eta`` expands ``2 eta(16z)^2 /
+eta(8z)``, the theta series of the odd squares.  No command or module of the package reaches this
 code; only tests import it.
 """
 
@@ -180,6 +181,27 @@ def theta_psi_eta(N: int) -> dict[int, int]:
                     x -= c[k - 3 * m]
             c[k] = x
     return {k: x for k, x in enumerate(c) if x}
+
+
+def theta_odd_eta(N: int) -> dict[int, int]:
+    """``2 eta(16z)^2 / eta(8z) = 2q * prod_{n >= 1} (1 - q^(16n))^2 / (1 - q^(8n))`` to ``q^N``.
+
+    Returns ``{exponent: coefficient}``.  With ``x = q^8`` each factor is
+    ``(1 - x^(2n))^2 / (1 - x^n) = (1 - x^(2n)) * (1 + x^n)``, so the
+    product is a dense list in ``x`` multiplied by two-term factors, in
+    integers and without division.  It shares no code with ``modforms``.
+    The Gauss-Jacobi identity says that it is
+    ``theta_odd = sum_{n in Z} q^((2n + 1)^2)``.
+    """
+    if N < 1:
+        return {}
+    M = (N - 1) // 8  # the x-degree of the q^N term
+    c = [1] + [0] * M
+    for n in range(1, M + 1):
+        c[n:] = [x + y for x, y in zip(c[n:], c)]  # (1 + x^n)
+        if 2 * n <= M:
+            c[2 * n :] = [x - y for x, y in zip(c[2 * n :], c)]  # (1 - x^(2n))
+    return {8 * k + 1: 2 * x for k, x in enumerate(c) if x}
 
 
 # ---------------------------------------------------------------------------

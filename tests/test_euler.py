@@ -316,6 +316,14 @@ def test_is_12_primitive():
     assert is_12_primitive(33)
 
 
+def test_sigma1_at_twice_m():
+    # sigma1(2m) = 3 sigma1(m) - 2 sigma1(m/2), the last term 0 for odd m: it
+    # turns B(D) into 3A(D) - 2A_16(D) in ROADMAP item 17 (ii).
+    for m in range(1, 10**4 + 1):
+        half = 0 if m % 2 else sigma1(m // 2)
+        assert sigma1(2 * m) == 3 * sigma1(m) - 2 * half, m
+
+
 def test_sigma1_shortcut_on_primitive():
     for D in (17, 24, 33, 40, 41, 137):
         assert is_12_primitive(D)

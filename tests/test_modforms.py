@@ -24,7 +24,7 @@ from prymsv.modforms import (
     verify_vanishing,
 )
 
-from oracles import squarefree_decompose, theta_psi_eta, verify_S_recursion
+from oracles import squarefree_decompose, theta_odd_eta, theta_psi_eta, verify_S_recursion
 
 
 class TestQSeries:
@@ -96,6 +96,14 @@ def test_theta_psi():
 def test_theta_psi_is_eta_8z_cubed(N):
     # Jacobi's identity: theta_psi = eta(8z)^3, the product expanded in integers.
     assert theta_psi(N).coeffs == theta_psi_eta(N)
+
+
+@pytest.mark.parametrize("N", [0, 1, 8, 9, 20000])
+def test_theta_odd_is_an_eta_quotient(N):
+    # Gauss-Jacobi: sum over n in Z of q^((2n + 1)^2) = 2 eta(16z)^2 / eta(8z),
+    # the first step of the D = 1 (mod 8) chain (ROADMAP item 17).
+    odd_squares = {k * k: 2 for k in range(1, math.isqrt(N) + 1, 2)}
+    assert theta_odd_eta(N) == odd_squares
 
 
 def test_theta_prime_scaled():
