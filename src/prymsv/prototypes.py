@@ -25,8 +25,15 @@ from .exactq import admissible
 
 
 def _divisors(n: int) -> list[int]:
-    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
-    return small + [n // i for i in reversed(small) if i * i != n]
+    small, large = [], []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            small.append(i)
+            if i != n // i:
+                large.append(n // i)
+        i += 1
+    return small + large[::-1]
 
 
 @dataclass(frozen=True)
@@ -175,9 +182,10 @@ def protos_csv(cls: type[_Proto], D: int) -> Iterator[str]:
     """CSV of family ``cls`` at ``D``: the header ``D,kind,a,b,d,e``, then one
     string of rows per ``(e, a, d)`` group, in :func:`_enumerate`'s order.
 
-    Every line ends in a newline.  A group with one ``b`` (most groups) is one
-    formatted row; a larger group's rows are one join over the call's decimal
-    strings of ``b``, so memory is still bounded by the largest group.
+    Every line ends in a newline.  A group with one ``b`` (most ``cyl`` and
+    ``split`` groups) is one formatted row; a larger group's rows are one join
+    over the call's decimal strings of ``b``, so memory is still bounded by the
+    largest group.
     No prototype object is built: the rows of :func:`_groups` meet the family's
     constraints by construction (``a`` divides ``n``, ``d`` is its cofactor,
     ``b`` runs below the bound prime to ``gcd(a, d, e)``, the loop filters on

@@ -55,6 +55,13 @@ FAULTS: list[Fault] = [
             "tests/test_cli.py::test_protos_pinned",
         ),
     ),
+    # A larger group whose last b is the first one past the cached strings.
+    Fault(
+        "prototypes.py",
+        "if bs[-1] >= len(digits):",
+        "if bs[-1] > len(digits):",
+        ("tests/test_prototypes.py::test_protos_csv_matches_the_objects",),
+    ),
     # A --table row whose D is no discriminant loads.
     Fault(
         "euler.py",

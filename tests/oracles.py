@@ -8,8 +8,8 @@ Bainbridge's Euler characteristic of the Hilbert modular surface).
 ``w1`` period vector, which fails the eigen-relation.  ``Poly`` runs the eigen
 checks on indeterminates, ``theta_psi_eta`` expands ``eta(8z)^3`` for
 ``modforms.theta_psi``, and ``theta_odd_eta`` expands ``2 eta(16z)^2 /
-eta(8z)``, the theta series of the odd squares.  No command or module of the package reaches this
-code; only tests import it.
+eta(8z)``, the theta series of the odd squares.  No command or module of
+the package reaches this code; only tests import it.
 """
 
 from __future__ import annotations
