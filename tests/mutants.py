@@ -181,21 +181,24 @@ def _copy_src(dest: Path) -> Path:
     return src
 
 
+def _env(src: Path) -> dict[str, str]:
+    """The environment that imports ``prymsv`` from ``src`` and writes no bytecode."""
+    return {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def _pytest(src: Path, tests: tuple[str, ...]) -> int:
     """``pytest -x -q`` on ``tests`` with ``src`` first on the import path; its exit code."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True).returncode
+    return subprocess.run(cmd, cwd=ROOT, env=_env(src), capture_output=True).returncode
 
 
 def _baseline(tests: tuple[str, ...]) -> str | None:
     """Why the unchanged copy is no baseline, or ``None``."""
     with tempfile.TemporaryDirectory() as tmp:
         src = _copy_src(Path(tmp))
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
         where = subprocess.run(
             [sys.executable, "-c", "import prymsv; print(prymsv.__file__)"],
-            env=env, capture_output=True, text=True,
+            env=_env(src), capture_output=True, text=True,
         ).stdout.strip()  # fmt: skip
         if not where.startswith(str(src)):
             return f"prymsv imports from {where!r}, not from the copy"
