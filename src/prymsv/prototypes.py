@@ -202,7 +202,6 @@ def protos_csv(cls: type[_Proto], D: int) -> Iterator[str]:
             yield f"{pre}{a},{bs[0]},{d},{e}\n"
             continue
         head, tail = f"{pre}{a},", f",{d},{e}\n"
-        if bs[-1] >= len(digits):
-            digits.extend(map(str, range(len(digits), bs[-1] + 1)))
+        digits.extend(map(str, range(len(digits), bs[-1] + 1)))
         strs = digits[: len(bs)] if isinstance(bs, range) else [digits[b] for b in bs]
-        yield f"{head}{(tail + head).join(strs)}{tail}"  # one copy of the joined rows, not two
+        yield head + (tail + head).join(strs) + tail
