@@ -28,13 +28,15 @@ def _table(args: argparse.Namespace) -> euler.EulerTable:
 def _cmd_chi(args: argparse.Namespace) -> int:
     if args.dmin > args.dmax:
         raise PrymsvError(f"--dmin {args.dmin} exceeds --dmax {args.dmax}")
-    lines = ["D,chi_w03_computed,chi_w03_table,match"]
+    # A bad --table writes nothing; then each row is written as it is computed.
+    rows = euler.chi_rows(args.dmin, args.dmax, _table(args))
+    write = sys.stdout.write
+    write("D,chi_w03_computed,chi_w03_table,match\n")
     ok = True
-    for D, computed, expected in euler.chi_rows(args.dmin, args.dmax, _table(args)):
+    for D, computed, expected in rows:
         match = "-" if expected is None else "yes" if computed == expected else "NO"
         ok = ok and match != "NO"
-        lines.append(f"{D},{computed},{'-' if expected is None else expected},{match}")
-    print("\n".join(lines))
+        write(f"{D},{computed},{'-' if expected is None else expected},{match}\n")
     return 0 if ok else 1
 
 

@@ -1,13 +1,14 @@
 """Exact verification of the real-multiplication linear algebra.
 
 Each prototype family comes with a generator ``T`` of the quadratic order
-acting on homology, self-adjoint for a symplectic form ``J`` determined by the
-intersection pairings of the chosen basis, together with (for some cases) an
-explicit eigen period vector.  ``T`` is integral with ``T^2 = t T + n Id``,
-and its eigenvalue ``mu`` (a root of ``x^2 - t x - n``) is real, so every
-check is an integer identity: a period vector, scaled into Z[mu] + i*Z[mu],
-is a real row and an imaginary row, each a pair ``(X, Y)`` of integer
-4-vectors standing for ``X + Y*mu``.
+acting on homology, self-adjoint for the intersection form of the chosen basis
+``(a1, b1, a2, b2)``, together with (for some cases) an explicit eigen period
+vector.  The form is its two pairings ``(j1, j2) = (<a1,b1>, <a2,b2>)``; no
+matrix is built.  ``T`` is integral with ``T^2 = t T + n Id``, and its
+eigenvalue ``mu`` (a root of ``x^2 - t x - n``) is real, so every check is an
+integer identity: a period vector, scaled into Z[mu] + i*Z[mu], is a real row
+and an imaginary row, each a pair ``(X, Y)`` of integer 4-vectors standing for
+``X + Y*mu``.
 
 Each check is a polynomial identity in ``(a, b, d, e)``, true for every
 integer quadruple, prototype or not, so a ``FAIL`` row of ``verify eigen`` can
@@ -108,33 +109,26 @@ def mat_scale_plus(A: Matrix, s: int, c: int) -> list[list[int]]:
     ]
 
 
-def pairing_form(j1: int, j2: int) -> list[list[int]]:
-    """Symplectic form for a basis with ``<a1,b1> = j1``, ``<a2,b2> = j2``."""
-    return [
-        [0, j1, 0, 0],
-        [-j1, 0, 0, 0],
-        [0, 0, 0, j2],
-        [0, 0, -j2, 0],
-    ]
+def verify_selfadjoint(T: Matrix, pairing: tuple[int, int]) -> bool:
+    """True iff ``transpose(T) J == J T`` exactly, for the form ``J`` of ``pairing = (j1, j2)``.
 
-
-def verify_selfadjoint(T: Matrix, J: Matrix) -> bool:
-    """True iff ``transpose(T) J == J T`` exactly, for an antisymmetric ``J``.
-
-    Every :func:`pairing_form` is antisymmetric, and then
-    ``transpose(J T) = transpose(T) transpose(J) = -transpose(T) J``, so the
-    identity holds iff ``J T`` is antisymmetric: one product instead of two.
+    ``J`` is antisymmetric, so this holds iff ``J T`` is antisymmetric.  The rows
+    of ``J T`` are ``j1 T[1]``, ``-j1 T[0]``, ``j2 T[3]`` and ``-j2 T[2]``, so its
+    four zero diagonal entries and its six opposite pairs ``(i, k)``, ``(k, i)``
+    are ten comparisons of ``T``'s entries: no ``J`` is built and no product
+    formed.  Raises ``ValueError`` unless ``T`` is 4x4.
     """
+    j1, j2 = pairing
     (
-        (m00, m01, m02, m03),
-        (m10, m11, m12, m13),
-        (m20, m21, m22, m23),
-        (m30, m31, m32, m33),
-    ) = mat_mul(J, T)
+        (t00, t01, t02, t03),
+        (t10, t11, t12, t13),
+        (t20, t21, t22, t23),
+        (t30, t31, t32, t33),
+    ) = T
     return (
-        m00 == m11 == m22 == m33 == 0
-        and m01 == -m10 and m02 == -m20 and m03 == -m30
-        and m12 == -m21 and m13 == -m31 and m23 == -m32
+        j1 * t10 == j1 * t01 == j2 * t32 == j2 * t23 == 0
+        and j1 * t11 == j1 * t00 and j1 * t12 == -j2 * t30 and j1 * t13 == j2 * t20
+        and j1 * t02 == j2 * t31 and j1 * t03 == -j2 * t21 and j2 * t33 == j2 * t22
     )
 
 
@@ -173,9 +167,9 @@ def eigen_residual(row: Row, T: Matrix, t: int, n: int) -> Row:
     )
 
 
-def _verify_endo(T: Matrix, J: Matrix, t: int, n: int, rows: Sequence[Row] = ()) -> bool:
-    """Self-adjointness of ``T`` for ``J``, ``T^2 = t T + n Id``, and ``v T = mu v`` on ``rows``."""
-    if not verify_selfadjoint(T, J):
+def _verify_endo(T: Matrix, pairing: tuple[int, int], t: int, n: int, rows: Sequence[Row] = ()) -> bool:
+    """Self-adjointness of ``T`` for ``pairing``, ``T^2 = t T + n Id``, and ``v T = mu v`` on ``rows``."""
+    if not verify_selfadjoint(T, pairing):
         return False
     if mat_mul(T, T) != mat_scale_plus(T, t, n):
         return False
@@ -232,7 +226,7 @@ def verify_cyl_IA(p: CylProto) -> bool:
     same two values to other sums of lengths and heights, so they hold too.
     """
     T = build_T(p.a, p.b, p.d, p.e)
-    return _verify_endo(T, pairing_form(1, 2), p.e, 2 * p.a * p.d, cyl_period_vector(p))
+    return _verify_endo(T, (1, 2), p.e, 2 * p.a * p.d, cyl_period_vector(p))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +245,7 @@ def verify_triple(p: TripleProto) -> bool:
     ``lambda^2 + 2ad = e lambda + 4ad = sqrt(D) lambda``.
     """
     T = build_T(p.a, p.b, p.d, p.e)
-    return _verify_endo(T, pairing_form(1, 2), p.e, 2 * p.a * p.d)
+    return _verify_endo(T, (1, 2), p.e, 2 * p.a * p.d)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +253,19 @@ def verify_triple(p: TripleProto) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def split_matrices(p: SplitProto, case: str) -> tuple[list[list[int]], list[list[int]]]:
-    """The printed order generator and its symplectic form for a curve system.
+def split_case(p: SplitProto, case: str) -> tuple[list[list[int]], tuple[int, int], list[Row]]:
+    """The printed order generator, the pairings and the eigen period rows of a curve system.
 
-    Curve systems ``w1`` and ``w2`` use a basis with pairings ``(2, 1)``
-    (their first cycle is a sum of two permuted core curves); ``w3`` uses
-    pairings ``(1, 2)``.
+    ``w1`` and ``w2`` use a basis with pairings ``(2, 1)`` (its first cycle is a
+    sum of two permuted core curves); ``w3`` uses ``(1, 2)``.  The exact period
+    vector is returned doubled, as real row and imaginary row in Z[mu] with
+    ``mu = 2 lambda' = e + sqrt(D')``: ``w1`` is ``2v = (2mu, i mu, 2a, 2di)``,
+    ``w3`` is ``2v = (mu, 2a + i mu, 4a, mu + 2di)``, and ``w2`` has none, so no
+    rows.  For ``w1`` the printed vector ``(2l', 2il', a, id)`` does *not*
+    satisfy the eigen-relation: it misses by ``-2ad*i`` in component 2 and by
+    ``+2d*l'*i`` in component 4.  The corrected ``(2l', il', a, id)`` satisfies
+    it exactly and is the one returned here; the tests keep the printed one as
+    a negative control.
     """
     a, d, e = p.a, p.d, p.e
     if case == "w1":
@@ -274,7 +275,7 @@ def split_matrices(p: SplitProto, case: str) -> tuple[list[list[int]], list[list
             [4 * d, 0, 0, 0],
             [0, 2 * a, 0, 0],
         ]
-        return T, pairing_form(2, 1)
+        return T, (2, 1), [([0, 0, 2 * a, 0], [2, 0, 0, 0]), ([0, 0, 0, 2 * d], [0, 1, 0, 0])]
     if case == "w2":
         T = [
             [2 * e, 0, a, -d],
@@ -282,7 +283,7 @@ def split_matrices(p: SplitProto, case: str) -> tuple[list[list[int]], list[list
             [4 * d, 2 * d, 0, 0],
             [0, 2 * a, 0, 0],
         ]
-        return T, pairing_form(2, 1)
+        return T, (2, 1), []
     if case == "w3":
         T = [
             [2 * e, 0, 4 * a, 2 * e],
@@ -290,35 +291,7 @@ def split_matrices(p: SplitProto, case: str) -> tuple[list[list[int]], list[list
             [d, -e, 0, 0],
             [0, 2 * a, 0, 0],
         ]
-        return T, pairing_form(1, 2)
-    raise ValueError(f"unknown split case {case!r}; expected one of {SPLIT_CASES}")
-
-
-def split_period_vector(p: SplitProto, case: str) -> list[Row]:
-    """The exact eigen period vector for ``w1``/``w3``; ``w2`` has none, so no rows.
-
-    Returned doubled, as real row and imaginary row in Z[mu] with
-    ``mu = 2 lambda' = e + sqrt(D')``: ``w1`` is ``2v = (2mu, i mu, 2a,
-    2di)`` and ``w3`` is ``2v = (mu, 2a + i mu, 4a, mu + 2di)``.  For ``w1``
-    the printed vector ``(2l', 2il', a, id)`` does *not* satisfy the
-    eigen-relation: it misses by ``-2ad*i`` in component 2 and by
-    ``+2d*l'*i`` in component 4.  The corrected ``(2l', il', a, id)``
-    satisfies it exactly and is the one returned here; the tests keep the
-    printed one as a negative control.
-    """
-    a, d = p.a, p.d
-    if case == "w1":
-        return [
-            ([0, 0, 2 * a, 0], [2, 0, 0, 0]),
-            ([0, 0, 0, 2 * d], [0, 1, 0, 0]),
-        ]
-    if case == "w3":
-        return [
-            ([0, 2 * a, 4 * a, 0], [1, 0, 0, 1]),
-            ([0, 0, 0, 2 * d], [0, 1, 0, 0]),
-        ]
-    if case == "w2":
-        return []
+        return T, (1, 2), [([0, 2 * a, 4 * a, 0], [1, 0, 0, 1]), ([0, 0, 0, 2 * d], [0, 1, 0, 0])]
     raise ValueError(f"unknown split case {case!r}; expected one of {SPLIT_CASES}")
 
 
@@ -326,13 +299,13 @@ def verify_split_endo(p: SplitProto, case: str) -> bool:
     """Verify the endomorphism attached to a splitting prototype and curve system.
 
     Checks ``T^2 = 2e T + 4ad Id`` and self-adjointness for the case's
-    symplectic form; for ``w1`` and ``w3`` additionally verifies the
+    pairings; for ``w1`` and ``w3`` additionally verifies the
     eigen-relation ``v T = 2 lambda' v`` exactly in Z[2 lambda'].
     """
     if p.b != 0:
         raise BRequired(f"endomorphism matrices are printed for b = 0 only, got {p}")
-    T, J = split_matrices(p, case)
-    return _verify_endo(T, J, 2 * p.e, 4 * p.a * p.d, split_period_vector(p, case))
+    T, pairing, rows = split_case(p, case)
+    return _verify_endo(T, pairing, 2 * p.e, 4 * p.a * p.d, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,51 @@ FAULTS: list[Fault] = [
         "x0 * t01 + x1 * t12 + x2 * t21",
         (f"{EIGEN}::test_checks_are_polynomial_identities",),
     ),
+    # verify_selfadjoint drops the comparison of entries (0, 3) and (3, 0) of J T.
+    Fault(
+        "eigencheck.py",
+        " and j1 * t13 == j2 * t20",
+        "",
+        (EIGEN,),
+    ),
+    # verify_selfadjoint compares entry (0, 2) of J T with (2, 0), not its negative.
+    Fault(
+        "eigencheck.py",
+        "-j2 * t30",
+        "j2 * t30",
+        (EIGEN,),
+    ),
+    # verify_selfadjoint's last comparison is always true.
+    Fault(
+        "eigencheck.py",
+        "j2 * t33 == j2 * t22",
+        "j2 * t33 == j2 * t33",
+        (EIGEN,),
+    ),
+    # w3 gets the pairings of w1 and w2.
+    Fault(
+        "eigencheck.py",
+        "return T, (1, 2), [",
+        "return T, (2, 1), [",
+        (f"{EIGEN}::TestSplit",),
+    ),
     # _verify_endo accepts every T that passes the T^2 test.
     Fault(
         "eigencheck.py",
         "        return False\n    zero = [0, 0, 0, 0]",
         "        return False\n    return True\n    zero = [0, 0, 0, 0]",
         (f"{EIGEN}::TestVerifyEndoBranches::test_wrong_period_row",),
+    ),
+    # chi writes its header before the table loads, so a bad --table leaves output.
+    Fault(
+        "cli.py",
+        '    rows = euler.chi_rows(args.dmin, args.dmax, _table(args))\n'
+        '    write = sys.stdout.write\n'
+        '    write("D,chi_w03_computed,chi_w03_table,match\\n")\n',
+        '    write = sys.stdout.write\n'
+        '    write("D,chi_w03_computed,chi_w03_table,match\\n")\n'
+        '    rows = euler.chi_rows(args.dmin, args.dmax, _table(args))\n',
+        ("tests/test_cli.py::test_repeated_table_row_is_usage_error",),
     ),
     # degree's 2-part swaps c(2^k) and sigma1(2^k).
     Fault(

@@ -5,7 +5,9 @@ enumeration (``p1_count``, ``m_D_bruteforce``, ``split_degree_counts``), by a
 recursion (``verify_S_recursion``) or by an external closed form (``chi_X``,
 Bainbridge's Euler characteristic of the Hilbert modular surface).
 ``split_period_vector_uncorrected`` is a negative control: the printed
-``w1`` period vector, which fails the eigen-relation.  ``Poly`` runs the eigen
+``w1`` period vector, which fails the eigen-relation.  ``pairing_matrix`` is
+the 4x4 form that ``eigencheck.verify_selfadjoint`` reads off two pairings
+without building it.  ``Poly`` runs the eigen
 checks on indeterminates, ``theta_psi_eta`` expands ``eta(8z)^3`` for
 ``modforms.theta_psi``, and ``theta_odd_eta`` expands ``2 eta(16z)^2 /
 eta(8z)``, the theta series of the odd squares.  No command or module of
@@ -262,14 +264,24 @@ def split_degree_counts(D: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# A negative control (of prymsv.eigencheck).
+# A reference form and a negative control (of prymsv.eigencheck).
 # ---------------------------------------------------------------------------
+
+
+def pairing_matrix(j1: int, j2: int) -> list[list[int]]:
+    """Symplectic form for a basis with ``<a1,b1> = j1``, ``<a2,b2> = j2``."""
+    return [
+        [0, j1, 0, 0],
+        [-j1, 0, 0, 0],
+        [0, 0, 0, j2],
+        [0, 0, -j2, 0],
+    ]
 
 
 def split_period_vector_uncorrected(p: SplitProto) -> list[Row]:
     """The ``w1`` period vector as printed, ``2v = (2mu, 2i mu, 2a, 2di)``: a negative control.
 
-    ``eigencheck.split_period_vector`` returns the corrected one.
+    ``eigencheck.split_case`` returns the corrected one as its third item.
     """
     return [
         ([0, 0, 2 * p.a, 0], [2, 0, 0, 0]),

@@ -16,8 +16,7 @@ from prymsv.eigencheck import (
     build_T,
     mat_mul,
     mat_scale_plus,
-    pairing_form,
-    split_matrices,
+    split_case,
     verification_rows,
     verify_selfadjoint,
 )
@@ -129,13 +128,13 @@ def test_criterion_6_endomorphism_checks_to_500():
         for j in range(4):
             T2 = [row[:] for row in T]
             T2[i][j] += 1
-            ok = verify_selfadjoint(T2, pairing_form(1, 2)) and mat_mul(
+            ok = verify_selfadjoint(T2, (1, 2)) and mat_mul(
                 T2, T2
             ) == mat_scale_plus(T2, p.e, 2 * p.a * p.d)
             assert not ok, (i, j)
     sp = prototypes.SplitProto(2, 0, 1, 0)
     for case in SPLIT_CASES:
-        Ts, J = split_matrices(sp, case)
+        Ts, J, _ = split_case(sp, case)
         for i in range(4):
             for j in range(4):
                 T2 = [row[:] for row in Ts]

@@ -13,9 +13,7 @@ from prymsv.eigencheck import (
     eigen_residual,
     mat_mul,
     mat_scale_plus,
-    pairing_form,
-    split_matrices,
-    split_period_vector,
+    split_case,
     verification_rows,
     verify_cyl_IA,
     verify_selfadjoint,
@@ -30,30 +28,30 @@ from prymsv.prototypes import (
     enumerate_split,
 )
 
-from oracles import Poly, split_period_vector_uncorrected
+from oracles import Poly, pairing_matrix, split_period_vector_uncorrected
 
 
 def test_selfadjoint_basic():
     T = build_T(1, 0, 1, 0)
-    assert verify_selfadjoint(T, pairing_form(1, 2))
+    assert verify_selfadjoint(T, (1, 2))
     # Breaking one entry destroys self-adjointness.
     T[0][2] += 1
-    assert not verify_selfadjoint(T, pairing_form(1, 2))
+    assert not verify_selfadjoint(T, (1, 2))
 
 
 @pytest.mark.parametrize("i,j", [(i, j) for i in range(4) for j in range(i, 4)])
 def test_selfadjoint_checks_every_entry(i, j):
-    # With J = pairing_form(1, 1), J^-1 = -J, so T = -J M gives J T = M.
+    # With J = pairing_matrix(1, 1), J^-1 = -J, so T = -J M gives J T = M.
     # Breaking the antisymmetry of M at (i, j) breaks exactly one of the ten
     # comparisons, so each must be made.
-    J = pairing_form(1, 1)
+    J = pairing_matrix(1, 1)
     M = [[0, 2, 3, 5], [-2, 0, 7, 11], [-3, -7, 0, 13], [-5, -11, -13, 0]]
     for expected in (True, False):
         T = [[-x for x in row] for row in mat_mul(J, M)]
         assert mat_mul(J, T) == M
         transpose_T = [list(col) for col in zip(*T)]
         assert (mat_mul(transpose_T, J) == mat_mul(J, T)) is expected
-        assert verify_selfadjoint(T, J) is expected
+        assert verify_selfadjoint(T, (1, 1)) is expected
         M[i][j] += 1
 
 
@@ -67,6 +65,42 @@ vectors = st.lists(entries, min_size=4, max_size=4)
 def matrices(draw):
     outer, inner = draw(containers), draw(containers)
     return outer(inner(draw(vectors)) for _ in range(4))
+
+
+pairing_values = st.integers(min_value=-3, max_value=3).filter(bool)
+
+
+@st.composite
+def selfadjoint_or_perturbed(draw, j1, j2):
+    """``(T, perturbed)``: ``T`` self-adjoint for ``(j1, j2)``, then one entry moved half the time.
+
+    From an antisymmetric ``A``, the rows ``-j2 A[1]``, ``j2 A[0]``, ``-j1 A[3]``
+    and ``j1 A[2]`` make ``J T = j1 j2 A``, antisymmetric.
+    """
+    a01, a02, a03, a12, a13, a23 = (draw(entries) for _ in range(6))
+    A = [[0, a01, a02, a03], [-a01, 0, a12, a13], [-a02, -a12, 0, a23], [-a03, -a13, -a23, 0]]
+    T = [[-j2 * x for x in A[1]], [j2 * x for x in A[0]], [-j1 * x for x in A[3]], [j1 * x for x in A[2]]]
+    perturbed = draw(st.booleans())
+    if perturbed:
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        T[i][j] += draw(entries.filter(bool))
+    return T, perturbed
+
+
+@given(pairing_values, pairing_values, st.data())
+def test_selfadjoint_is_the_matrix_identity(j1, j2, data):
+    # The ten comparisons against transpose(T) J == J T with the reference J,
+    # on random T (almost never self-adjoint) and on T built self-adjoint.
+    J = pairing_matrix(j1, j2)
+
+    def identity(T):
+        return mat_mul([list(col) for col in zip(*T)], J) == mat_mul(J, T)
+
+    T = data.draw(matrices())
+    assert verify_selfadjoint(T, (j1, j2)) == identity(T)
+    T, perturbed = data.draw(selfadjoint_or_perturbed(j1, j2))
+    assert identity(T) is not perturbed
+    assert verify_selfadjoint(T, (j1, j2)) is not perturbed
 
 
 class TestKernels:
@@ -127,7 +161,7 @@ class TestCylinder:
             for j in range(4):
                 T2 = [row[:] for row in T]
                 T2[i][j] += 1
-                sa = verify_selfadjoint(T2, pairing_form(1, 2))
+                sa = verify_selfadjoint(T2, (1, 2))
                 quad = mat_mul(T2, T2) == mat_scale_plus(T2, p.e, 2 * p.a * p.d)
                 assert not (sa and quad)
 
@@ -150,7 +184,7 @@ class TestTriple:
             for j in range(4):
                 T2 = [row[:] for row in T]
                 T2[i][j] += 1
-                sa = verify_selfadjoint(T2, pairing_form(1, 2))
+                sa = verify_selfadjoint(T2, (1, 2))
                 quad = mat_mul(T2, T2) == mat_scale_plus(T2, p.e, 2 * p.a * p.d)
                 assert not (sa and quad)
 
@@ -165,24 +199,24 @@ class TestSplit:
     def test_quadratic_relation(self):
         p = SplitProto(4, 0, 1, -1)
         for case in SPLIT_CASES:
-            T, J = split_matrices(p, case)
+            T, J, _ = split_case(p, case)
             assert verify_selfadjoint(T, J)
             assert mat_mul(T, T) == mat_scale_plus(T, 2 * p.e, 4 * p.a * p.d)
 
     def test_pairings(self):
         p = SplitProto(2, 0, 1, 0)
-        assert split_matrices(p, "w1")[1] == pairing_form(2, 1)
-        assert split_matrices(p, "w2")[1] == pairing_form(2, 1)
-        assert split_matrices(p, "w3")[1] == pairing_form(1, 2)
+        assert split_case(p, "w1")[1] == (2, 1)
+        assert split_case(p, "w2")[1] == (2, 1)
+        assert split_case(p, "w3")[1] == (1, 2)
         with pytest.raises(ValueError):
-            split_matrices(p, "w4")
+            split_case(p, "w4")
 
     def test_w2_has_no_period_vector(self):
-        assert split_period_vector(SplitProto(2, 0, 1, 0), "w2") == []
+        assert split_case(SplitProto(2, 0, 1, 0), "w2")[2] == []
 
     def test_unknown_case_has_no_period_vector(self):
         with pytest.raises(ValueError):
-            split_period_vector(SplitProto(2, 0, 1, 0), "w4")
+            split_case(SplitProto(2, 0, 1, 0), "w4")
 
     def test_uncorrected_w1_vector_fails(self):
         # The printed v = (2l', 2il', a, id) misses v T = 2l' v by -2ad*i in
@@ -191,14 +225,13 @@ class TestSplit:
         # (-4ad e_2, 2d e_4).  At (4, 0, 1, -1), v's residual is
         # (0, -8i, 0, (-1 + sqrt(17))i).  The corrected (2l', il', a, id) passes.
         p = SplitProto(4, 0, 1, -1)
-        T, _ = split_matrices(p, "w1")
+        T, _, good = split_case(p, "w1")
         t, n = 2 * p.e, 4 * p.a * p.d
         bad = split_period_vector_uncorrected(p)
         assert [eigen_residual(row, T, t, n) for row in bad] == [
             ([0, 0, 0, 0], [0, 0, 0, 0]),
             ([0, -16, 0, 0], [0, 0, 0, 2]),
         ]
-        good = split_period_vector(p, "w1")
         assert all(
             eigen_residual(row, T, t, n) == ([0, 0, 0, 0], [0, 0, 0, 0])
             for row in good
@@ -211,7 +244,7 @@ class TestSplit:
     def test_perturbation_fails(self):
         p = SplitProto(2, 0, 1, 0)
         for case in SPLIT_CASES:
-            T, J = split_matrices(p, case)
+            T, J, _ = split_case(p, case)
             for i in range(4):
                 for j in range(4):
                     T2 = [row[:] for row in T]
@@ -261,9 +294,11 @@ def test_polynomial_control_perturbed_generator(monkeypatch, check):
 
 
 def test_polynomial_control_uncorrected_w1_vector(monkeypatch):
-    monkeypatch.setattr(
-        eigencheck, "split_period_vector", lambda p, case: split_period_vector_uncorrected(p)
-    )
+    def uncorrected(p, case):
+        T, pairing, _ = split_case(p, case)
+        return T, pairing, split_period_vector_uncorrected(p)
+
+    monkeypatch.setattr(eigencheck, "split_case", uncorrected)
     assert verify_split_endo(SYMBOLIC_SPLIT, "w1") is False
 
 
@@ -274,18 +309,18 @@ class TestVerifyEndoBranches:
     def test_not_selfadjoint(self):
         T = build_T(2, 0, 1, 1)
         T[0][2] += 1
-        assert not _verify_endo(T, pairing_form(1, 2), 1, 4)
+        assert not _verify_endo(T, (1, 2), 1, 4)
 
     def test_wrong_quadratic_relation(self):
         T = build_T(2, 0, 1, 1)
-        assert verify_selfadjoint(T, pairing_form(1, 2))
-        assert not _verify_endo(T, pairing_form(1, 2), 1, 5)
+        assert verify_selfadjoint(T, (1, 2))
+        assert not _verify_endo(T, (1, 2), 1, 5)
 
     def test_wrong_period_row(self):
         T = build_T(2, 0, 1, 1)
         (X, Y), imag = cyl_period_vector(self.P)
         rows = [([X[0] + 1, *X[1:]], Y), imag]
-        assert not _verify_endo(T, pairing_form(1, 2), 1, 4, rows)
+        assert not _verify_endo(T, (1, 2), 1, 4, rows)
 
 
 def _perturbations(rows):
@@ -319,8 +354,7 @@ class TestPeriodPerturbations:
     @pytest.mark.parametrize("case", ["w1", "w3"])
     def test_split_rows(self, case):
         p = SplitProto(4, 0, 1, -1)
-        T, _ = split_matrices(p, case)
-        rows = split_period_vector(p, case)
+        T, _, rows = split_case(p, case)
         self.assert_only_unperturbed_passes(rows, T, 2 * p.e, 4 * p.a * p.d)
 
 
