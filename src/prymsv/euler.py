@@ -3,10 +3,12 @@
 The central quantity is ``m_D(e)``, the degree of the projection of the
 ``e``-slice of the triple-of-tori locus to the modular curve; summing it over
 admissible ``e`` gives the Euler characteristic of W_D(0^3).  One kernel,
-:func:`degree`, walks a smallest-prime-factor sieve for ``m_D``, ``sigma1`` and
-``c_index``, with no factorization dict per term.  The chapter-one table of
-known Euler characteristics for W_D(2) and W_D(4) is carried as built-in data,
-since those values come from external computations.
+:func:`degree_sum`, walks a smallest-prime-factor sieve over a whole e-slice of
+``n = (D - e^2)/8`` in one call, with no factorization dict and no Python call
+per term; :func:`degree` is its one-term slice, behind ``m_D``, ``sigma1`` and
+``c_index``.  The chapter-one table of known Euler characteristics for W_D(2)
+and W_D(4) is carried as built-in data, since those values come from external
+computations.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingTableEntry, OutsideTheoremHypotheses, ParseError
 from .exactq import admissible, check_discriminant
@@ -130,36 +132,63 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def degree(n: int, e: int) -> int:
-    """The product over ``p**k || n`` of ``c(p**k) = p**k + p**(k-1)`` if ``p | e``, else of ``sigma1(p**k)``.
+def degree_sum(D: int, es: Iterable[int], ws: Iterable[int]) -> int:
+    """``sum of w * degree((D - e^2) // 8, e)`` over ``zip(es, ws)``: the one kernel, one call per e-slice.
 
-    The one kernel of :func:`sigma1` (``e = 1``), :func:`c_index` (``e = 0``) and :func:`m_D`.  The
-    factor ``q = 2**k = n & -n`` gives ``q + q/2`` or ``2q - 1`` (both 1 at ``k = 0`` and 3 at
-    ``k = 1``); the odd part walks the sieve, grown only when ``n`` is past its end, or
-    trial-divides ``n >`` :data:`SIEVE_CAP`.  Raises ``ValueError`` unless ``n >= 1``.
+    ``degree(n, e)`` is the product over ``p**k || n`` of ``c(p**k) = p**k + p**(k-1)`` if
+    ``p | e``, else of ``sigma1(p**k)``.  The factor ``q = 2**k = n & -n`` gives ``q + q/2`` or
+    ``2q - 1`` (both 1 at ``k = 0`` and 3 at ``k = 1``); the odd part walks the sieve, grown only
+    when ``n`` is past its end, or trial-divides ``n >`` :data:`SIEVE_CAP`.  The loop keeps the
+    sieve in a local, read again after each growth.  Raises ``ValueError`` at the first ``n < 1``.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n >= 2 * len(_spf):  # the sieve never covers past SIEVE_CAP + 1
-        if n > SIEVE_CAP:
-            pqs = ((p, p**k) for p, k in _trial_divide(n).items())
-            return math.prod(q + q // p if e % p == 0 else (q * p - 1) // (p - 1) for p, q in pqs)
-        _ensure_sieve(n)
     spf = _spf
-    q = n & -n
-    n //= q
-    total = 2 * q - 1 if e & 1 else q + (q >> 1)
-    while n > 1:
-        p = q = spf[n >> 1] or n
-        n //= p
-        if n % p == 0:
-            while n % p == 0:
+    end = 2 * len(spf)  # the sieve never covers past SIEVE_CAP + 1
+    total = 0
+    for e, w in zip(es, ws):
+        n = (D - e * e) >> 3
+        if not 0 < n < end:
+            if n < 1:
+                raise ValueError(f"need n >= 1, got {n}")
+            del spf  # release the sieve before a longer one is built
+            if n > SIEVE_CAP:  # trial division may grow the sieve too
+                pqs = ((p, p**k) for p, k in _trial_divide(n).items())
+                value = math.prod(q + q // p if e % p == 0 else (q * p - 1) // (p - 1) for p, q in pqs)
+                spf = _spf
+                end = 2 * len(spf)
+                total += w * value
+                continue
+            _ensure_sieve(n)
+            spf = _spf
+            end = 2 * len(spf)
+        if n & 1:
+            value = 1
+        else:
+            q = n & -n
+            n //= q
+            value = 2 * q - 1 if e & 1 else q + (q >> 1)
+        while n > 1:
+            p = spf[n >> 1] or n
+            n //= p
+            if n % p:  # k = 1: both factors are p + 1
+                value *= p + 1
+            else:
+                q = p * p
                 n //= p
-                q *= p
-            total *= q + q // p if e % p == 0 else (q * p - 1) // (p - 1)
-        else:  # k = 1: both factors are p + 1
-            total *= p + 1
+                while n % p == 0:
+                    n //= p
+                    q *= p
+                value *= q + q // p if e % p == 0 else (q * p - 1) // (p - 1)
+        total += w * value
     return total
+
+
+def degree(n: int, e: int) -> int:
+    """The degree of :func:`degree_sum` at ``(n, e)``: its one-term slice, ``D = 8n + e^2``.
+
+    The kernel of :func:`sigma1` (``e = 1``), :func:`c_index` (``e = 0``) and :func:`m_D`.
+    Raises ``ValueError`` unless ``n >= 1``.
+    """
+    return degree_sum(8 * n + e * e, (e,), (1,))
 
 
 def sigma1(n: int) -> int:
@@ -208,18 +237,22 @@ def m_D(D: int, e: int) -> int:
 def chi_W03(D: int) -> Fraction:
     """Euler characteristic of W_D(0^3): ``(-1/6) * sum of m_D(e)``, gated once for ``D``.
 
-    The sum runs over ``|e| <= isqrt(D - 1)`` with ``8 | D - e^2``; the terms
-    skip ``_check_e``, which holds by construction (``e^2 < D``).  Each ``|e|``
-    is evaluated once, with weight 2 for ``e > 0``: ``m_D(-e) = m_D(e)``,
-    since ``(D - e^2)/8`` is the same and :func:`degree` depends on ``e``
-    only through ``e % p == 0``, which ``-e`` passes exactly when ``e`` does.
-    ``e = 0`` (possible only when ``8 | D``) is its own negative and counts once.
-    The first term's ``n`` is ``D // 8``, so :func:`degree` sizes the sieve.
+    The sum runs over ``|e| <= isqrt(D - 1)`` with ``8 | D - e^2``: odd ``e``
+    for odd ``D``, and ``e ≡ 0`` or ``2 (mod 4)`` as ``D ≡ 0`` or ``4 (mod
+    8)``.  The terms skip ``_check_e``, which holds by construction (``e^2 <
+    D``).  Each ``|e|`` is evaluated once, with weight 2 for ``e > 0``:
+    ``m_D(-e) = m_D(e)``, since ``(D - e^2)/8`` is the same and the degree
+    depends on ``e`` only through ``e % p == 0``, which ``-e`` passes exactly
+    when ``e`` does.  ``e = 0`` (possible only when ``8 | D``) is its own
+    negative and counts once.  One :func:`degree_sum` call takes the slice;
+    its first term's ``n`` is the largest, so it sizes the sieve.
     """
     if err := admissible(D, "W03"):
         raise err
-    es = (e for e in range(math.isqrt(D - 1) + 1) if (D - e * e) % 8 == 0)
-    return Fraction(-sum((2 if e else 1) * degree((D - e * e) // 8, e) for e in es), 6)
+    first, step = (1, 2) if D & 1 else (0, 4) if D % 8 == 0 else (2, 4)
+    es = range(first, math.isqrt(D - 1) + 1, step)
+    ws = itertools.chain((2 if first else 1,), itertools.repeat(2))
+    return Fraction(-degree_sum(D, es, ws), 6)
 
 
 # ---------------------------------------------------------------------------

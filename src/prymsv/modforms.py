@@ -29,12 +29,14 @@ series product (a dense list of ``N + 1`` coefficients) and the closed forms.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .euler import degree, sigma1
+from .euler import degree_sum, sigma1
 from .exactq import admissible
 
 
@@ -201,10 +203,10 @@ def S_D(D: int) -> int:
 
     Vanishes for every non-square ``D ≡ 1 (mod 8)``.  The gate runs once per
     ``D``; odd ``e <= isqrt(D - 1)`` then has ``8 | D - e^2`` and ``e^2 < D``,
-    so the terms call :func:`degree` with no check.
+    so one :func:`degree_sum` call takes the whole slice with no check, its
+    weights ``psi(e) e = 1, -3, 5, -7, ...`` drawn from C-level iterators.
     """
     if err := admissible(D, "S_D"):
         raise err
     es = range(1, math.isqrt(D - 1) + 1, 2)  # n falls as e rises: the first term sizes the sieve
-    return sum((e if e % 4 == 1 else -e) * degree((D - e * e) // 8, e) for e in es)
-
+    return degree_sum(D, es, map(operator.mul, es, itertools.cycle((1, -1))))

@@ -128,25 +128,32 @@ FAULTS: list[Fault] = [
         '    rows = euler.chi_rows(args.dmin, args.dmax, _table(args))\n',
         ("tests/test_cli.py::test_repeated_table_row_is_usage_error",),
     ),
-    # degree's 2-part swaps c(2^k) and sigma1(2^k).
+    # The degree kernel's 2-part swaps c(2^k) and sigma1(2^k).
     Fault(
         "euler.py",
-        "total = 2 * q - 1 if e & 1 else q + (q >> 1)",
-        "total = q + (q >> 1) if e & 1 else 2 * q - 1",
+        "value = 2 * q - 1 if e & 1 else q + (q >> 1)",
+        "value = q + (q >> 1) if e & 1 else 2 * q - 1",
         (f"{EULER}::test_sigma1",),
     ),
-    # degree reads the sieve one odd number too far.
+    # The degree kernel reads the sieve one odd number too far.
     Fault(
         "euler.py",
-        "p = q = spf[n >> 1] or n",
-        "p = q = spf[(n + 1) >> 1] or n",
+        "p = spf[n >> 1] or n\n            n //= p",
+        "p = spf[(n + 1) >> 1] or n\n            n //= p",
         (f"{EULER}::test_m_D_against_bruteforce",),
+    ),
+    # The degree kernel goes on with its old sieve after growing it.
+    Fault(
+        "euler.py",
+        "_ensure_sieve(n)\n            spf = _spf\n            end = 2 * len(spf)\n",
+        "_ensure_sieve(n)\n            end = 2 * len(_spf)\n",
+        (f"{EULER}::test_slice_grows_the_sieve_mid_loop",),
     ),
     # factorize reads the sieve one odd number too far.
     Fault(
         "euler.py",
-        "p = spf[n >> 1] or n",
-        "p = spf[(n + 1) >> 1] or n",
+        "p = spf[n >> 1] or n\n        out[p]",
+        "p = spf[(n + 1) >> 1] or n\n        out[p]",
         (f"{EULER}::test_sieve_holds_smallest_prime_factor",),
     ),
     # The sieve's period-3 pattern, shifted either way.
@@ -175,6 +182,20 @@ FAULTS: list[Fault] = [
         "return degree((D - e * e) // 8, e)",
         "return degree((D - e * e) // 8, 1)",
         (f"{MODFORMS}::test_divisor_recursion_term_by_term",),
+    ),
+    # chi_W03 weighs each e > 0 once, not once for each sign.
+    Fault(
+        "euler.py",
+        "ws = itertools.chain((2 if first else 1,), itertools.repeat(2))",
+        "ws = itertools.repeat(1)",
+        (f"{EULER}::test_chi_W03_sums_both_signs_of_e",),
+    ),
+    # S_D weighs every e by +e, dropping psi(e).
+    Fault(
+        "modforms.py",
+        "itertools.cycle((1, -1))",
+        "itertools.cycle((1, 1))",
+        (f"{MODFORMS}::test_S_D_vanishes",),
     ),
     # The sigma1 table as a C long, or shifted by one.
     Fault(

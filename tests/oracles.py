@@ -5,7 +5,8 @@ enumeration (``p1_count``, ``m_D_bruteforce``, ``split_degree_counts``), by a
 recursion (``verify_S_recursion``) or by an external closed form (``chi_X``,
 Bainbridge's Euler characteristic of the Hilbert modular surface).
 ``split_period_vector_uncorrected`` is a negative control: the printed
-``w1`` period vector, which fails the eigen-relation.  ``pairing_matrix`` is
+``w1`` period vector, which fails the eigen-relation.  So is
+``perturbations_passing``, which moves each entry of a generator in turn.  ``pairing_matrix`` is
 the 4x4 form that ``eigencheck.verify_selfadjoint`` reads off two pairings
 without building it.  ``Poly`` runs the eigen
 checks on indeterminates, ``theta_psi_eta`` expands ``eta(8z)^3`` for
@@ -19,8 +20,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
-from prymsv.eigencheck import Row
+from prymsv.eigencheck import Row, mat_mul, mat_scale_plus, verify_selfadjoint
 from prymsv.errors import BRequired, InvalidPrototype
 from prymsv.euler import _check_e, factorize, sigma1
 from prymsv.exactq import admissible, check_discriminant
@@ -264,7 +266,7 @@ def split_degree_counts(D: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# A reference form and a negative control (of prymsv.eigencheck).
+# A reference form and negative controls (of prymsv.eigencheck).
 # ---------------------------------------------------------------------------
 
 
@@ -287,6 +289,25 @@ def split_period_vector_uncorrected(p: SplitProto) -> list[Row]:
         ([0, 0, 2 * p.a, 0], [2, 0, 0, 0]),
         ([0, 0, 0, 2 * p.d], [0, 2, 0, 0]),
     ]
+
+
+def perturbations_passing(
+    T: Sequence[Sequence[int]], pairing: tuple[int, int], t: int, n: int
+) -> list[tuple[int, int]]:
+    """The entries ``(i, j)`` where ``T`` with 1 added there still passes both checks of a generator.
+
+    The checks are self-adjointness for ``pairing`` and ``T^2 = t T + n``.  A
+    negative control: on a generator of O_D every single-entry perturbation
+    must fail one of them, so the list is empty.
+    """
+    passing = []
+    for i in range(4):
+        for j in range(4):
+            T2 = [list(row) for row in T]
+            T2[i][j] += 1
+            if verify_selfadjoint(T2, pairing) and mat_mul(T2, T2) == mat_scale_plus(T2, t, n):
+                passing.append((i, j))
+    return passing
 
 
 # ---------------------------------------------------------------------------

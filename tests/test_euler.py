@@ -16,6 +16,8 @@ from prymsv.euler import (
     c_index,
     chi_rows,
     chi_W03,
+    degree,
+    degree_sum,
     factorize,
     load_table,
     m_D,
@@ -210,6 +212,60 @@ def test_sums_past_the_sieve_match_the_default_cap(monkeypatch):
     assert chis == [F(-totals[D], 6) for D in W03]
     assert sigmas == [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, 251)]
     assert cs == [p1_count(n) for n in range(1, 251)]
+
+
+def test_slice_grows_the_sieve_mid_loop(monkeypatch):
+    # With e descending, n = (D - e^2)/8 rises from 10 to 1000, so one call
+    # grows a fresh sieve several times and must read it again after each
+    # growth.  Weights 2**(32 i) keep the terms apart in the sum, so each
+    # term is read back and checked against the enumeration oracle.  D = 9 *
+    # 7 * 127, so e divisible by 3 needs the gcd correction.
+    monkeypatch.setattr(euler, "_spf", array("H", [0]))
+    D = 8001
+    es = range(math.isqrt(D - 1), 0, -2)
+    total = degree_sum(D, es, (2 ** (32 * i) for i in range(len(es))))
+    terms = [total >> (32 * i) & (2**32 - 1) for i in range(len(es))]
+    assert terms == [m_D_bruteforce(D, e) for e in es]
+    assert (D - es[0] ** 2) // 8 == 10
+    assert 2 * len(euler._spf) > (D - 1) // 8
+
+
+def test_slice_rejects_n_below_1():
+    with pytest.raises(ValueError, match="need n >= 1, got -1"):
+        degree_sum(17, (1, 3, 5), (1, -3, 5))  # 5^2 > 17
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        degree_sum(9, (1, 3), (1, 1))  # 3^2 = 9
+    with pytest.raises(ValueError, match="need n >= 1, got -"):  # after two terms past the cap
+        degree_sum(8 * (euler.SIEVE_CAP + 1) + 9, (1, 3, 9 * euler.SIEVE_CAP), (1, 1, 1))
+
+
+def _degree_from_factors(n, e):
+    # The product formula of degree_sum's docstring, over factorize's walk.
+    pqs = ((p, p**k) for p, k in factorize(n).items())
+    return math.prod(q + q // p if e % p == 0 else (q * p - 1) // (p - 1) for p, q in pqs)
+
+
+def test_degree_is_the_one_term_slice_past_the_cap():
+    cap = euler.SIEVE_CAP
+    prime = 10**7 + 19
+    pairs = [
+        (cap + 1, 1),
+        (prime, 0),
+        (8 * prime, 3),
+        (8 * prime, 2),
+        (3 * 10007**2, 10007),
+        (3 * 10007 * 10009, 6),
+    ]
+    for n, e in pairs:
+        assert n > cap
+        value = _degree_from_factors(n, e)
+        assert degree(n, e) == degree_sum(8 * n + e * e, (e,), (1,)) == value, (n, e)
+    # A slice of several terms past the cap sums them with their weights.
+    D = 8 * 2 * prime + 1
+    es, ws = (1, 3, 5, 7), (1, -3, 5, -7)
+    assert all((D - e * e) // 8 > cap for e in es)
+    expected = sum(w * _degree_from_factors((D - e * e) // 8, e) for e, w in zip(es, ws))
+    assert degree_sum(D, es, ws) == expected
 
 
 @pytest.mark.parametrize("n,s", [(1, 1), (2, 3), (4, 7), (6, 12), (12, 28), (100, 217)])
