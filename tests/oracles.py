@@ -6,9 +6,9 @@ recursion (``verify_S_recursion``) or by an external closed form (``chi_X``,
 Bainbridge's Euler characteristic of the Hilbert modular surface).
 ``split_period_vector_uncorrected`` is a negative control: the printed
 ``w1`` period vector, which fails the eigen-relation.  So is
-``perturbations_passing``, which moves each entry of a generator in turn.  ``pairing_matrix`` is
-the 4x4 form that ``eigencheck.verify_selfadjoint`` reads off two pairings
-without building it.  ``Poly`` runs the eigen
+``perturbations_passing``, which moves each entry of a generator in turn.
+``pairing_matrix`` is the 4x4 form that ``eigencheck.verify_selfadjoint``
+reads off two pairings without building it.  ``Poly`` runs the eigen
 checks on indeterminates, ``theta_psi_eta`` expands ``eta(8z)^3`` for
 ``modforms.theta_psi``, and ``theta_odd_eta`` expands ``2 eta(16z)^2 /
 eta(8z)``, the theta series of the odd squares.  No command or module of
