@@ -5,10 +5,9 @@ The central quantity is ``m_D(e)``, the degree of the projection of the
 admissible ``e`` gives the Euler characteristic of W_D(0^3).  One kernel,
 :func:`degree_sum`, walks a smallest-prime-factor sieve over a whole e-slice of
 ``n = (D - e^2)/8`` in one call, with no factorization dict and no Python call
-per term; :func:`degree` is its one-term slice, behind ``m_D``, ``sigma1`` and
-``c_index``.  The chapter-one table of known Euler characteristics for W_D(2)
-and W_D(4) is carried as built-in data, since those values come from external
-computations.
+per term; ``m_D``, ``sigma1`` and ``c_index`` are its one-term slices.  The
+chapter-one table of known Euler characteristics for W_D(2) and W_D(4) is
+carried as built-in data, since those values come from external computations.
 """
 
 from __future__ import annotations
@@ -37,23 +36,26 @@ SIEVE_CAP = 10**7
 
 #: Entry ``i`` is the smallest prime factor of the odd ``2i + 1`` (0 for 1 and
 #: for a prime), so the sieve covers ``n < 2 * len(_spf)``.  Readers take out
-#: the factor 2 with bit operations, then read ``spf[n >> 1] or n``.
+#: the factor 2 with bit operations, then read ``spf[n >> 1] or n``.  Only
+#: :func:`_sieve` assigns it.
 _spf: Sequence[int] = array("H", [0])
 
-#: ``(length, primes)``: the first primes of the sieve covering ``n < length``.
-#: Trial division lists them as far as it needs, up to the square root of the
-#: number it divides, and extends the list while the sieve keeps its length;
-#: factorizations that only read the sieve never pay that scan.
-_primes: tuple[int, array[int]] = (0, array("i"))
+#: The primes from 2 that trial division has listed from the sieve, in order.
+#: It is never reset: a longer sieve leaves every prime prime.
+_primes: array[int] = array("i", [2])
 
 
-def _ensure_sieve(n: int) -> None:
-    """Grow the sieve to cover ``n``: its covered range at least doubles, up to :data:`SIEVE_CAP`."""
+def _sieve(n: int) -> None:
+    """Cover ``min(n, SIEVE_CAP)``: the sieve's covered range at least doubles when it grows.
+
+    The old sieve is released before its successor is built; that frees its
+    memory only if no caller holds a reference to it across the call.
+    """
     global _spf
-    if n < 2 * len(_spf):
+    if n < 2 * len(_spf) or 2 * len(_spf) > SIEVE_CAP:  # covered, or at the cap
         return
     size = min(max(2 * len(_spf), n // 2 + 1), SIEVE_CAP // 2 + 1)
-    _spf = array("H", [0])  # release the old sieve before its successor is built
+    _spf = array("H", [0])
     # Odd multiples of 3 repeat with period 3 in the index; a prime p >= 5
     # writes its odd multiples p * m, m >= p prime to 6, with index step 3p.
     spf = array("H", [0, 3, 0]) * (size // 3 + 1)
@@ -70,39 +72,25 @@ def _ensure_sieve(n: int) -> None:
 
 
 def _trial_divide(n: int) -> dict[int, int]:
-    """Factor ``n > SIEVE_CAP`` by trial division; the sieve grows only as far as the cofactor needs.
+    """Factor ``n > SIEVE_CAP`` by trial division, with the sieve sized once to ``min(sqrt(n), SIEVE_CAP)``.
 
-    The candidates are 2 and the sieve's odd primes up to ``sqrt(n)``.  When
-    they run out while the sieve's covered range squared is still at most the
-    cofactor, the sieve doubles (up to :data:`SIEVE_CAP`) and division goes on
-    with its new primes only; past the cap it goes on with every odd integer.
-    Division stops once ``p**2`` exceeds the cofactor, which is then 1 or a prime.
+    The candidates are the primes to ``sqrt(n)``, listed from the sieve into
+    :data:`_primes`, then the odd integers past the last of them, which are
+    reached only when ``sqrt(n)`` lies past the sieve's end.  Division stops
+    once ``p**2`` exceeds the cofactor, which is then 1 or a prime.
     """
-    global _primes
+    root = math.isqrt(n)
+    _sieve(root)
+    spf = _spf
+    stop = min(root + 1, 2 * len(spf))
+    _primes.extend(p for p in range(_primes[-1] + 1 | 1, stop, 2) if not spf[p >> 1])
     out: dict[int, int] = {}
-    done = 0  # the first `done` primes of the sieve are divided out
-    while True:
-        bound = 2 * len(_spf)
-        if _primes[0] != bound:
-            _primes = (bound, array("i", [2]))  # no list of ints
-        primes = _primes[1]
-        stop = min(bound, math.isqrt(n) + 1)
-        primes.extend(p for p in range(primes[-1] + 1 | 1, stop, 2) if not _spf[p >> 1])
-        candidates = itertools.islice(primes, done, None)
-        if bound > SIEVE_CAP:
-            candidates = itertools.chain(candidates, itertools.count(bound + 1, 2))
-        for p in candidates:
-            if p * p > n:
-                break
-            while n % p == 0:
-                n //= p
-                out[p] = out.get(p, 0) + 1
-        else:
-            if bound * bound <= n:  # the primes ran out below sqrt(n): double the sieve
-                done = len(primes)
-                _ensure_sieve(bound)
-                continue
-        break
+    for p in itertools.chain(_primes, itertools.count(_primes[-1] + 2, 2)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
     if n > 1:
         out[n] = 1
     return out
@@ -119,7 +107,7 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError(f"need n >= 1, got {n}")
     if n > SIEVE_CAP:
         return _trial_divide(n)
-    _ensure_sieve(n)
+    _sieve(n)
     out: dict[int, int] = {}
     if k := (n & -n).bit_length() - 1:
         out[2] = k
@@ -132,34 +120,31 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def degree_sum(D: int, es: Iterable[int], ws: Iterable[int]) -> int:
+def degree_sum(D: int, es: Sequence[int], ws: Iterable[int]) -> int:
     """``sum of w * degree((D - e^2) // 8, e)`` over ``zip(es, ws)``: the one kernel, one call per e-slice.
 
     ``degree(n, e)`` is the product over ``p**k || n`` of ``c(p**k) = p**k + p**(k-1)`` if
     ``p | e``, else of ``sigma1(p**k)``.  The factor ``q = 2**k = n & -n`` gives ``q + q/2`` or
-    ``2q - 1`` (both 1 at ``k = 0`` and 3 at ``k = 1``); the odd part walks the sieve, grown only
-    when ``n`` is past its end, or trial-divides ``n >`` :data:`SIEVE_CAP`.  The loop keeps the
-    sieve in a local, read again after each growth.  Raises ``ValueError`` at the first ``n < 1``.
+    ``2q - 1`` (both 1 at ``k = 0`` and 3 at ``k = 1``); the odd part walks the sieve.  The
+    first term's ``n`` sizes the sieve, once, before any term is read, so every caller puts
+    its largest ``n`` first; a term past the sieve's end (``n >`` :data:`SIEVE_CAP`, or a
+    later ``n`` larger than the first) is trial-divided.  Trial division grows the sieve only
+    for a later ``n`` at least the square of the sieve's end, and the loop goes on with its
+    own shorter sieve.  Raises ``ValueError`` at the first ``n < 1``.
     """
+    if es:
+        _sieve((D - es[0] * es[0]) >> 3)
     spf = _spf
-    end = 2 * len(spf)  # the sieve never covers past SIEVE_CAP + 1
+    end = 2 * len(spf)
     total = 0
     for e, w in zip(es, ws):
         n = (D - e * e) >> 3
         if not 0 < n < end:
             if n < 1:
                 raise ValueError(f"need n >= 1, got {n}")
-            del spf  # release the sieve before a longer one is built
-            if n > SIEVE_CAP:  # trial division may grow the sieve too
-                pqs = ((p, p**k) for p, k in _trial_divide(n).items())
-                value = math.prod(q + q // p if e % p == 0 else (q * p - 1) // (p - 1) for p, q in pqs)
-                spf = _spf
-                end = 2 * len(spf)
-                total += w * value
-                continue
-            _ensure_sieve(n)
-            spf = _spf
-            end = 2 * len(spf)
+            pqs = ((p, p**k) for p, k in _trial_divide(n).items())
+            total += w * math.prod(q + q // p if e % p == 0 else (q * p - 1) // (p - 1) for p, q in pqs)
+            continue
         if n & 1:
             value = 1
         else:
@@ -182,23 +167,14 @@ def degree_sum(D: int, es: Iterable[int], ws: Iterable[int]) -> int:
     return total
 
 
-def degree(n: int, e: int) -> int:
-    """The degree of :func:`degree_sum` at ``(n, e)``: its one-term slice, ``D = 8n + e^2``.
-
-    The kernel of :func:`sigma1` (``e = 1``), :func:`c_index` (``e = 0``) and :func:`m_D`.
-    Raises ``ValueError`` unless ``n >= 1``.
-    """
-    return degree_sum(8 * n + e * e, (e,), (1,))
-
-
 def sigma1(n: int) -> int:
-    """Sum of the positive divisors of ``n``: :func:`degree` at ``e = 1``."""
-    return degree(n, 1)
+    """Sum of the positive divisors of ``n``: the one-term :func:`degree_sum` at ``e = 1``."""
+    return degree_sum(8 * n + 1, (1,), (1,))
 
 
 def c_index(m: int) -> int:
-    """The index of Gamma_0(m) in SL(2,Z), ``m * prod_{p | m} (1 + 1/p)``: :func:`degree` at ``e = 0``."""
-    return degree(m, 0)
+    """The index of Gamma_0(m) in SL(2,Z), ``m * prod_{p | m} (1 + 1/p)``: the one-term :func:`degree_sum` at ``e = 0``."""
+    return degree_sum(8 * m, (0,), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +199,7 @@ def m_D(D: int, e: int) -> int:
     As ``c`` is multiplicative, it is a product over ``p**k || n = (D - e^2)/8``: of
     ``c(p**k)`` if ``p | e``, else of ``c(p**(k - 2j))`` summed over ``j <= k/2``.
 
-    That sum is ``sigma1(p**k)``, so ``m_D(e)`` is :func:`degree` at ``(n, e)``:
+    That sum is ``sigma1(p**k)``, so ``m_D(e)`` is the one-term :func:`degree_sum`:
     ``c(p**k)`` over ``p | e`` times ``sigma1(p**k)`` over ``p ∤ e`` (both
     ``p + 1`` at ``k = 1``).  Proof: ``c(1) = 1`` and ``c(p**m) = p**(m - 1) *
     (p + 1)`` for ``m >= 1``, so the sum is ``(p + 1)(1 + p^2 + ... + p^(k-1))
@@ -231,7 +207,7 @@ def m_D(D: int, e: int) -> int:
     p^(k-2)) = 1 + p + ... + p^k`` for even ``k``.
     """
     _check_e(D, e)
-    return degree((D - e * e) // 8, e)
+    return degree_sum(D, (e,), (1,))
 
 
 def chi_W03(D: int) -> Fraction:

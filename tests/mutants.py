@@ -142,12 +142,12 @@ FAULTS: list[Fault] = [
         "p = spf[(n + 1) >> 1] or n\n            n //= p",
         (f"{EULER}::test_m_D_against_bruteforce",),
     ),
-    # The degree kernel goes on with its old sieve after growing it.
+    # The degree kernel reads a term past the sieve's end from the sieve.
     Fault(
         "euler.py",
-        "_ensure_sieve(n)\n            spf = _spf\n            end = 2 * len(spf)\n",
-        "_ensure_sieve(n)\n            end = 2 * len(_spf)\n",
-        (f"{EULER}::test_slice_grows_the_sieve_mid_loop",),
+        "if not 0 < n < end:",
+        "if not 0 < n:",
+        (f"{EULER}::test_slice_is_sized_by_its_first_term",),
     ),
     # factorize reads the sieve one odd number too far.
     Fault(
@@ -176,11 +176,18 @@ FAULTS: list[Fault] = [
         'array("i", [3])',
         (f"{EULER}::test_factorize_above_sieve_cap",),
     ),
+    # Trial division extends its primes from the last one plus 2, so from 2 it lists 4, 6, ...
+    Fault(
+        "euler.py",
+        "range(_primes[-1] + 1 | 1, stop, 2)",
+        "range(_primes[-1] + 2, stop, 2)",
+        (f"{EULER}::test_trial_division_lists_only_primes_below_sqrt",),
+    ),
     # m_D without its gcd correction.
     Fault(
         "euler.py",
-        "return degree((D - e * e) // 8, e)",
-        "return degree((D - e * e) // 8, 1)",
+        "return degree_sum(D, (e,), (1,))",
+        "return degree_sum(D - e * e + 1, (1,), (1,))",
         (f"{MODFORMS}::test_divisor_recursion_term_by_term",),
     ),
     # chi_W03 weighs each e > 0 once, not once for each sign.

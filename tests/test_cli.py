@@ -433,7 +433,7 @@ def test_chi_streams_rows():
             return len(text)
 
     argv = ["chi", "--dmin", "5", "--dmax", "20000"]
-    euler.degree(20000 // 8, 1)
+    euler.degree_sum(20001, (1,), (1,))
     with contextlib.redirect_stdout(Sink()):
         assert dispatch(argv) == 0
         tracemalloc.start()

@@ -16,7 +16,6 @@ from prymsv.euler import (
     c_index,
     chi_rows,
     chi_W03,
-    degree,
     degree_sum,
     factorize,
     load_table,
@@ -50,10 +49,26 @@ def test_factorize_above_sieve_cap():
     assert len(euler._spf) <= cap // 2 + 1
 
 
+def test_smooth_numbers_past_the_cap_build_the_sieve_once(monkeypatch):
+    # At the default cap, trial division of a smooth n > SIEVE_CAP**2 sizes the
+    # sieve once, to the cap, and the next such n reads that sieve without
+    # growing it.  The monkeypatch releases the 10 MB sieve and its primes.
+    monkeypatch.setattr(euler, "_spf", [0])
+    monkeypatch.setattr(euler, "_primes", array("i", [2]))
+    assert factorize(2**60) == {2: 60}
+    spf = euler._spf
+    assert len(spf) == euler.SIEVE_CAP // 2 + 1
+    assert factorize(3**40 * 7) == {3: 40, 7: 1}
+    assert factorize(95) == {5: 1, 19: 1}
+    assert factorize(2**40 * 97**2) == {2: 40, 97: 2}
+    assert euler._spf is spf
+
+
 def test_factorize_past_the_sieve(monkeypatch):
     # With a small cap, n > cap**2 is factored by integers past the sieve too.
     monkeypatch.setattr(euler, "SIEVE_CAP", 100)
     monkeypatch.setattr(euler, "_spf", [0])
+    monkeypatch.setattr(euler, "_primes", array("i", [2]))
     for n in (101 * 103, 2 * 3 * 10007, 10007 * 10009, 10007**2, 99991, 97 * 101**2):
         factors = factorize(n)
         assert _product(factors) == n
@@ -63,13 +78,13 @@ def test_factorize_past_the_sieve(monkeypatch):
 
 
 def test_trial_division_sieves_only_to_sqrt(monkeypatch):
-    # Trial division runs until p**2 exceeds the cofactor, so the prime
-    # cofactor 9973 never sizes the sieve.
+    # Trial division sizes the sieve to isqrt(n) and no further, so the
+    # prime cofactor 9973 never sizes it.
     monkeypatch.setattr(euler, "SIEVE_CAP", 10**4)
     monkeypatch.setattr(euler, "_spf", [0])
     n = 3 * 9973
     assert factorize(n) == {3: 1, 9973: 1}
-    assert 2 * len(euler._spf) <= math.isqrt(n) + 1
+    assert 2 * len(euler._spf) <= math.isqrt(n) + 2
 
 
 def _brute_factorize(n):
@@ -85,11 +100,13 @@ def _brute_factorize(n):
 
 
 def test_trial_division_after_sieve_growth(monkeypatch):
-    # Trial division lists the sieve's primes once per sieve length; each n
-    # below grows the sieve, so a stale list would miss a factor.  A size is
-    # the covered range, 2 * len(_spf).
+    # Trial division extends its list of primes as the sieve grows; each of
+    # the first four n below grows the sieve, so a list that stopped at an
+    # old sieve's end would miss a factor.  A size is the covered range,
+    # 2 * len(_spf).
     monkeypatch.setattr(euler, "SIEVE_CAP", 1000)
     monkeypatch.setattr(euler, "_spf", [0])
+    monkeypatch.setattr(euler, "_primes", array("i", [2]))
     sizes = []
     for n in (
         97 * 89,  # trial division, sieve to isqrt(n)
@@ -110,25 +127,16 @@ def test_trial_division_after_sieve_growth(monkeypatch):
 
 def test_trial_division_lists_only_primes_below_sqrt(monkeypatch):
     # A sieve grown to the cap holds the primes to 997, yet 3 * 1009 needs
-    # none past isqrt(3027) = 55: trial division lists no more than that.
+    # none past isqrt(3027) = 55: trial division lists the primes to 55,
+    # from 2 and in order, and no more.
     monkeypatch.setattr(euler, "SIEVE_CAP", 1000)
     monkeypatch.setattr(euler, "_spf", [0])
-    monkeypatch.setattr(euler, "_primes", (0, array("i")))
+    monkeypatch.setattr(euler, "_primes", array("i", [2]))
     factorize(1000)
     assert 2 * len(euler._spf) == 1002
     assert factorize(3 * 1009) == {3: 1, 1009: 1}
-    assert max(euler._primes[1]) <= math.isqrt(3 * 1009) == 55
-
-
-def test_smooth_numbers_past_the_cap_keep_the_sieve_small(monkeypatch):
-    # At the default cap, a smooth n > SIEVE_CAP**2 grows the sieve only
-    # until its primes pass the square root of the cofactor.
-    monkeypatch.setattr(euler, "_spf", [0])
-    assert factorize(2**60) == {2: 60}
-    assert factorize(3**40 * 7) == {3: 40, 7: 1}
-    factorize(95)  # a sieve covering n < 96, whose primes stop at 89
-    assert factorize(2**40 * 97**2) == {2: 40, 97: 2}  # cofactor past 96**2: one doubling
-    assert 2 * len(euler._spf) <= 1000
+    assert math.isqrt(3 * 1009) == 55
+    assert list(euler._primes) == [p for p in range(2, 56) if min(_brute_factorize(p)) == p]
 
 
 def test_sieve_holds_smallest_prime_factor(monkeypatch):
@@ -214,20 +222,24 @@ def test_sums_past_the_sieve_match_the_default_cap(monkeypatch):
     assert cs == [p1_count(n) for n in range(1, 251)]
 
 
-def test_slice_grows_the_sieve_mid_loop(monkeypatch):
-    # With e descending, n = (D - e^2)/8 rises from 10 to 1000, so one call
-    # grows a fresh sieve several times and must read it again after each
-    # growth.  Weights 2**(32 i) keep the terms apart in the sum, so each
-    # term is read back and checked against the enumeration oracle.  D = 9 *
-    # 7 * 127, so e divisible by 3 needs the gcd correction.
-    monkeypatch.setattr(euler, "_spf", array("H", [0]))
+def test_slice_is_sized_by_its_first_term(monkeypatch):
+    # With e descending, n = (D - e^2)/8 rises from 10 to 1000, so each later
+    # term past the sieve's end is trial-divided, and the sieve reaches no
+    # further than twice isqrt(1000).  Reversed, n falls from 1000: the first
+    # term sizes a fresh sieve to cover 1000, and no later term grows it.
+    # Weights 2**(32 i) keep the terms apart in the sum, so each term is read
+    # back and checked against the enumeration oracle.  D = 9 * 7 * 127, so
+    # e divisible by 3 needs the gcd correction.
     D = 8001
-    es = range(math.isqrt(D - 1), 0, -2)
-    total = degree_sum(D, es, (2 ** (32 * i) for i in range(len(es))))
-    terms = [total >> (32 * i) & (2**32 - 1) for i in range(len(es))]
-    assert terms == [m_D_bruteforce(D, e) for e in es]
-    assert (D - es[0] ** 2) // 8 == 10
-    assert 2 * len(euler._spf) > (D - 1) // 8
+    top = (D - 1) // 8
+    for es, reach in ((range(89, 0, -2), 2 * math.isqrt(top)), (range(1, 90, 2), top)):
+        monkeypatch.setattr(euler, "_spf", array("H", [0]))
+        total = degree_sum(D, es, (2 ** (32 * i) for i in range(len(es))))
+        terms = [total >> (32 * i) & (2**32 - 1) for i in range(len(es))]
+        assert terms == [m_D_bruteforce(D, e) for e in es]
+        assert 2 * len(euler._spf) <= reach + 2
+    assert top < 2 * len(euler._spf)
+    assert (D - 89**2) // 8 == 10 and math.isqrt(D - 1) == 89
 
 
 def test_slice_rejects_n_below_1():
@@ -259,7 +271,7 @@ def test_degree_is_the_one_term_slice_past_the_cap():
     for n, e in pairs:
         assert n > cap
         value = _degree_from_factors(n, e)
-        assert degree(n, e) == degree_sum(8 * n + e * e, (e,), (1,)) == value, (n, e)
+        assert degree_sum(8 * n + e * e, (e,), (1,)) == value, (n, e)
     # A slice of several terms past the cap sums them with their weights.
     D = 8 * 2 * prime + 1
     es, ws = (1, 3, 5, 7), (1, -3, 5, -7)
