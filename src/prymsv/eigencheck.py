@@ -15,10 +15,14 @@ integer quadruple, prototype or not, so a ``FAIL`` row of ``verify eigen`` can
 only mean a mistyped generator or period vector; the tests' perturbation
 controls are what show that each check can fail.
 
-The kernels :func:`mat_mul`, :func:`mat_scale_plus` and :func:`eigen_residual`
-are straight-line 4x4 integer code over unpacked entries, with no index loops,
-and each product unpacks its operands once; an input that is not 4x4 (or a
-row that is not of length 4) raises ``ValueError``.
+Every check is one straight-line pass, :func:`_verify_endo`: the ten
+comparisons of :func:`verify_selfadjoint`, then the 16 entries of ``T T``
+against ``t T + n Id`` and the eight entries of each period row's
+eigen-relation, as short-circuit chains of integer ``==`` over ``T``
+unpacked once.  It builds no matrix and stops at the first mismatch; a
+``T`` that is not 4x4 (or a row that is not of length 4) raises
+``ValueError`` at its unpacking.  It uses only ``+``, ``-``, ``*`` and
+``==``, so the tests can run it on polynomials.
 """
 
 from __future__ import annotations
@@ -46,67 +50,9 @@ SPLIT_CASES = ("w1", "w2", "w3")
 
 
 # ---------------------------------------------------------------------------
-# Small exact matrix helpers: straight-line 4x4 integer code that unpacks each
-# operand once, so a non-4x4 input fails to unpack and raises ValueError.
+# The endomorphism check: straight-line 4x4 integer code, so a non-4x4 ``T``
+# or a row that is not of length 4 fails to unpack and raises ValueError.
 # ---------------------------------------------------------------------------
-
-
-def mat_mul(A: Matrix, B: Matrix) -> list[list[int]]:
-    """``A B``, unpacking each operand once; raises ``ValueError`` unless both are 4x4."""
-    (
-        (a00, a01, a02, a03),
-        (a10, a11, a12, a13),
-        (a20, a21, a22, a23),
-        (a30, a31, a32, a33),
-    ) = A
-    (
-        (b00, b01, b02, b03),
-        (b10, b11, b12, b13),
-        (b20, b21, b22, b23),
-        (b30, b31, b32, b33),
-    ) = B
-    return [
-        [
-            a00 * b00 + a01 * b10 + a02 * b20 + a03 * b30,
-            a00 * b01 + a01 * b11 + a02 * b21 + a03 * b31,
-            a00 * b02 + a01 * b12 + a02 * b22 + a03 * b32,
-            a00 * b03 + a01 * b13 + a02 * b23 + a03 * b33,
-        ],
-        [
-            a10 * b00 + a11 * b10 + a12 * b20 + a13 * b30,
-            a10 * b01 + a11 * b11 + a12 * b21 + a13 * b31,
-            a10 * b02 + a11 * b12 + a12 * b22 + a13 * b32,
-            a10 * b03 + a11 * b13 + a12 * b23 + a13 * b33,
-        ],
-        [
-            a20 * b00 + a21 * b10 + a22 * b20 + a23 * b30,
-            a20 * b01 + a21 * b11 + a22 * b21 + a23 * b31,
-            a20 * b02 + a21 * b12 + a22 * b22 + a23 * b32,
-            a20 * b03 + a21 * b13 + a22 * b23 + a23 * b33,
-        ],
-        [
-            a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30,
-            a30 * b01 + a31 * b11 + a32 * b21 + a33 * b31,
-            a30 * b02 + a31 * b12 + a32 * b22 + a33 * b32,
-            a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33,
-        ],
-    ]
-
-
-def mat_scale_plus(A: Matrix, s: int, c: int) -> list[list[int]]:
-    """``s*A + c*Id``; raises ``ValueError`` unless ``A`` is 4x4."""
-    (
-        (a00, a01, a02, a03),
-        (a10, a11, a12, a13),
-        (a20, a21, a22, a23),
-        (a30, a31, a32, a33),
-    ) = A
-    return [
-        [s * a00 + c, s * a01, s * a02, s * a03],
-        [s * a10, s * a11 + c, s * a12, s * a13],
-        [s * a20, s * a21, s * a22 + c, s * a23],
-        [s * a30, s * a31, s * a32, s * a33 + c],
-    ]
 
 
 def verify_selfadjoint(T: Matrix, pairing: tuple[int, int]) -> bool:
@@ -132,50 +78,56 @@ def verify_selfadjoint(T: Matrix, pairing: tuple[int, int]) -> bool:
     )
 
 
-def eigen_residual(row: Row, T: Matrix, t: int, n: int) -> Row:
-    """``(X + Y mu) T - mu (X + Y mu)`` in the basis ``(1, mu)``, where ``mu^2 = t mu + n``.
+def _verify_endo(T: Matrix, pairing: tuple[int, int], t: int, n: int, rows: Sequence[Row] = ()) -> bool:
+    """Self-adjointness of ``T`` for ``pairing``, ``T^2 = t T + n Id``, and ``v T = mu v`` on ``rows``.
 
-    Since ``mu (X + Y mu) = n Y + (X + t Y) mu``, the residual is
-    ``(X T - n Y, Y T - X - t Y)``; it is zero iff the row is a left
-    eigenvector of ``T`` for ``mu``.  The comparison is formal in the basis
-    ``(1, mu)``: two integer rows, with no square root evaluated.  The row and
-    ``T`` are unpacked once and the eight entries are written out; raises
-    ``ValueError`` unless ``X`` and ``Y`` have length 4 and ``T`` is 4x4.
+    One pass that builds no matrix: after :func:`verify_selfadjoint`, ``T`` is
+    unpacked once and the 16 entries of ``T T`` are compared with those of
+    ``t T + n Id``.  A row ``(X, Y)`` stands for ``X + Y mu``, and ``mu (X + Y
+    mu) = n Y + (X + t Y) mu``, so it is a left eigenvector for ``mu`` iff ``X T
+    = n Y`` and ``Y T = X + t Y``: eight comparisons, formal in the basis ``(1,
+    mu)``, with no square root evaluated.  Returns ``False`` at the first
+    mismatch.  Raises ``ValueError`` unless ``T`` is 4x4 and, once ``T`` passes,
+    every ``X`` and ``Y`` has length 4.
     """
-    X, Y = row
-    x0, x1, x2, x3 = X
-    y0, y1, y2, y3 = Y
+    if not verify_selfadjoint(T, pairing):
+        return False
     (
         (t00, t01, t02, t03),
         (t10, t11, t12, t13),
         (t20, t21, t22, t23),
         (t30, t31, t32, t33),
     ) = T
-    return (
-        [
-            x0 * t00 + x1 * t10 + x2 * t20 + x3 * t30 - n * y0,
-            x0 * t01 + x1 * t11 + x2 * t21 + x3 * t31 - n * y1,
-            x0 * t02 + x1 * t12 + x2 * t22 + x3 * t32 - n * y2,
-            x0 * t03 + x1 * t13 + x2 * t23 + x3 * t33 - n * y3,
-        ],
-        [
-            y0 * t00 + y1 * t10 + y2 * t20 + y3 * t30 - x0 - t * y0,
-            y0 * t01 + y1 * t11 + y2 * t21 + y3 * t31 - x1 - t * y1,
-            y0 * t02 + y1 * t12 + y2 * t22 + y3 * t32 - x2 - t * y2,
-            y0 * t03 + y1 * t13 + y2 * t23 + y3 * t33 - x3 - t * y3,
-        ],
-    )
-
-
-def _verify_endo(T: Matrix, pairing: tuple[int, int], t: int, n: int, rows: Sequence[Row] = ()) -> bool:
-    """Self-adjointness of ``T`` for ``pairing``, ``T^2 = t T + n Id``, and ``v T = mu v`` on ``rows``."""
-    if not verify_selfadjoint(T, pairing):
+    if not (
+        t00 * t00 + t01 * t10 + t02 * t20 + t03 * t30 == t * t00 + n
+        and t00 * t01 + t01 * t11 + t02 * t21 + t03 * t31 == t * t01
+        and t00 * t02 + t01 * t12 + t02 * t22 + t03 * t32 == t * t02
+        and t00 * t03 + t01 * t13 + t02 * t23 + t03 * t33 == t * t03
+        and t10 * t00 + t11 * t10 + t12 * t20 + t13 * t30 == t * t10
+        and t10 * t01 + t11 * t11 + t12 * t21 + t13 * t31 == t * t11 + n
+        and t10 * t02 + t11 * t12 + t12 * t22 + t13 * t32 == t * t12
+        and t10 * t03 + t11 * t13 + t12 * t23 + t13 * t33 == t * t13
+        and t20 * t00 + t21 * t10 + t22 * t20 + t23 * t30 == t * t20
+        and t20 * t01 + t21 * t11 + t22 * t21 + t23 * t31 == t * t21
+        and t20 * t02 + t21 * t12 + t22 * t22 + t23 * t32 == t * t22 + n
+        and t20 * t03 + t21 * t13 + t22 * t23 + t23 * t33 == t * t23
+        and t30 * t00 + t31 * t10 + t32 * t20 + t33 * t30 == t * t30
+        and t30 * t01 + t31 * t11 + t32 * t21 + t33 * t31 == t * t31
+        and t30 * t02 + t31 * t12 + t32 * t22 + t33 * t32 == t * t32
+        and t30 * t03 + t31 * t13 + t32 * t23 + t33 * t33 == t * t33 + n
+    ):
         return False
-    if mat_mul(T, T) != mat_scale_plus(T, t, n):
-        return False
-    zero = [0, 0, 0, 0]
-    for row in rows:
-        if eigen_residual(row, T, t, n) != (zero, zero):
+    for (x0, x1, x2, x3), (y0, y1, y2, y3) in rows:
+        if not (
+            x0 * t00 + x1 * t10 + x2 * t20 + x3 * t30 == n * y0
+            and x0 * t01 + x1 * t11 + x2 * t21 + x3 * t31 == n * y1
+            and x0 * t02 + x1 * t12 + x2 * t22 + x3 * t32 == n * y2
+            and x0 * t03 + x1 * t13 + x2 * t23 + x3 * t33 == n * y3
+            and y0 * t00 + y1 * t10 + y2 * t20 + y3 * t30 == x0 + t * y0
+            and y0 * t01 + y1 * t11 + y2 * t21 + y3 * t31 == x1 + t * y1
+            and y0 * t02 + y1 * t12 + y2 * t22 + y3 * t32 == x2 + t * y2
+            and y0 * t03 + y1 * t13 + y2 * t23 + y3 * t33 == x3 + t * y3
+        ):
             return False
     return True
 

@@ -74,23 +74,37 @@ def _sieve(n: int) -> None:
 def _trial_divide(n: int) -> dict[int, int]:
     """Factor ``n > SIEVE_CAP`` by trial division, with the sieve sized once to ``min(sqrt(n), SIEVE_CAP)``.
 
-    The candidates are the primes to ``sqrt(n)``, listed from the sieve into
-    :data:`_primes`, then the odd integers past the last of them, which are
-    reached only when ``sqrt(n)`` lies past the sieve's end.  Division stops
-    once ``p**2`` exceeds the cofactor, which is then 1 or a prime.
+    The candidates are the primes of :data:`_primes`, then the odd integers
+    past the sieve's end.  When division runs out of listed primes, the list is
+    extended from the sieve in steps that at most double its last prime and
+    never pass the square root of the cofactor left, so a smooth ``n`` lists
+    few.  Division stops once ``p**2`` exceeds the cofactor, which is then 1 or
+    a prime.
     """
-    root = math.isqrt(n)
-    _sieve(root)
+    _sieve(math.isqrt(n))
     spf = _spf
-    stop = min(root + 1, 2 * len(spf))
-    _primes.extend(p for p in range(_primes[-1] + 1 | 1, stop, 2) if not spf[p >> 1])
+    end = 2 * len(spf)
     out: dict[int, int] = {}
-    for p in itertools.chain(_primes, itertools.count(_primes[-1] + 2, 2)):
-        if p * p > n:
-            break
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
+    candidates: Iterable[int] = _primes
+    while candidates:
+        for p in candidates:
+            if p * p > n:
+                candidates = ()
+                break
+            while n % p == 0:
+                n //= p
+                out[p] = out.get(p, 0) + 1
+        else:
+            # The listed primes ran out.  If the sieve has none left to list
+            # up to sqrt(n), the odd integers past its end follow; they are
+            # reached only when sqrt(n) lies past it.
+            listed, last = len(_primes), _primes[-1]
+            stop = min(2 * last, math.isqrt(n), end - 1) + 1
+            _primes.extend(p for p in range(last + 1 | 1, stop, 2) if not spf[p >> 1])
+            if len(_primes) > listed:
+                candidates = itertools.islice(_primes, listed, None)
+            else:
+                candidates = itertools.count(end + 1, 2)
     if n > 1:
         out[n] = 1
     return out

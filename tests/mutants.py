@@ -61,21 +61,28 @@ FAULTS: list[Fault] = [
         'if err := None:\n            raise ParseError',
         (f"{EULER}::test_load_table_parse_errors",),
     ),
-    # Entry (1, 1) of mat_mul reads b10 for b01.
+    # Entry (1, 1) of T T reads t10 for t01.
     Fault(
         "eigencheck.py",
-        "a10 * b01 + a11 * b11",
-        "a10 * b10 + a11 * b11",
-        (f"{EIGEN}::TestKernels::test_products_match_reference", f"{EIGEN}::test_selfadjoint_checks_every_entry"),
+        "t10 * t01 + t11 * t11",
+        "t10 * t10 + t11 * t11",
+        (f"{EIGEN}::TestKernels::test_scale_plus_matches_reference",),
     ),
-    # eigen_residual drops - t * y2.
+    # Entry (3, 3) of T T is compared with t T without its + n.
     Fault(
         "eigencheck.py",
-        "- x2 - t * y2,",
-        "- x2,",
+        "== t * t33 + n",
+        "== t * t33",
+        (f"{EIGEN}::test_checks_are_polynomial_identities",),
+    ),
+    # Entry 2 of a row's Y T is compared with X without its + t Y.
+    Fault(
+        "eigencheck.py",
+        "== x2 + t * y2",
+        "== x2",
         (f"{EIGEN}::TestKernels::test_products_match_reference",),
     ),
-    # eigen_residual reads t12 for t11.
+    # Entry 1 of a row's X T reads t12 for t11.
     Fault(
         "eigencheck.py",
         "x0 * t01 + x1 * t11 + x2 * t21",
@@ -113,8 +120,8 @@ FAULTS: list[Fault] = [
     # _verify_endo accepts every T that passes the T^2 test.
     Fault(
         "eigencheck.py",
-        "        return False\n    zero = [0, 0, 0, 0]",
-        "        return False\n    return True\n    zero = [0, 0, 0, 0]",
+        "        return False\n    for (x0, x1, x2, x3)",
+        "        return False\n    return True\n    for (x0, x1, x2, x3)",
         (f"{EIGEN}::TestVerifyEndoBranches::test_wrong_period_row",),
     ),
     # chi writes its header before the table loads, so a bad --table leaves output.
@@ -179,8 +186,15 @@ FAULTS: list[Fault] = [
     # Trial division extends its primes from the last one plus 2, so from 2 it lists 4, 6, ...
     Fault(
         "euler.py",
-        "range(_primes[-1] + 1 | 1, stop, 2)",
-        "range(_primes[-1] + 2, stop, 2)",
+        "range(last + 1 | 1, stop, 2)",
+        "range(last + 2, stop, 2)",
+        (f"{EULER}::test_trial_division_lists_only_primes_below_sqrt",),
+    ),
+    # Trial division lists its primes to the cofactor's square root in one step, not by doubling.
+    Fault(
+        "euler.py",
+        "min(2 * last, math.isqrt(n), end - 1)",
+        "min(math.isqrt(n), end - 1)",
         (f"{EULER}::test_trial_division_lists_only_primes_below_sqrt",),
     ),
     # m_D without its gcd correction.

@@ -8,7 +8,10 @@ Bainbridge's Euler characteristic of the Hilbert modular surface).
 ``w1`` period vector, which fails the eigen-relation.  So is
 ``perturbations_passing``, which moves each entry of a generator in turn.
 ``pairing_matrix`` is the 4x4 form that ``eigencheck.verify_selfadjoint``
-reads off two pairings without building it.  ``Poly`` runs the eigen
+reads off two pairings without building it.  ``mat_mul``, ``mat_scale_plus``
+and ``eigen_residual`` are index-loop matrix products, the references for
+the straight-line pass ``eigencheck._verify_endo``, and ``endo_holds`` is
+that pass's conjunction made from them.  ``Poly`` runs the eigen
 checks on indeterminates, ``theta_psi_eta`` expands ``eta(8z)^3`` for
 ``modforms.theta_psi``, and ``theta_odd_eta`` expands ``2 eta(16z)^2 /
 eta(8z)``, the theta series of the odd squares.  No command or module of
@@ -22,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from prymsv.eigencheck import Row, mat_mul, mat_scale_plus, verify_selfadjoint
+from prymsv.eigencheck import Matrix, Row, verify_selfadjoint
 from prymsv.errors import BRequired, InvalidPrototype
 from prymsv.euler import _check_e, factorize, sigma1
 from prymsv.exactq import admissible, check_discriminant
@@ -280,6 +283,42 @@ def pairing_matrix(j1: int, j2: int) -> list[list[int]]:
     ]
 
 
+def mat_mul(A: Matrix, B: Matrix) -> list[list[int]]:
+    """The 4x4 product ``A B``, by index loops."""
+    return [[sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+
+def mat_scale_plus(A: Matrix, s: int, c: int) -> list[list[int]]:
+    """``s A + c Id`` for a 4x4 ``A``, by index loops."""
+    return [[s * A[i][j] + (c if i == j else 0) for j in range(4)] for i in range(4)]
+
+
+def eigen_residual(row: Row, T: Matrix, t: int, n: int) -> Row:
+    """``(X + Y mu) T - mu (X + Y mu) = (X T - n Y, Y T - X - t Y)`` in the basis ``(1, mu)``.
+
+    Here ``mu^2 = t mu + n``; the residual is zero iff the row is a left
+    eigenvector of ``T`` for ``mu``.  By index loops.
+    """
+    X, Y = row
+    XT = [sum(X[k] * T[k][j] for k in range(4)) for j in range(4)]
+    YT = [sum(Y[k] * T[k][j] for k in range(4)) for j in range(4)]
+    return [XT[j] - n * Y[j] for j in range(4)], [YT[j] - X[j] - t * Y[j] for j in range(4)]
+
+
+def endo_holds(T: Matrix, pairing: tuple[int, int], t: int, n: int, rows: Sequence[Row] = ()) -> bool:
+    """The reference of ``eigencheck._verify_endo``, from the index-loop products.
+
+    ``T`` is self-adjoint for ``pairing``, ``T T == t T + n Id``, and every
+    row's :func:`eigen_residual` is zero.
+    """
+    zero = [0, 0, 0, 0]
+    return (
+        verify_selfadjoint(T, pairing)
+        and mat_mul(T, T) == mat_scale_plus(T, t, n)
+        and all(eigen_residual(row, T, t, n) == (zero, zero) for row in rows)
+    )
+
+
 def split_period_vector_uncorrected(p: SplitProto) -> list[Row]:
     """The ``w1`` period vector as printed, ``2v = (2mu, 2i mu, 2a, 2di)``: a negative control.
 
@@ -292,7 +331,7 @@ def split_period_vector_uncorrected(p: SplitProto) -> list[Row]:
 
 
 def perturbations_passing(
-    T: Sequence[Sequence[int]], pairing: tuple[int, int], t: int, n: int
+    T: Matrix, pairing: tuple[int, int], t: int, n: int
 ) -> list[tuple[int, int]]:
     """The entries ``(i, j)`` where ``T`` with 1 added there still passes both checks of a generator.
 
@@ -305,7 +344,7 @@ def perturbations_passing(
         for j in range(4):
             T2 = [list(row) for row in T]
             T2[i][j] += 1
-            if verify_selfadjoint(T2, pairing) and mat_mul(T2, T2) == mat_scale_plus(T2, t, n):
+            if endo_holds(T2, pairing, t, n):
                 passing.append((i, j))
     return passing
 

@@ -10,9 +10,6 @@ from prymsv.eigencheck import (
     _verify_endo,
     build_T,
     cyl_period_vector,
-    eigen_residual,
-    mat_mul,
-    mat_scale_plus,
     split_case,
     verification_rows,
     verify_cyl_IA,
@@ -28,7 +25,16 @@ from prymsv.prototypes import (
     enumerate_split,
 )
 
-from oracles import Poly, pairing_matrix, perturbations_passing, split_period_vector_uncorrected
+from oracles import (
+    Poly,
+    eigen_residual,
+    endo_holds,
+    mat_mul,
+    mat_scale_plus,
+    pairing_matrix,
+    perturbations_passing,
+    split_period_vector_uncorrected,
+)
 
 
 def test_selfadjoint_basic():
@@ -103,48 +109,96 @@ def test_selfadjoint_is_the_matrix_identity(j1, j2, data):
     assert verify_selfadjoint(T, (j1, j2)) is not perturbed
 
 
+@st.composite
+def generic_endo(draw):
+    """``(T, t, n, rows)`` on which every check of the pass holds, with generic entries.
+
+    ``T = y Id + u v^T`` with ``v = (u1, -u0, u3, -u2)``: ``v . u = 0``, so
+    ``(u v^T)^2 = 0`` and ``T^2 = 2y T - y^2 Id``, while every entry of ``T`` is
+    nonzero for generic ``u`` and ``y``.  A row ``(-y w, w)`` with ``w . u = 0`` stands for a left
+    eigenvector of ``T`` for ``mu = y``.
+    """
+    y = draw(entries)
+    u0, u1, u2, u3 = u = draw(vectors)
+    v = (u1, -u0, u3, -u2)
+    outer, inner = draw(containers), draw(containers)
+    T = outer(inner(u[i] * v[j] + (y if i == j else 0) for j in range(4)) for i in range(4))
+    rows = []
+    for _ in range(2):
+        k, m = draw(entries), draw(entries)
+        w = inner((k * u1, -k * u0, m * u3, -m * u2))
+        rows.append((inner(-y * x for x in w), w))
+    return T, 2 * y, -y * y, rows
+
+
+@st.composite
+def moved_endo(draw, with_rows):
+    """``(T, t, n, rows, moved)``: a :func:`generic_endo` case, half the time with one entry moved.
+
+    The entry is one of ``T``, ``t``, ``n`` or (``with_rows``) a row, moved by
+    a nonzero amount.
+    """
+    T, t, n, rows = draw(generic_endo())
+    if not with_rows:
+        rows = []
+    moved = draw(st.booleans())
+    if moved:
+        delta = draw(entries.filter(bool))
+        where = draw(st.sampled_from(["T", "t", "n"] + ["row"] * with_rows))
+        if where == "T":
+            T = [list(r) for r in T]
+            T[draw(st.integers(0, 3))][draw(st.integers(0, 3))] += delta
+        elif where == "t":
+            t += delta
+        elif where == "n":
+            n += delta
+        else:
+            rows = [([*X], [*Y]) for X, Y in rows]
+            rows[draw(st.integers(0, 1))][draw(st.integers(0, 1))][draw(st.integers(0, 3))] += delta
+    return T, t, n, rows, moved
+
+
 class TestKernels:
-    """The straight-line kernels against index-loop references."""
+    """The straight-line pass against the index-loop oracles, on generic entries.
 
-    @given(matrices(), matrices(), vectors, vectors, entries, entries, containers)
-    def test_products_match_reference(self, A, B, x, y, t, n, container):
-        x, y = container(x), container(y)
-        assert eigen_residual(container([x, y]), B, 0, 0)[0] == [
-            sum(x[k] * B[k][j] for k in range(4)) for j in range(4)
-        ]
-        assert mat_mul(A, B) == [
-            [sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)] for i in range(4)
-        ]
-        assert eigen_residual(container([x, y]), B, t, n) == (
-            [sum(x[k] * B[k][j] for k in range(4)) - n * y[j] for j in range(4)],
-            [sum(y[k] * B[k][j] for k in range(4)) - x[j] - t * y[j] for j in range(4)],
-        )
+    The pairing ``(0, 0)`` makes self-adjointness vacuous, so the comparisons
+    of ``T T`` and of the rows decide alone.
+    """
 
-    @given(matrices(), entries, entries)
-    def test_scale_plus_matches_reference(self, A, s, c):
-        assert mat_scale_plus(A, s, c) == [
-            [s * A[i][j] + (c if i == j else 0) for j in range(4)] for i in range(4)
-        ]
+    @given(moved_endo(with_rows=True))
+    def test_products_match_reference(self, case):
+        T, t, n, rows, moved = case
+        assert _verify_endo(T, (0, 0), t, n, rows) is endo_holds(T, (0, 0), t, n, rows)
+        if not moved:
+            assert _verify_endo(T, (0, 0), t, n, rows) is True
+
+    @given(moved_endo(with_rows=False), matrices(), entries, entries)
+    def test_scale_plus_matches_reference(self, case, A, s, c):
+        T, t, n, _, moved = case
+        assert _verify_endo(T, (0, 0), t, n) is (mat_mul(T, T) == mat_scale_plus(T, t, n))
+        if not moved:
+            assert _verify_endo(T, (0, 0), t, n) is True
+        assert _verify_endo(A, (0, 0), s, c) is (mat_mul(A, A) == mat_scale_plus(A, s, c))
 
     @pytest.mark.parametrize("size", [3, 5])
     def test_non_4x4_raises(self, size):
-        M = [[i * size + j for j in range(size)] for i in range(size)]
         T = build_T(1, 0, 1, 0)
-        for call in (
-            lambda: mat_mul(M, M),
-            lambda: mat_mul(M, T),
-            lambda: mat_mul(T, M),
-            lambda: mat_scale_plus(M, 2, 1),
-            lambda: eigen_residual(([1, 2, 3, 4], [5, 6, 7, 8]), M, 1, 2),
+        for bad in (
+            [[i * size + j for j in range(size)] for i in range(size)],
+            [[*row, 0][:size] for row in T],
+            (T + [[0, 0, 0, 0]])[:size],
         ):
-            with pytest.raises(ValueError):
-                call()
+            for pairing in ((1, 2), (0, 0)):
+                with pytest.raises(ValueError):
+                    _verify_endo(bad, pairing, 0, 2)
 
     def test_short_row_raises(self):
-        with pytest.raises(ValueError):
-            eigen_residual(([1, 2, 3], [5, 6, 7, 8]), build_T(1, 0, 1, 0), 1, 2)
-        with pytest.raises(ValueError):
-            eigen_residual(([1, 2, 3, 4], [5, 6, 7]), build_T(1, 0, 1, 0), 1, 2)
+        # build_T(1, 0, 1, 0) passes with t = 0 and n = 2, so its rows are unpacked.
+        T = build_T(1, 0, 1, 0)
+        assert _verify_endo(T, (1, 2), 0, 2)
+        for row in (([1, 2, 3], [5, 6, 7, 8]), ([1, 2, 3, 4], [5, 6, 7]), ([1, 2, 3, 4, 5], [5, 6, 7, 8])):
+            with pytest.raises(ValueError):
+                _verify_endo(T, (1, 2), 0, 2, [row])
 
 
 class TestCylinder:
@@ -170,6 +224,7 @@ class TestTriple:
         # T^2 = -T + 8*Id for the triple generator with e=-1, ad=4.
         T = build_T(4, 0, 1, -1)
         assert mat_mul(T, T) == mat_scale_plus(T, -1, 8)
+        assert _verify_endo(T, (1, 2), -1, 8)
 
     def test_perturbation_fails(self):
         p = TripleProto(2, 1, 1, 1)
@@ -190,6 +245,7 @@ class TestSplit:
             T, J, _ = split_case(p, case)
             assert verify_selfadjoint(T, J)
             assert mat_mul(T, T) == mat_scale_plus(T, 2 * p.e, 4 * p.a * p.d)
+            assert _verify_endo(T, J, 2 * p.e, 4 * p.a * p.d)
 
     def test_pairings(self):
         p = SplitProto(2, 0, 1, 0)
@@ -202,10 +258,6 @@ class TestSplit:
     def test_w2_has_no_period_vector(self):
         assert split_case(SplitProto(2, 0, 1, 0), "w2")[2] == []
 
-    def test_unknown_case_has_no_period_vector(self):
-        with pytest.raises(ValueError):
-            split_case(SplitProto(2, 0, 1, 0), "w4")
-
     def test_uncorrected_w1_vector_fails(self):
         # The printed v = (2l', 2il', a, id) misses v T = 2l' v by -2ad*i in
         # component 2 and by +2d*l'*i in component 4: for 2v in the basis
@@ -213,7 +265,7 @@ class TestSplit:
         # (-4ad e_2, 2d e_4).  At (4, 0, 1, -1), v's residual is
         # (0, -8i, 0, (-1 + sqrt(17))i).  The corrected (2l', il', a, id) passes.
         p = SplitProto(4, 0, 1, -1)
-        T, _, good = split_case(p, "w1")
+        T, pairing, good = split_case(p, "w1")
         t, n = 2 * p.e, 4 * p.a * p.d
         bad = split_period_vector_uncorrected(p)
         assert [eigen_residual(row, T, t, n) for row in bad] == [
@@ -224,6 +276,8 @@ class TestSplit:
             eigen_residual(row, T, t, n) == ([0, 0, 0, 0], [0, 0, 0, 0])
             for row in good
         )
+        assert not _verify_endo(T, pairing, t, n, bad)
+        assert _verify_endo(T, pairing, t, n, good)
 
     def test_b_required(self):
         with pytest.raises(BRequired):
@@ -282,6 +336,47 @@ def test_polynomial_control_uncorrected_w1_vector(monkeypatch):
     assert verify_split_endo(SYMBOLIC_SPLIT, "w1") is False
 
 
+def _systems(cyl, split):
+    """``(T, pairing, t, n, rows)``: ``build_T`` with the I.A rows, then each ``split_case`` system."""
+    yield build_T(cyl.a, cyl.b, cyl.d, cyl.e), (1, 2), cyl.e, 2 * cyl.a * cyl.d, cyl_period_vector(cyl)
+    for case in SPLIT_CASES:
+        T, pairing, rows = split_case(split, case)
+        yield T, pairing, 2 * split.e, 4 * split.a * split.d, rows
+
+
+def _single_entry_moves(T, rows):
+    """Every ``(T, rows)`` with one entry of ``T`` or of one row moved by +1 or -1."""
+    for step in (1, -1):
+        for i in range(4):
+            for j in range(4):
+                moved = [list(r) for r in T]
+                moved[i][j] += step
+                yield moved, rows
+        for moved_rows in _perturbations(rows, step):
+            yield T, moved_rows
+
+
+@pytest.mark.parametrize(
+    "cyl,split",
+    [
+        (CylProto(2, 0, 1, 1), SplitProto(4, 0, 1, -1)),
+        (CylProto(2, 1, 2, 1), SplitProto(2, 0, 1, 0)),
+        (CylProto(1, 0, 2, 1), SplitProto(3, 0, 2, 0)),
+        (SYMBOLIC, SYMBOLIC_SPLIT),
+    ],
+    ids=["ints-1", "ints-2", "ints-3", "poly"],
+)
+def test_verify_endo_is_the_oracle_conjunction(cyl, split):
+    # On every single-entry move of a generator or of a period row, the pass
+    # says what the index-loop oracles say.  With the pairing (0, 0), which
+    # every T satisfies, the moves of T reach the comparisons of T T too.
+    for T, pairing, t, n, rows in _systems(cyl, split):
+        assert _verify_endo(T, pairing, t, n, rows) is True
+        for J in (pairing, (0, 0)):
+            for T2, rows2 in _single_entry_moves(T, rows):
+                assert _verify_endo(T2, J, t, n, rows2) is endo_holds(T2, J, t, n, rows2)
+
+
 class TestVerifyEndoBranches:
     # CylProto(2, 0, 1, 1): t = e = 1, n = 2ad = 4; verify_cyl_IA passes it.
     P = CylProto(2, 0, 1, 1)
@@ -303,13 +398,13 @@ class TestVerifyEndoBranches:
         assert not _verify_endo(T, (1, 2), 1, 4, rows)
 
 
-def _perturbations(rows):
-    """Every copy of ``rows`` with one integer entry increased by 1."""
+def _perturbations(rows, step=1):
+    """Every copy of ``rows`` with one entry increased by ``step``."""
     for r in range(len(rows)):
         for part in range(2):
             for j in range(4):
                 bumped = [([*X], [*Y]) for X, Y in rows]
-                bumped[r][part][j] += 1
+                bumped[r][part][j] += step
                 yield bumped
 
 

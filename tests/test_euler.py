@@ -127,16 +127,29 @@ def test_trial_division_after_sieve_growth(monkeypatch):
 
 def test_trial_division_lists_only_primes_below_sqrt(monkeypatch):
     # A sieve grown to the cap holds the primes to 997, yet 3 * 1009 needs
-    # none past isqrt(3027) = 55: trial division lists the primes to 55,
-    # from 2 and in order, and no more.
+    # none past isqrt(1009) = 31 once its factor 3 is divided out: trial
+    # division lists the primes to 31, from 2 and in order, and no more.
     monkeypatch.setattr(euler, "SIEVE_CAP", 1000)
     monkeypatch.setattr(euler, "_spf", [0])
     monkeypatch.setattr(euler, "_primes", array("i", [2]))
     factorize(1000)
     assert 2 * len(euler._spf) == 1002
     assert factorize(3 * 1009) == {3: 1, 1009: 1}
-    assert math.isqrt(3 * 1009) == 55
-    assert list(euler._primes) == [p for p in range(2, 56) if min(_brute_factorize(p)) == p]
+    assert math.isqrt(1009) == 31
+    assert list(euler._primes) == [p for p in range(2, 32) if min(_brute_factorize(p)) == p]
+
+
+def test_trial_division_lists_primes_only_as_the_cofactor_needs(monkeypatch):
+    # With a fresh list, 2**60 is 1 after the prime 2 and 3**40 * 7 leaves the
+    # prime 7 < 5**2 after 3, so trial division lists no prime past 3, though
+    # both build the sieve to the cap (its 664,579 primes are not listed).
+    monkeypatch.setattr(euler, "_spf", [0])
+    monkeypatch.setattr(euler, "_primes", array("i", [2]))
+    assert factorize(2**60) == {2: 60}
+    assert list(euler._primes) == [2]
+    assert factorize(3**40 * 7) == {3: 40, 7: 1}
+    assert list(euler._primes) == [2, 3]
+    assert len(euler._spf) == euler.SIEVE_CAP // 2 + 1
 
 
 def test_sieve_holds_smallest_prime_factor(monkeypatch):
