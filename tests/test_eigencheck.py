@@ -114,9 +114,9 @@ def generic_endo(draw):
     """``(T, t, n, rows)`` on which every check of the pass holds, with generic entries.
 
     ``T = y Id + u v^T`` with ``v = (u1, -u0, u3, -u2)``: ``v . u = 0``, so
-    ``(u v^T)^2 = 0`` and ``T^2 = 2y T - y^2 Id``, while every entry of ``T`` is
-    nonzero for generic ``u`` and ``y``.  A row ``(-y w, w)`` with ``w . u = 0`` stands for a left
-    eigenvector of ``T`` for ``mu = y``.
+    ``(u v^T)^2 = 0`` and ``T^2 = 2y T - y^2 Id``, while every entry of ``T``
+    is nonzero for generic ``u`` and ``y``.  A row ``(-y w, w)`` with ``w . u =
+    0`` stands for a left eigenvector of ``T`` for ``mu = y``.
     """
     y = draw(entries)
     u0, u1, u2, u3 = u = draw(vectors)
