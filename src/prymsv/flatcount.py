@@ -302,17 +302,21 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     itself, so it has no multiple of the slit.  Depth first, a sector is
     followed through every edge it crosses whole; where a vertex splits it,
     the right part is followed on and the left part stacked, so the stack
-    holds only the parts left at a split.  An edge is pruned when its squared
-    distance exceeds ``R*R*(1 + 1e-12)``.  It is computed from the edge
-    vector and ``1/|b - a|^2`` of the edge's own chart, which round otherwise
-    than the offset endpoints would; but an edge of length L within R has
-    its endpoints within R + L, so the square is off by a few ulps of
-    ``R*(R + L)``.  Unless R is thousands of times shorter than the edge,
-    that is inside the slack, and no edge within R is pruned.  A vertex is
-    found when the ``hypot`` of its holonomy (``abs``, which is its
-    ``length``) is at most R, so no length exceeds R.  Results are sorted
-    by :meth:`SaddleConnection.sort_key`, a total order on records, so the
-    list depends only on the surface and R, not on the order of the search.
+    holds only the parts left at a split.  The bound is ``R2 = R*R*(1 +
+    1e-12)``.  An edge is pruned only when the squared norms of both its
+    endpoints exceed R2 (the far one, b, is tested first: the new offset
+    needs it anyway) and so does its squared distance from the origin; an
+    edge with an endpoint within R is never pruned.  The distance is
+    computed from the edge vector and ``1/|b - a|^2`` of the edge's own
+    chart, which round otherwise than the offset endpoints would; but an
+    edge of length L within R has its endpoints within R + L, so the square
+    is off by a few ulps of ``R*(R + L)``.  Unless R is thousands of times
+    shorter than the edge, that is inside the slack, and no edge within R is
+    pruned.  A vertex is found when the ``hypot`` of its holonomy (``abs``,
+    which is its ``length``) is at most R, so no length exceeds R.  Results
+    are sorted by :meth:`SaddleConnection.sort_key`, a total order on
+    records, so the list depends only on the surface and R, not on the order
+    of the search.
     A pruning bound that is not finite (a non-finite ``R``, or one whose
     square overflows) never stops the search, so it raises ``InvalidRadius``.
     """
@@ -329,12 +333,14 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     triangles = s.triangles
     exact = s.exact
     vclass = s.vertex_class
-    # One row per directed edge 3*t + i: its endpoints a and b in triangle
-    # t's chart, b - a and 1/|b - a|^2, then, across the glue, the glued
-    # triangle's base vertex, its far vertex (each point as two floats),
-    # whether that vertex is z2, the rows of the two sub-edges past it, and
-    # the exact offset step and exact far vertex.
-    edges = []
+    # Per directed edge 3*t + i, a hot row, read at every crossing: its far
+    # endpoint b in triangle t's chart, then, across the glue, the glued
+    # triangle's base vertex and far vertex (each point as two floats), the
+    # rows of the two sub-edges past that vertex and the exact offset step.
+    # Two rows are read only in the rare cases: the segment row (a, b - a,
+    # 1/|b - a|^2) when both endpoints lie beyond R, and the split row
+    # (whether the far vertex is z2, and its exact position) at a split.
+    hot, seg, split = [], [], []
     for t, tri in enumerate(triangles):
         for i in range(3):
             nt, ne = s.glue[(t, i)]
@@ -342,12 +348,12 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
             a, b, base, far = tri[i], tri[(i + 1) % 3], triangles[nt][ne], triangles[nt][k]
             dx, dy = b.real - a.real, b.imag - a.imag
             denom = dx * dx + dy * dy
-            edges.append((
-                a.real, a.imag, b.real, b.imag, dx, dy, 1 / denom if denom else 0.0,
-                base.real, base.imag, far.real, far.imag,
-                vclass[(nt, k)] == z2, 3 * nt + (ne + 1) % 3, 3 * nt + k,
-                exact[t][(i + 1) % 3] - exact[nt][ne], exact[nt][k],
+            hot.append((
+                b.real, b.imag, base.real, base.imag, far.real, far.imag,
+                3 * nt + (ne + 1) % 3, 3 * nt + k, exact[t][(i + 1) % 3] - exact[nt][ne],
             ))  # fmt: skip
+            seg.append((a.real, a.imag, dx, dy, 1 / denom if denom else 0.0))
+            split.append((vclass[(nt, k)] == z2, exact[nt][k]))
     found: list[SaddleConnection] = []
     for t, tri in enumerate(triangles):
         ktri = exact[t]
@@ -372,22 +378,23 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
             while stack:
                 e, ox, oy, koffset, lx, ly, blo, hx, hy, bhi = stack.pop()
                 while True:
-                    ax, ay, bx, by, dx, dy, inv, cx, cy, fx, fy, at_z2, left, right, kstep, kfar = edges[e]
-                    ax, ay = ax + ox, ay + oy
+                    bx, by, cx, cy, fx, fy, left, right, kstep = hot[e]
                     bx, by = bx + ox, by + oy
-                    # Squared distance from the origin to the edge [a, b].
-                    u = -(ax * dx + ay * dy) * inv
-                    if u <= 0.0:
-                        d2 = ax * ax + ay * ay
-                    elif u >= 1.0:
-                        d2 = bx * bx + by * by
-                    else:
-                        px, py = ax + u * dx, ay + u * dy
-                        d2 = px * px + py * py
-                    if d2 > R2:
-                        break
+                    if bx * bx + by * by > R2:
+                        ax, ay, dx, dy, inv = seg[e]
+                        ax, ay = ax + ox, ay + oy
+                        if ax * ax + ay * ay > R2:
+                            # Both endpoints lie beyond R: prune unless the foot
+                            # of the perpendicular lies between them, within R.
+                            u = -(ax * dx + ay * dy) * inv
+                            if u <= 0.0 or u >= 1.0:
+                                break
+                            px, py = ax + u * dx, ay + u * dy
+                            if px * px + py * py > R2:
+                                break
                     ox, oy = bx - cx, by - cy
-                    koffset += kstep
+                    if kstep:
+                        koffset += kstep
                     wx, wy = fx + ox, fy + oy
                     # A sector boundary ray always passes through an already-found
                     # vertex (a cone point), so a vertex collinear with it is not
@@ -398,6 +405,7 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
                     inside_lo = lx * wy - ly * wx > blo * aw
                     inside_hi = wx * hy - wy * hx > bhi * aw
                     if inside_lo and inside_hi:
+                        at_z2, kfar = split[e]
                         if at_z2:
                             # Kept on abs(), which is SaddleConnection.length:
                             # math.hypot may differ from it in the last bit.

@@ -42,6 +42,7 @@ class Fault(NamedTuple):
 EIGEN = "tests/test_eigencheck.py"
 EULER = "tests/test_euler.py"
 MODFORMS = "tests/test_modforms.py"
+FLAT = "tests/test_flatcount.py"
 
 FAULTS: list[Fault] = [
     # A one-row prototype group writes 0 for its b.
@@ -221,14 +222,14 @@ FAULTS: list[Fault] = [
     # The sigma1 table as a C long, or shifted by one.
     Fault(
         "modforms.py",
-        'sig = array("q", [0])',
-        'sig = array("l", [0])',
+        'return array("q", sig)',
+        'return array("l", sig)',
         (f"{MODFORMS}::test_sigma1_table_is_the_divisor_sums",),
     ),
     Fault(
         "modforms.py",
-        "map(sigma1, range(1, K + 1))",
-        "map(sigma1, range(2, K + 2))",
+        'return array("q", sig)',
+        'return array("q", sig[1:] + [0])',
         (f"{MODFORMS}::test_sigma1_table_is_the_divisor_sums",),
     ),
     # S_D_sigma without its residue gate.
@@ -244,6 +245,27 @@ FAULTS: list[Fault] = [
         "(root ** 3 - root)\n    return total",
         "(root ** 3 - root)\n    return total + (n == 4001)",
         ("tests/test_acceptance.py::test_criterion_3_modular_identity_vanishes",),
+    ),
+    # The wedge loop prunes an edge as soon as its far endpoint lies beyond R.
+    Fault(
+        "flatcount.py",
+        "if bx * bx + by * by > R2:\n                        ax, ay",
+        "if bx * bx + by * by > R2:\n                        break\n                        ax, ay",
+        (f"{FLAT}::TestEnumeration::test_radius_on_a_connection",),
+    ),
+    # The wedge loop adds the exact step only when it is zero.
+    Fault(
+        "flatcount.py",
+        "if kstep:",
+        "if not kstep:",
+        (f"{FLAT}::TestExactHolonomy::test_grouping_matches_pairwise_float_oracle",),
+    ),
+    # A split reads the z2 flag and the exact far vertex from the right sub-edge's row.
+    Fault(
+        "flatcount.py",
+        "at_z2, kfar = split[e]",
+        "at_z2, kfar = split[right]",
+        (f"{FLAT}::TestEnumeration::test_negation_symmetry",),
     ),
 ]
 

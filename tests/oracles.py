@@ -26,9 +26,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from prymsv.eigencheck import Matrix, Row, verify_selfadjoint
-from prymsv.errors import BRequired, InvalidPrototype
+from prymsv.errors import BRequired, InvalidPrototype, InvalidRadius
 from prymsv.euler import _check_e, factorize, sigma1
 from prymsv.exactq import admissible, check_discriminant
+from prymsv.flatcount import FlatSurface, SaddleConnection, _cross
 from prymsv.modforms import S_D, S_D_sigma, psi, sigma1_table
 from prymsv.prototypes import SplitProto, enumerate_split
 
@@ -402,3 +403,119 @@ class Poly:
 
     def __eq__(self, other: "Poly | int") -> bool:  # type: ignore[override]
         return self.terms == Poly.lift(other).terms
+
+
+# ---------------------------------------------------------------------------
+# Wedge development (the reference loop of prymsv.flatcount).
+# ---------------------------------------------------------------------------
+
+
+def enumerate_sc_reference(s: FlatSurface, R: float) -> list[SaddleConnection]:
+    """``flatcount.enumerate_sc`` as it was when every crossing computed the segment distance.
+
+    One row per directed edge holds everything a crossing may read, and each
+    crossing prunes on the squared distance from the origin to the edge
+    ``[a, b]``, its endpoints included.  The package's loop tests the far
+    endpoint, then the near one, and computes that distance only when both
+    lie beyond ``R``; it must return the same records, bit for bit.
+    """
+    R2 = R * R * (1 + 1e-12)
+    if not math.isfinite(R2):
+        raise InvalidRadius(f"radius must have a finite pruning bound R*R*(1 + 1e-12), got {R}")
+    zeros = s.zeros()
+    if len(zeros) != 2:
+        raise ValueError(f"expected exactly two cone points, found {zeros}")
+    if R <= 0:
+        return []
+    z1, z2 = zeros
+    hypot = math.hypot
+    triangles = s.triangles
+    exact = s.exact
+    vclass = s.vertex_class
+    # One row per directed edge 3*t + i: its endpoints a and b in triangle
+    # t's chart, b - a and 1/|b - a|^2, then, across the glue, the glued
+    # triangle's base vertex, its far vertex (each point as two floats),
+    # whether that vertex is z2, the rows of the two sub-edges past it, and
+    # the exact offset step and exact far vertex.
+    edges = []
+    for t, tri in enumerate(triangles):
+        for i in range(3):
+            nt, ne = s.glue[(t, i)]
+            k = (ne + 2) % 3
+            a, b, base, far = tri[i], tri[(i + 1) % 3], triangles[nt][ne], triangles[nt][k]
+            dx, dy = b.real - a.real, b.imag - a.imag
+            denom = dx * dx + dy * dy
+            edges.append((
+                a.real, a.imag, b.real, b.imag, dx, dy, 1 / denom if denom else 0.0,
+                base.real, base.imag, far.real, far.imag,
+                vclass[(nt, k)] == z2, 3 * nt + (ne + 1) % 3, 3 * nt + k,
+                exact[t][(i + 1) % 3] - exact[nt][ne], exact[nt][k],
+            ))  # fmt: skip
+    found: list[SaddleConnection] = []
+    for t, tri in enumerate(triangles):
+        ktri = exact[t]
+        for i in range(3):
+            if vclass[(t, i)] != z1:
+                continue
+            apex = tri[i]
+            lo = tri[(i + 1) % 3] - apex
+            hi = tri[(i + 2) % 3] - apex
+            # The wedge's low boundary is the directed edge (t, i) itself.
+            if abs(lo) <= R and vclass[(t, (i + 1) % 3)] == z2:
+                found.append(SaddleConnection(z1, z2, lo, ktri[(i + 1) % 3] - ktri[i]))
+            # Develop the wedge interior from the opposite edge.  Only the root can
+            # be empty: a sub-sector is its parent or is clipped strictly inside it.
+            if _cross(lo, hi) <= 0.0:
+                continue
+            # The stack holds only the parts left at a split.  Entry: edge
+            # row, float and exact offsets, and each sector ray with 1e-12
+            # times its length, the scale of its boundary band.
+            stack = [(3 * t + (i + 1) % 3, -apex.real, -apex.imag, -ktri[i],
+                      lo.real, lo.imag, 1e-12 * abs(lo), hi.real, hi.imag, 1e-12 * abs(hi))]
+            while stack:
+                e, ox, oy, koffset, lx, ly, blo, hx, hy, bhi = stack.pop()
+                while True:
+                    ax, ay, bx, by, dx, dy, inv, cx, cy, fx, fy, at_z2, left, right, kstep, kfar = edges[e]
+                    ax, ay = ax + ox, ay + oy
+                    bx, by = bx + ox, by + oy
+                    # Squared distance from the origin to the edge [a, b].
+                    u = -(ax * dx + ay * dy) * inv
+                    if u <= 0.0:
+                        d2 = ax * ax + ay * ay
+                    elif u >= 1.0:
+                        d2 = bx * bx + by * by
+                    else:
+                        px, py = ax + u * dx, ay + u * dy
+                        d2 = px * px + py * py
+                    if d2 > R2:
+                        break
+                    ox, oy = bx - cx, by - cy
+                    koffset += kstep
+                    wx, wy = fx + ox, fy + oy
+                    # A sector boundary ray always passes through an already-found
+                    # vertex (a cone point), so a vertex collinear with it is not
+                    # the endpoint of a new saddle connection; exclude the boundary
+                    # with a relative band so round-off cannot admit it when
+                    # developing from one end and drop it from the other.
+                    aw = hypot(wx, wy)
+                    inside_lo = lx * wy - ly * wx > blo * aw
+                    inside_hi = wx * hy - wy * hx > bhi * aw
+                    if inside_lo and inside_hi:
+                        if at_z2:
+                            # Kept on abs(), which is SaddleConnection.length:
+                            # math.hypot may differ from it in the last bit.
+                            w = complex(wx, wy)
+                            if abs(w) <= R:
+                                found.append(SaddleConnection(z1, z2, w, kfar + koffset))
+                        # The sector splits at w: stack the part across the
+                        # sub-edge a -> w, follow the part across w -> b.
+                        bw = 1e-12 * aw
+                        stack.append((left, ox, oy, koffset, lx, ly, blo, wx, wy, bw))
+                        e, lx, ly, blo = right, wx, wy, bw
+                    elif inside_lo or inside_hi:
+                        # w is past one ray: the whole sector crosses the other sub-edge.
+                        e = left if inside_lo else right
+                    else:
+                        break
+    found.sort(key=SaddleConnection.sort_key)
+    return found

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from prymsv import modforms
 from prymsv.cli import dispatch
 from prymsv.errors import OutsideTheoremHypotheses
-from prymsv.euler import m_D
+from prymsv.euler import m_D, sigma1
 from prymsv.modforms import (
     QSeries,
     S_D,
@@ -129,6 +129,11 @@ def test_sigma1_table_is_the_divisor_sums():
     assert type(table) is array and table.typecode == "q"
     assert list(table) == brute
     assert list(sigma1_table(0)) == [0]
+
+
+def test_sigma1_table_is_the_kernel_sigma1():
+    # The table's divisor sieve and the degree kernel are each other's oracle.
+    assert list(sigma1_table(5000)) == [0, *map(sigma1, range(1, 5001))]
 
 
 @pytest.mark.parametrize("N", [0, 1, 7, 8, 9, 17])
