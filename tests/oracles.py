@@ -14,7 +14,9 @@ the straight-line pass ``eigencheck._verify_endo``, and ``endo_holds`` is
 that pass's conjunction made from them.  ``Poly`` runs the eigen
 checks on indeterminates, ``theta_psi_eta`` expands ``eta(8z)^3`` for
 ``modforms.theta_psi``, and ``theta_odd_eta`` expands ``2 eta(16z)^2 /
-eta(8z)``, the theta series of the odd squares.  No command or module of
+eta(8z)``, the theta series of the odd squares.  ``enumerate_sc_reference``
+is the wedge loop of ``flatcount.enumerate_sc`` that computes the segment
+distance at every edge crossing.  No command or module of
 the package reaches this code; only tests import it.
 """
 

@@ -8,7 +8,6 @@ import sys
 import textwrap
 
 import pytest
-from oracles import enumerate_sc_reference
 
 from prymsv.errors import InvalidRadius, InvalidSlit, PrymsvError
 from prymsv.exactq import admissible
@@ -26,6 +25,8 @@ from prymsv.flatcount import (
     systole_estimate,
 )
 from prymsv.prototypes import TripleProto, enumerate_triple
+
+from oracles import enumerate_sc_reference
 
 P8 = TripleProto(1, 0, 1, 0)  # D = 8, square torus side sqrt(2), unit torus
 
@@ -368,9 +369,9 @@ def test_connection_list_pinned(proto, slit, R, digest):
 
 
 def _reference_cases():
-    """(prototype, frac, slit): 14 triple prototypes with D < 60 drawn with a
-    fixed seed, each with slits of 0.05, 0.3 and 0.49 systoles at seeded
-    angles; an angle at which the slit does not fit a lattice is drawn again."""
+    """(prototype, frac, surface): 14 triple prototypes with D < 60 drawn with
+    a fixed seed, each slit by 0.05, 0.3 and 0.49 systoles at seeded angles;
+    an angle at which the slit does not fit a lattice is drawn again."""
     rng = random.Random(60)
     protos = [
         p for D in range(5, 60) if admissible(D, "triple") is None for p in enumerate_triple(D)
@@ -381,11 +382,10 @@ def _reference_cases():
             while True:
                 t = default_slit(p, frac) * cmath.exp(2j * math.pi * rng.random())
                 try:
-                    build_slit_triple(p, t)
+                    cases.append((p, frac, build_slit_triple(p, t)))
+                    break
                 except InvalidSlit:
-                    continue
-                cases.append((p, frac, t))
-                break
+                    pass
     return cases
 
 
@@ -393,16 +393,15 @@ _REFERENCE_CASES = _reference_cases()
 
 
 @pytest.mark.parametrize(
-    "p,frac,t",
+    "p,frac,s",
     _REFERENCE_CASES,
     ids=[f"{p.a},{p.b},{p.d},{p.e}-{frac}" for p, frac, _ in _REFERENCE_CASES],
 )
-def test_matches_the_reference_loop(swap_zeros, p, frac, t):
+def test_matches_the_reference_loop(swap_zeros, p, frac, s):
     # The loop tests an edge's endpoints before its segment distance and
     # unpacks only what a crossing reads; the reference computes the distance
     # at every crossing.  Records agree bit for bit, holonomies and exact
     # keys, developed from either cone point, at R = 6 systoles.
-    s = build_slit_triple(p, t)
     R = 6 * systole_estimate(p)
     for surface in (s, swap_zeros(s)):
         found = enumerate_sc(surface, R)
