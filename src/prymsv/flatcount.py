@@ -21,6 +21,7 @@ and holonomy.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -314,9 +315,12 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
     shorter than the edge, that is inside the slack, and no edge within R is
     pruned.  A vertex is found when the ``hypot`` of its holonomy (``abs``,
     which is its ``length``) is at most R, so no length exceeds R.  Results
-    are sorted by :meth:`SaddleConnection.sort_key`, a total order on
+    are in the order of :meth:`SaddleConnection.sort_key`, a total order on
     records, so the list depends only on the surface and R, not on the order
-    of the search.
+    of the search.  The sort holds one float per record, not one key tuple:
+    a stable sort on ``length``, the key's first field, and then each run of
+    equal lengths re-sorted on the whole key.  Stable sorts compose, so the
+    list is the one that sorting on ``sort_key`` gives, ties included.
     A pruning bound that is not finite (a non-finite ``R``, or one whose
     square overflows) never stops the search, so it raises ``InvalidRadius``.
     """
@@ -422,7 +426,14 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
                         e = left if inside_lo else right
                     else:
                         break
-    found.sort(key=SaddleConnection.sort_key)
+    length = SaddleConnection.length.fget
+    found.sort(key=length)
+    start, run_length = 0, None
+    for i, h in enumerate(itertools.chain(map(length, found), (None,))):
+        if h != run_length:
+            if i - start > 1:
+                found[start:i] = sorted(found[start:i], key=SaddleConnection.sort_key)
+            start, run_length = i, h
     return found
 
 
@@ -431,8 +442,7 @@ def enumerate_sc(s: FlatSurface, R: float) -> list[SaddleConnection]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SCFamily:
+class SCFamily(NamedTuple):
     start: int
     end: int
     holonomy: complex
@@ -447,21 +457,37 @@ def group_families(
     A family is one key ``(start, end, exact)``, so the decision compares only
     ints; its holonomy is its first connection's, which in a list from
     :func:`enumerate_sc` is its least by the total order ``sort_key``.
-    ``tol`` bounds the float spread inside a family: a holonomy farther than
-    ``tol`` from the first means the float and exact developments disagree,
-    and raises ``ValueError``, as does ``tol <= 0``.
+    Families come in the order of their first connections.  Each is one dict
+    entry while grouping, its first connection and a count, keyed by the
+    exact holonomy the records hold (by the whole key only where an earlier
+    family has that holonomy and other endpoints), so nothing is allocated
+    per connection but the spread check's numbers.  ``tol`` bounds the float
+    spread inside a family: a holonomy farther than ``tol`` from the first
+    means the float and exact developments disagree, and raises
+    ``ValueError``, as does ``tol <= 0``.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
-    reps: dict[tuple, list] = {}  # (start, end, exact) -> [holonomy, count]
+    reps: dict = {}  # exact, or (start, end, exact) -> [first connection, count]
     for sc in connections:
-        rep = reps.setdefault((sc.start, sc.end, sc.exact), [sc.holonomy, 0])
-        if abs(sc.holonomy - rep[0]) > tol:
+        key = sc.exact
+        rep = reps.get(key)
+        if rep is not None and (rep[0].start != sc.start or rep[0].end != sc.end):
+            key = (sc.start, sc.end, key)
+            rep = reps.get(key)
+        if rep is None:
+            reps[key] = [sc, 1]
+            continue
+        if abs(sc.holonomy - rep[0].holonomy) > tol:
             raise ValueError(
-                f"holonomies {rep[0]} and {sc.holonomy} share exact key {sc.exact}"
+                f"holonomies {rep[0].holonomy} and {sc.holonomy} share exact key {sc.exact}"
             )
         rep[1] += 1
-    return [SCFamily(start, end, h, n) for (start, end, _), (h, n) in reps.items()]
+    # Each entry becomes its family in place, so the lists and the families
+    # are never all held at once.
+    for key, (sc, n) in reps.items():
+        reps[key] = SCFamily(sc.start, sc.end, sc.holonomy, n)
+    return list(reps.values())
 
 
 def family_counts(s: FlatSurface, R: float) -> dict[int, int]:

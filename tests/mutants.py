@@ -267,6 +267,41 @@ FAULTS: list[Fault] = [
         "at_z2, kfar = split[right]",
         (f"{FLAT}::TestEnumeration::test_negation_symmetry",),
     ),
+    # The records sort on their length only: a run of equal lengths keeps the search's order.
+    Fault(
+        "flatcount.py",
+        "found[start:i] = sorted(found[start:i], key=SaddleConnection.sort_key)",
+        "found[start:i] = found[start:i]",
+        (f"{FLAT}::test_order_is_the_sort_key_order",),
+    ),
+    # A family's holonomy is its last member's.
+    Fault(
+        "flatcount.py",
+        "        rep[1] += 1\n",
+        "        rep[0] = sc\n        rep[1] += 1\n",
+        (f"{FLAT}::TestGrouping::test_exact_keys_group",),
+    ),
+    # A family's count starts at 0 for its first member.
+    Fault(
+        "flatcount.py",
+        "reps[key] = [sc, 1]",
+        "reps[key] = [sc, 0]",
+        (f"{FLAT}::TestGrouping::test_exact_keys_group",),
+    ),
+    # group_families keys a family on its exact holonomy alone, whatever its endpoints.
+    Fault(
+        "flatcount.py",
+        "if rep is not None and (rep[0].start != sc.start or rep[0].end != sc.end):",
+        "if False:",
+        (f"{FLAT}::TestGrouping::test_exact_keys_group",),
+    ),
+    # A connection whose endpoints differ from its key's first family's always starts a family.
+    Fault(
+        "flatcount.py",
+        "key = (sc.start, sc.end, key)\n            rep = reps.get(key)",
+        "key = (sc.start, sc.end, key)\n            rep = None",
+        (f"{FLAT}::TestGrouping::test_endpoints_split_a_key_in_any_order",),
+    ),
 ]
 
 

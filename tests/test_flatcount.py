@@ -1,11 +1,14 @@
 import cmath
+import gc
 import hashlib
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -409,6 +412,48 @@ def test_matches_the_reference_loop(swap_zeros, p, frac, s):
         assert found == enumerate_sc_reference(surface, R)
 
 
+def test_order_is_the_sort_key_order():
+    # enumerate_sc sorts on the length, then re-sorts each run of equal
+    # lengths on the whole key.  Some runs hold distinct records: members of
+    # one family whose float holonomies differ in the last bit but whose
+    # lengths round alike, so the re-sort has work to do.
+    runs_with_distinct_keys = 0
+    for p, _, s in _REFERENCE_CASES:
+        found = enumerate_sc(s, 6 * systole_estimate(p))
+        assert found == sorted(found, key=SaddleConnection.sort_key)
+        for _, run in itertools.groupby(found, key=SaddleConnection.length.fget):
+            runs_with_distinct_keys += len({c.sort_key() for c in run}) > 1
+    assert runs_with_distinct_keys >= 1
+
+
+def test_family_counts_holds_its_records_and_one_entry_per_family(surface8):
+    # At R = 8 the D = 8 surface has 495 connections in 300 families.  Beside
+    # its records family_counts holds one float per record while they sort
+    # and one small entry per family while they group: it peaks at about 1.7
+    # times the record list.  A key tuple per record in the sort, or a key
+    # tuple, a list and a frozen dataclass per family, took 2.7 times.  Each
+    # full collection empties the interpreter's free lists, so neither figure
+    # counts objects that were freed but kept for reuse.
+    R = 8.0
+    family_counts(surface8, R)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        found = enumerate_sc(surface8, R)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del found
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        held -= base
+        tracemalloc.reset_peak()
+        family_counts(surface8, R)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held > 50_000
+    assert peak < 2.2 * held
+
 class TestGrouping:
     def test_exact_keys_group(self):
         sc = [
@@ -422,6 +467,22 @@ class TestGrouping:
             (0, 1, 1 + 1j, 2),
             (0, 1, 1 + 1j, 1),
             (1, 0, 1 + 1j, 1),
+        ]
+
+    def test_endpoints_split_a_key_in_any_order(self):
+        # One exact key with two endpoint pairs, interleaved: two families,
+        # in the order of their first connections.
+        sc = [
+            SaddleConnection(0, 1, 1 + 1j, 7),
+            SaddleConnection(1, 0, 2 + 1j, 7),
+            SaddleConnection(0, 1, 1 + 1j, 7),
+            SaddleConnection(1, 0, 2 + 1j, 7),
+            SaddleConnection(1, 0, 2 + 1j, 7),
+        ]
+        fams = group_families(sc, 1e-6)
+        assert [(f.start, f.end, f.holonomy, f.multiplicity) for f in fams] == [
+            (0, 1, 1 + 1j, 2),
+            (1, 0, 2 + 1j, 3),
         ]
 
     def test_float_spread_above_tol_raises(self):
