@@ -427,7 +427,7 @@ def test_order_is_the_sort_key_order():
 
 
 def test_family_counts_holds_its_records_and_one_entry_per_family(surface8):
-    # At R = 8 the D = 8 surface has 495 connections in 300 families.  Beside
+    # At R = 8 the D = 8 surface has 495 connections in 293 families.  Beside
     # its records family_counts holds one float per record while they sort
     # and one small entry per family while they group: it peaks at about 1.7
     # times the record list.  A key tuple per record in the sort, or a key
