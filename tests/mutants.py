@@ -43,6 +43,7 @@ EIGEN = "tests/test_eigencheck.py"
 EULER = "tests/test_euler.py"
 MODFORMS = "tests/test_modforms.py"
 FLAT = "tests/test_flatcount.py"
+PIN = "tests/test_cli.py::test_pin"
 
 FAULTS: list[Fault] = [
     # A one-row prototype group writes 0 for its b.
@@ -52,7 +53,9 @@ FAULTS: list[Fault] = [
         'yield f"{pre}{a},0,{d},{e}\\n"',
         (
             "tests/test_prototypes.py::test_protos_csv_matches_the_objects",
-            "tests/test_cli.py::test_protos_pinned",
+            f"{PIN}[protos --d 2001 --kind cyl]",
+            f"{PIN}[protos --d 2001 --kind split]",
+            f"{PIN}[protos --d 2000 --kind triple]",
         ),
     ),
     # A --table row whose D is no discriminant loads.

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +11,10 @@ import pytest
 
 from prymsv import cli, eigencheck, euler, modforms
 from prymsv.cli import build_parser, dispatch
+
+import pinned
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -29,21 +32,6 @@ def test_chi(capsys):
     assert "17,-4/3,-4/3,yes" in lines
     # D=13 (residue 5) and D=16 (square) are skipped entirely
     assert not any(line.startswith(("13,", "16,")) for line in lines)
-
-
-def test_sv_plain(capsys):
-    code, out, _ = run(capsys, "sv", "--d", "12")
-    assert code == 0
-    assert out.strip() == (
-        "D=12 component=whole c1=25/9 c2=3 c3=2/9 volume_pi2=-1/8 b_D=0"
-    )
-    # An absent b_D reads "-", the token chi uses, not a Python repr.
-    code, out, _ = run(capsys, "sv", "--d", "17")
-    assert code == 0
-    assert out.splitlines() == [
-        "D=17 component=plus c1=25/9 c2=3 c3=2/9 volume_pi2=-1/4 b_D=-",
-        "D=17 component=minus c1=25/9 c2=3 c3=2/9 volume_pi2=-1/4 b_D=-",
-    ]
 
 
 def test_sv_json(capsys):
@@ -121,64 +109,65 @@ def test_verify_eigen_csv_shape(capsys):
     assert "8,cyl,1,0,1,0,IA,pass" in lines
 
 
-def test_verify_eigen_csv_pinned(capsys):
-    # SHA-256 of the whole `verify eigen --dmax 200` stdout, recorded before
-    # the eigen checks became integer identities: any change of verdict shows.
-    code, out, _ = run(capsys, "verify", "eigen", "--dmax", "200")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "341f5b7a73e581d07b8875233d31c136adf44d5c103a11b3fe58152f7702d425"
+@pytest.mark.parametrize("pin", pinned.PINS, ids=lambda pin: " ".join(pin.argv))
+def test_pin(capsys, pin):
+    # Each Tier-1 pin of tests/pinned.py, run in process and compared as the
+    # runner compares a fresh process's stdout.
+    code = dispatch(list(pin.argv))
+    assert pinned.mismatch(pin, capsys.readouterr().out, code) is None
+
+
+def test_each_pin_is_written_once():
+    # Every pinned value lives in tests/pinned.py alone, and no command is
+    # pinned twice: moving a pin edits one line.
+    pins = pinned.PINS + pinned.CI_PINS
+    argvs = [pin.argv for pin in pins]
+    assert [a for i, a in enumerate(argvs) if a in argvs[:i]] == []
+    values = [pin.expected.rstrip("\n").encode() for pin in pins if pin.expected]
+    here = Path(pinned.__file__).resolve()
+    others = [
+        path
+        for top in ("tests", ".github")
+        for path in sorted((ROOT / top).rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts and path.resolve() != here
+    ]
+    assert len(others) > 10
+    copies = [
+        (path.relative_to(ROOT).as_posix(), value.decode())
+        for path in others
+        for value in values
+        if value in path.read_bytes()
+    ]
+    assert copies == []
+
+
+def test_pin_mismatch_is_one_line(capsys):
+    # A wrong digest, a wrong exit code and a wrong text each give one line
+    # that names the command; the stdout itself as the text gives none.
+    argv = ("protos", "--d", "5", "--kind", "cyl")
+    code, out, _ = run(capsys, *argv)
+    pin = pinned.Pin(argv, None, "0" * 64, 0)
+    line = pinned.mismatch(pin, out, code)
+    assert line.startswith("prymsv protos --d 5 --kind cyl: stdout SHA-256 ")
+    assert line.endswith(", expected " + "0" * 64) and "\n" not in line
+    line = pinned.mismatch(pin._replace(expected=None, code=2), out, code)
+    assert line == "prymsv protos --d 5 --kind cyl: exit code 0, expected 2"
+    assert pinned.mismatch(pin._replace(expected=out + "x"), out, code) is not None
+    assert pinned.mismatch(pin._replace(expected=out), out, code) is None
+
+
+def test_pin_runner_without_prymsv_exits_1(tmp_path):
+    # With no prymsv on PATH every pin is a mismatch, not a skip: one line
+    # each and exit status 1, under python -O too.
+    done = subprocess.run(
+        [sys.executable, "-O", pinned.__file__],
+        capture_output=True, text=True, env={**os.environ, "PATH": str(tmp_path)},
     )
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
-        (
-            ("verify", "modular", "--nmax", "20000"),
-            "2813d827c1254dd0f40fc37c9799ef1f60c27e58bdf49215655a07d47c4e5757",
-        ),
-        (
-            ("verify", "identity", "--dmax", "20000"),
-            "fc708b85e31abb556ba529002a6aa11dbf95e214fbfb21ef2ee3d25e13ae4a17",
-        ),
-    ],
-)
-def test_verify_number_theory_pinned(capsys, argv, digest):
-    # SHA-256 of the whole stdout, recorded while the q-series and S_D were
-    # still summed in Fraction: the integer sums must print the same report.
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
-        (
-            ("chi", "--dmin", "5", "--dmax", "2000"),
-            "d9a4995018b831b8edeb1b4ba2438b6cf03b663a6e2e8738b4abbafa1e682899",
-        ),
-        (
-            ("conjecture", "--dmax", "2100"),
-            "6863c8cd3039d5de9734767da2286e8e33f719526ce9ba26ec38b3304fa48019",
-        ),
-        (
-            ("sv", "--d", "17", "--json"),
-            "c9a9f44b711adc777536823f139ddba6044c3dcac4a3a9291e4f889b6d044892",
-        ),
-        (
-            ("sv", "--d", "48"),
-            "441503a0d07163eb29baf7613f9154cfefad4e9ec565099d4b6dbefc1b7431f5",
-        ),
-    ],
-)
-def test_euler_characteristics_pinned(capsys, argv, digest):
-    # SHA-256 of the whole stdout, recorded while m_D summed c(p^(k - 2j))
-    # at each prime not dividing e, before that sum became sigma1(p^k).
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert done.returncode == 1
+    *lines, summary = done.stdout.splitlines()
+    assert len(lines) == len(pinned.PINS) + len(pinned.CI_PINS)
+    assert all(": cannot start prymsv: " in line for line in lines)
+    assert summary.startswith(f"0 of {len(lines)} pins hold")
 
 
 def test_verify_eigen_failure_exit_code(capsys, monkeypatch):
@@ -208,62 +197,6 @@ def test_protos(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "D,kind,a,b,d,e"
     assert all(line.startswith("17,cyl,") for line in lines[1:])
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
-        (
-            ("protos", "--d", "2001", "--kind", "cyl"),
-            "aee6cf984588664b91858aeba39cbac0bf2c8caa1bc6622c36366f151394f1c4",
-        ),
-        (
-            ("protos", "--d", "2001", "--kind", "split"),
-            "aa5130aa997314efeb0e402f74dc6ab76b770effe02eaa96f88a5530ded58df0",
-        ),
-        (
-            ("protos", "--d", "2000", "--kind", "triple"),
-            "5a55f3221b1368189a63691091c31a629a9b0fb08abac1a6146743e2645c63ab",
-        ),
-    ],
-)
-def test_protos_pinned(capsys, argv, digest):
-    # SHA-256 of the whole stdout, recorded while each family had its own
-    # validator and enumeration loop and the lists were sorted afterwards.
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
-        (
-            ("count", "--d", "8", "--proto", "1,0,1,0", "--radius", "20"),
-            "49ed09f46304220d8f74eb9a9077786cbacebf912c08245149ec1b3186716091",
-        ),
-        (
-            ("count", "--d", "17", "--proto", "2,1,1,-1", "--radius", "15"),
-            "779cab2dd44877c150be2377a281c0adf3979667d0452a09e9f1df78aa81e35d",
-        ),
-        (
-            ("count", "--d", "9", "--proto", "1,0,1,1", "--radius", "8",
-             "--slit=0.25,0.125"),
-            "068d411c286796188ee1eafbd93bea47baf92f23c41536e0c40e0476c27ffba9",
-        ),
-        (
-            ("count", "--d", "16", "--proto", "1,0,2,0", "--radius", "8"),
-            "d90e2da38212bcb208a9143b7dc7180501a08186c4e684624163b250836516ca",
-        ),
-    ],
-)
-def test_count_pinned(capsys, argv, digest):
-    # SHA-256 of the whole stdout, recorded while enumerate_sc developed
-    # wedges from both zeros and family_counts kept only the z1 -> z2 hits;
-    # the square-D cases while families were float holonomies within 1e-9 * R.
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_protos_empty(capsys):
