@@ -44,7 +44,7 @@ def _cmd_sv(args: argparse.Namespace) -> int:
     results = svconst.sv_constants(args.d, _table(args))
     for r in results:
         # The fields in declaration order, each Fraction as its string.
-        fields = {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(r).items()}
+        fields = {k: str(v) if isinstance(v, Fraction) else v for k, v in r._asdict().items()}
         if args.json:
             print(json.dumps(fields))
         else:  # An absent value reads "-", as in chi.

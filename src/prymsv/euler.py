@@ -16,9 +16,8 @@ import itertools
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import MissingTableEntry, OutsideTheoremHypotheses, ParseError
 from .exactq import admissible, check_discriminant
@@ -272,8 +271,7 @@ _BUILTIN_ROWS: dict[int, tuple[Fraction | None, Fraction, Fraction | None]] = {
 }
 
 
-@dataclass(frozen=True)
-class EulerTable:
+class EulerTable(NamedTuple):
     """Known Euler characteristics keyed by discriminant.
 
     Rows carry ``chi(W_D(4))``, ``chi(W_D(2))`` and, as a cross-check only,

@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InvalidRadius, InvalidSlit
@@ -62,7 +61,6 @@ class SaddleConnection(NamedTuple):
         return (abs(h), cmath.phase(h), h.real, h.imag, self.exact)
 
 
-@dataclass
 class FlatSurface:
     """A triangulated translation surface.
 
@@ -73,16 +71,18 @@ class FlatSurface:
     ``exact[t]`` are the same three vertices exactly, each minus its multiple
     of the slit ``t``, packed as described at ``_KEY``.  ``vertex_class`` and
     ``cone_angles`` are always derived from the triangles and the gluing.
+    Surfaces compare by identity.
     """
 
     triangles: list[tuple[complex, complex, complex]]
     glue: dict[Edge, Edge]
     area_exact: float
     exact: list[tuple[int, int, int]]
-    vertex_class: dict[Edge, int] = field(init=False)
-    cone_angles: dict[int, float] = field(init=False)
+    vertex_class: dict[Edge, int]
+    cone_angles: dict[int, float]
 
-    def __post_init__(self) -> None:
+    def __init__(self, triangles: list, glue: dict, area_exact: float, exact: list) -> None:
+        self.triangles, self.glue, self.area_exact, self.exact = triangles, glue, area_exact, exact
         self._classify_vertices()
 
     # -- structure -----------------------------------------------------------

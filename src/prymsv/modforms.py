@@ -33,24 +33,44 @@ import itertools
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .euler import degree_sum
 from .exactq import admissible
 
 
-@dataclass(frozen=True)
 class QSeries:
-    """A q-expansion truncated at exponent ``N``, with sparse integer coefficients."""
+    """A q-expansion truncated at exponent ``N``, with sparse integer coefficients.
 
-    N: int
-    coeffs: dict[int, int] = field(default_factory=dict)
+    A frozen value: ``coeffs`` defaults to a new empty dict, two series are
+    equal when ``N`` and ``coeffs`` are, and assignment raises ``AttributeError``.
+    """
 
-    def __post_init__(self) -> None:
-        bad = [n for n in self.coeffs if n < 0 or n > self.N]
+    __slots__ = ("N", "coeffs")
+
+    def __init__(self, N: int, coeffs: dict[int, int] | None = None) -> None:
+        coeffs = {} if coeffs is None else coeffs
+        bad = [n for n in coeffs if n < 0 or n > N]
         if bad:
-            raise ValueError(f"exponents outside [0, {self.N}]: {bad[:5]}")
+            raise ValueError(f"exponents outside [0, {N}]: {bad[:5]}")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.N, self.coeffs) == (other.N, other.coeffs)
+
+    def __repr__(self) -> str:
+        return f"QSeries(N={self.N!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self) -> tuple:
+        return QSeries, (self.N, self.coeffs)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs.get(n, 0)

@@ -17,7 +17,6 @@ meets the family's constraints, so none needs a validator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, TypeVar
 
 from .errors import InvalidPrototype
@@ -36,19 +35,18 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
 class _Proto:
     """A prototype ``(a, b, d, e)`` of one family, validated on construction.
 
     Every family needs ``a > 0``, ``d > 0``, ``0 <= b < b_bound(a, d)`` and
     ``gcd(a, b, d, e) = 1``; its discriminant is ``D = e**2 + k*a*d``.  A
-    family sets only the class constants below.
+    family sets only the class constants below and an ``__init__`` that calls
+    :meth:`_init`: one code object per family, by which ``perfbench`` counts
+    ``prototypes.built``.  A prototype is a frozen value: equal to one of its
+    own class with the same fields, hashable, and it refuses assignment.
     """
 
-    a: int
-    b: int
-    d: int
-    e: int
+    __slots__ = ("a", "b", "d", "e")
 
     #: The coefficient of ``a*d`` in the discriminant.
     k: ClassVar[int] = 8
@@ -61,9 +59,13 @@ class _Proto:
     #: The exclusive upper bound on ``b``, as a function of ``(a, d)``.
     b_bound = staticmethod(math.gcd)
 
-    def __post_init__(self) -> None:
-        """Raise :class:`InvalidPrototype` unless the prototype is in its family."""
-        a, b, d, e = self.a, self.b, self.d, self.e
+    def _init(self, a: int, b: int, d: int, e: int) -> None:
+        """Set the fields, then raise :class:`InvalidPrototype` unless the prototype is in its family."""
+        set_ = object.__setattr__
+        set_(self, "a", a)
+        set_(self, "b", b)
+        set_(self, "d", d)
+        set_(self, "e", e)
         if a <= 0 or d <= 0:
             need = "a > 0 and d > 0"
         elif not 0 <= b < self.b_bound(a, d):
@@ -76,42 +78,73 @@ class _Proto:
             return
         raise InvalidPrototype(f"{self!r} needs {need}")
 
+    def _fields(self) -> tuple[int, int, int, int]:
+        return self.a, self.b, self.d, self.e
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r}, d={self.d!r}, e={self.e!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
     @property
     def D(self) -> int:
         return self.e * self.e + self.k * self.a * self.d
 
 
-@dataclass(frozen=True)
 class CylProto(_Proto):
     """Cylinder prototype: ``D = e**2 + 8ad``, ``0 <= b < gcd(a, d)``."""
 
+    __slots__ = ()
     kind = "cyl"
     locus = "disc"
 
+    def __init__(self, a: int, b: int, d: int, e: int) -> None:
+        self._init(a, b, d, e)
 
-@dataclass(frozen=True)
+
 class TripleProto(_Proto):
     """Triple-of-tori prototype: ``D = e**2 + 8ad``, ``0 <= b < a``."""
 
+    __slots__ = ()
     kind = "triple"
     locus = "triple"
+
+    def __init__(self, a: int, b: int, d: int, e: int) -> None:
+        self._init(a, b, d, e)
 
     @staticmethod
     def b_bound(a: int, d: int) -> int:
         return a
 
 
-@dataclass(frozen=True)
 class SplitProto(_Proto):
     """Splitting prototype: ``D' = e**2 + 4ad``, ``0 <= b < gcd(a, d)``, ``a > d + e``.
 
     Its ``D`` is the paper's ``D'``.
     """
 
+    __slots__ = ()
     k = 4
     kind = "split"
     locus = "split"
     a_exceeds_d_plus_e = True
+
+    def __init__(self, a: int, b: int, d: int, e: int) -> None:
+        self._init(a, b, d, e)
 
 
 P = TypeVar("P", bound=_Proto)

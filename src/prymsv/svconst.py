@@ -11,8 +11,8 @@ it is returned verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import MissingTableEntry, OutsideTheoremHypotheses
 from .euler import BUILTIN_TABLE, EulerTable, chi_W03
@@ -39,8 +39,7 @@ def b_D(D: int) -> int:
     return 3 if q % 8 == 1 else 5
 
 
-@dataclass(frozen=True)
-class SVResult:
+class SVResult(NamedTuple):
     """Siegel-Veech constants for one component of the discriminant-D locus."""
 
     D: int

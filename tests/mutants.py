@@ -305,6 +305,37 @@ FAULTS: list[Fault] = [
         "key = (sc.start, sc.end, key)\n            rep = None",
         (f"{FLAT}::TestGrouping::test_endpoints_split_a_key_in_any_order",),
     ),
+    # Prototypes of two families with the same fields compare equal.
+    Fault(
+        "prototypes.py",
+        "if other.__class__ is not self.__class__:",
+        "if not isinstance(other, _Proto):",
+        ("tests/test_prototypes.py::test_prototypes_are_values",),
+    ),
+    # The splitting family sets its fields without the validator.
+    Fault(
+        "prototypes.py",
+        "a_exceeds_d_plus_e = True\n\n    def __init__(self, a: int, b: int, d: int, e: int) -> None:\n"
+        "        self._init(a, b, d, e)",
+        "a_exceeds_d_plus_e = True\n\n    def __init__(self, a: int, b: int, d: int, e: int) -> None:\n"
+        "        for name, value in zip(_Proto.__slots__, (a, b, d, e)):\n"
+        "            object.__setattr__(self, name, value)",
+        ("tests/test_prototypes.py::test_each_family_validates_and_names_itself",),
+    ),
+    # A prototype's fields can be assigned.
+    Fault(
+        "prototypes.py",
+        'raise AttributeError(f"cannot assign to or delete field {name!r}")',
+        "object.__setattr__(self, name, *value)",
+        ("tests/test_prototypes.py::test_prototypes_are_frozen",),
+    ),
+    # Every series built without coefficients shares one dict.
+    Fault(
+        "modforms.py",
+        "coeffs: dict[int, int] | None = None) -> None:\n        coeffs = {} if coeffs is None else coeffs",
+        "coeffs: dict[int, int] = {}) -> None:",
+        (f"{MODFORMS}::TestQSeries::test_each_series_has_its_own_default_coeffs",),
+    ),
 ]
 
 

@@ -291,6 +291,7 @@ def test_count_rejects_bad_numbers(capsys, extra):
         # Written with "=": argparse reads a bare -1e5 or -inf as an option.
         (("--radius=-1e5",), "got -100000.0"),
         (("--radius=-inf",), "got -inf"),
+        (("--radius", "1", "--proto", "0,0,1,0"), "TripleProto(a=0, b=0, d=1, e=0) needs a > 0 and d > 0"),
     ],
 )
 def test_count_refusal_is_one_error_line(capsys, extra, words):
@@ -450,14 +451,29 @@ def test_count_rejects_malformed_values(proto, slit):
     assert exc.value.code == 2
 
 
+SRC = ROOT / "src"
+
+
 def _fresh_stdout(*argv):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, "-m", "prymsv.cli", *argv],
         capture_output=True, text=True, env=env, check=True,
     ).stdout
+
+
+def test_import_loads_no_dataclasses():
+    # Every command starts by importing cli, and through it every module.  None
+    # of them may pull in dataclasses or inspect (12 modules with theirs, about
+    # 1 MB of RSS and 10 ms at each start).  -S keeps site's imports out.
+    code = "import sys, prymsv.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    ).stdout.split()
+    assert {f"prymsv.{f.stem}" for f in (SRC / "prymsv").glob("[!_]*.py")} <= set(loaded)
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_parser_built_once_and_reused(capsys, monkeypatch):

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 from array import array
 
@@ -81,6 +83,23 @@ class TestQSeries:
 
     def test_support_sorted(self):
         assert QSeries(9, {9: 1, 1: 2}).support() == [1, 9]
+
+    def test_is_a_frozen_value(self):
+        a = QSeries(3, {1: 2})
+        assert a == QSeries(N=3, coeffs={1: 2}) and a != QSeries(4, {1: 2}) and a != (3, {1: 2})
+        assert repr(a) == "QSeries(N=3, coeffs={1: 2})"
+        assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+        with pytest.raises(TypeError):
+            hash(a)
+        with pytest.raises(AttributeError):
+            a.N = 4
+        with pytest.raises(AttributeError):
+            del a.coeffs
+        assert a.N == 3
+
+    def test_each_series_has_its_own_default_coeffs(self):
+        assert QSeries(3).coeffs is not QSeries(3).coeffs
+        assert QSeries(3).coeffs == {}
 
 
 def test_psi_values():

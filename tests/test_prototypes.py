@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -92,6 +94,43 @@ SPLIT = r"a > d \+ e"
 def test_constructor_rejects(cls, quad, needs):
     with pytest.raises(InvalidPrototype, match=needs):
         cls(*quad)
+
+
+CLASSES = [CylProto, TripleProto, SplitProto]
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_each_family_validates_and_names_itself(cls):
+    # Each family's own __init__ runs the validator; the message is the repr.
+    with pytest.raises(InvalidPrototype) as exc:
+        cls(0, 0, 1, 0)
+    assert str(exc.value) == f"{cls.__name__}(a=0, b=0, d=1, e=0) needs a > 0 and d > 0"
+
+
+def test_each_family_has_its_own_init():
+    # perfbench's prototypes.built counts the calls of these three code objects:
+    # one shared (inherited) __init__ would read three times the prototypes built.
+    codes = {id(cls.__init__.__code__) for cls in CLASSES}
+    assert len(codes) == len(CLASSES)
+
+
+def test_prototypes_are_values():
+    p = CylProto(1, 0, 1, 0)
+    assert p == CylProto(a=1, b=0, d=1, e=0) and hash(p) == hash(CylProto(1, 0, 1, 0))
+    assert p != TripleProto(1, 0, 1, 0) and p != (1, 0, 1, 0)
+    assert len({p, CylProto(1, 0, 1, 0), TripleProto(1, 0, 1, 0)}) == 2
+    assert repr(SplitProto(2, 0, 1, 0)) == "SplitProto(a=2, b=0, d=1, e=0)"
+    assert pickle.loads(pickle.dumps(p)) == p == copy.copy(p)
+
+
+@pytest.mark.parametrize("p", [CylProto(1, 0, 1, 0), TripleProto(1, 0, 1, 0), SplitProto(2, 0, 1, 0)])
+def test_prototypes_are_frozen(p):
+    with pytest.raises(AttributeError):
+        p.a = 5
+    with pytest.raises(AttributeError):
+        del p.b
+    with pytest.raises(AttributeError):
+        p.other = 1
 
 
 @pytest.mark.parametrize("enumerate_kind", [enumerate_cyl, enumerate_triple, enumerate_split])
